@@ -79,64 +79,10 @@ from .privacy import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinGrid",
-    "CalibrationResult",
-    "ConditionalCoverageResult",
-    "CoverageTable",
-    "DpConfig",
-    "ExperimentResult",
-    "ExponentialScores",
-    "FedcalError",
-    "FederationSpec",
-    "GammaSelection",
-    "HeterogeneityModel",
-    "InfeasibleError",
-    "InternalError",
-    "InvalidArgumentError",
-    "OutlierScores",
-    "PredictionInterval",
-    "ProtocolViolationError",
-    "RankPair",
-    "ResourceLimitError",
-    "ScoreFunction",
-    "TableKey",
-    "Transcript",
-    "TranscriptRecorder",
-    "UniformScores",
-    "conditional_coverage_experiment",
-    "conditional_miscoverage_bound",
-    "coverage_bruteforce",
-    "coverage_column",
-    "coverage_experiment",
-    "coverage_probability",
-    "evaluate_intervals",
-    "fedcp2_qq_calibrate",
-    "fedcp_avg_calibrate",
-    "fedcp_qq_calibrate",
-    "heterogeneity_tv_penalty",
-    "load_table",
-    "max_report_coverage",
-    "order_statistic",
-    "poisson_binomial_diagnostic",
-    "predict_interval",
-    "private_quantile",
-    "private_quantile_distribution",
-    "quantile_of_quantiles",
-    "rank_condition_holds",
-    "rank_correction",
-    "read_score_matrix_csv",
-    "read_scores_csv",
-    "run_one_shot",
-    "save_table",
-    "select_gamma",
-    "select_ranks",
-    "select_ranks_unbalanced",
-    "split_cp_calibrate",
-    "split_rank",
-    "substream",
-    "synthetic_conditional_quantile",
-    "synthetic_dataset",
-    "unbalanced_coverage",
-    "write_rows_csv",
-]
+# the import lists above spell out the public API once; __all__ is every
+# class and function they bring in, sorted
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith("fedcal.")
+)

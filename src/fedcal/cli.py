@@ -9,6 +9,7 @@ file; explicit flags win, unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -16,20 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import (
-    fedcp_avg_calibrate,
-    fedcp_qq_calibrate,
-    read_score_matrix_csv,
-    split_cp_calibrate,
-)
+from .conformal import read_score_matrix_csv
 from .coverage_table import CoverageTable, TableKey, load_table, save_table, select_ranks
 from .errors import FedcalError, InvalidArgumentError
-from .federation import SAMPLERS, FederationSpec, coverage_experiment, write_rows_csv
-from .privacy import BinGrid, DpConfig, fedcp2_qq_calibrate
+from .federation import (
+    METHODS, SAMPLERS, FederationSpec, Method, coverage_experiment, write_rows_csv,
+)
+from .privacy import BinGrid, DpConfig
 
 CACHE_DIR_ENV = "FEDCAL_CACHE_DIR"
-
-METHODS = ("centralized", "fedcp-qq", "fedcp-avg", "fedcp2-qq")
 
 # dest -> (converter, default); a config file may set any of these
 _OPTION_TYPES = {
@@ -58,6 +54,7 @@ _DEFAULTS = {
 }
 
 
+@functools.cache  # built once per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedcal",
@@ -107,8 +104,9 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _resolve(args: argparse.Namespace, *names: str) -> dict:
+def _resolve(args: argparse.Namespace) -> dict:
     """Merge defaults, config file, and explicit flags (strongest last)."""
+    names = [name for name in vars(args) if name in _OPTION_TYPES]
     config = _read_config(args.config) if getattr(args, "config", None) else {}
     for key in config:
         if key not in names:
@@ -146,6 +144,12 @@ def _cache_path(options: dict, m: int, n: int) -> Path:
     return Path(env_dir) / name if env_dir else Path(name)
 
 
+def _method(options: dict) -> Method:
+    if options["method"] not in METHODS:
+        raise InvalidArgumentError(f"method must be one of {', '.join(METHODS)}")
+    return METHODS[options["method"]]
+
+
 def _load_or_new_table(path: Path, key: TableKey) -> tuple[CoverageTable, int]:
     if path.exists():
         table = load_table(path)
@@ -158,16 +162,20 @@ def _load_or_new_table(path: Path, key: TableKey) -> tuple[CoverageTable, int]:
     return CoverageTable(key=key), -1
 
 
+def _save_if_grown(table: CoverageTable, path: Path, loaded_entries: int) -> None:
+    if len(table.entries) != max(loaded_entries, 0):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_table(table, path)
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
-    options = _resolve(args, "m", "n", "alpha", "cache")
+    options = _resolve(args)
     _require(options, "m", "n", "alpha")
     key = TableKey(options["m"], options["n"])
     path = _cache_path(options, key.m, key.n)
     table, loaded_entries = _load_or_new_table(path, key)
     ranks, coverage = select_ranks(key, options["alpha"], table=table)
-    if len(table.entries) != max(loaded_entries, 0) or loaded_entries < 0:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_table(table, path)
+    _save_if_grown(table, path, loaded_entries)
     print(f"l*={ranks.local_rank} k*={ranks.server_rank} M={coverage:.15f}")
     print(f"cache={path}")
     return 0
@@ -185,32 +193,20 @@ def _dp_config(options: dict) -> DpConfig:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
-    options = _resolve(
-        args, "alpha", "method", "epsilon", "bins", "smax", "gamma", "seed", "cache", "out"
-    )
+    options = _resolve(args)
     _require(options, "alpha", "method")
-    method = options["method"]
-    if method not in METHODS:
-        raise InvalidArgumentError(f"method must be one of {', '.join(METHODS)}")
+    method = _method(options)
     agents = read_score_matrix_csv(args.scores)
-    alpha = options["alpha"]
-    if method == "centralized":
-        result = split_cp_calibrate(np.concatenate(agents), alpha)
-    elif method == "fedcp-avg":
-        result = fedcp_avg_calibrate(agents, alpha)
-    else:
+    table, path, loaded = None, None, -1
+    if method.table and (options.get("cache") or os.environ.get(CACHE_DIR_ENV)):
         key = TableKey(len(agents), agents[0].size)
-        path = _cache_path(options, key.m, key.n) if options.get("cache") else None
-        table, loaded = (CoverageTable(key=key), -1)
-        if path is not None:
-            table, loaded = _load_or_new_table(path, key)
-        if method == "fedcp-qq":
-            result = fedcp_qq_calibrate(agents, alpha, table=table)
-        else:
-            rng = np.random.default_rng(options["seed"])
-            result = fedcp2_qq_calibrate(agents, alpha, _dp_config(options), rng, table=table)
-        if path is not None and len(table.entries) != max(loaded, 0):
-            save_table(table, path)
+        path = _cache_path(options, key.m, key.n)
+        table, loaded = _load_or_new_table(path, key)
+    dp = _dp_config(options) if method.private else None
+    rng = np.random.default_rng(options["seed"])
+    result = method.run(agents, options["alpha"], table=table, dp_config=dp, rng=rng, recorder=None)
+    if path is not None:
+        _save_if_grown(table, path, loaded)
     print(f"method={result.method}")
     print(f"q_hat={result.q_hat:.17g}")
     guarantee = result.guaranteed_coverage
@@ -232,15 +228,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    options = _resolve(
-        args,
-        "m", "n", "alpha", "method", "reps", "seed", "sampler", "test_size",
-        "epsilon", "bins", "smax", "gamma", "out",
-    )
+    options = _resolve(args)
     _require(options, "m", "n", "alpha", "method", "reps")
     method = options["method"]
-    if method not in METHODS:
-        raise InvalidArgumentError(f"method must be one of {', '.join(METHODS)}")
+    private = _method(options).private
     if options["sampler"] not in SAMPLERS:
         raise InvalidArgumentError(
             f"sampler must be one of {', '.join(sorted(SAMPLERS))}"
@@ -248,7 +239,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     spec = FederationSpec(
         m=options["m"], sizes=options["n"], alpha=options["alpha"], seed=options["seed"]
     )
-    dp = _dp_config(options) if method == "fedcp2-qq" else None
+    dp = _dp_config(options) if private else None
     summary = coverage_experiment(
         spec,
         options["reps"],

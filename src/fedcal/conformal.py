@@ -4,6 +4,12 @@ Calibrators consume precomputed nonconformity scores; predictors stay
 opaque callables supplied by the caller, since fitting models is out of
 scope here. Set membership is the non-strict rule ``score <= q_hat``, so a
 threshold of ``inf`` yields the vacuous interval (-inf, inf).
+
+Every federated calibrator is one protocol round (:func:`_one_shot_round`):
+the server broadcasts parameters, each agent sends one number, and the
+server reduces the m numbers. The calibrators differ only in the local
+function and the reducer. Every round is recorded by a
+:class:`TranscriptRecorder`, which enforces one uplink message per agent.
 """
 
 from __future__ import annotations
@@ -15,14 +21,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coverage_table import CoverageTable, TableKey, select_ranks
-from .errors import InvalidArgumentError
+from .coverage_table import CoverageTable, _table_for, select_ranks
+from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
 from .order_stats import as_matrix, as_sample, order_statistic
 
 __all__ = [
     "ScoreFunction",
     "CalibrationResult",
     "PredictionInterval",
+    "Transcript",
+    "TranscriptRecorder",
     "split_rank",
     "split_cp_calibrate",
     "fedcp_qq_calibrate",
@@ -107,9 +115,77 @@ def split_rank(n: int, alpha: float) -> int:
     return math.ceil((n + 1) * (1.0 - alpha))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+@dataclass(frozen=True)
+class Transcript:
+    """Record of one protocol round: broadcast parameters and m uplinks."""
+
+    downlink: dict
+    uplinks: tuple[tuple[int, float], ...]
+
+    @property
+    def payloads(self) -> np.ndarray:
+        return np.array([payload for _, payload in self.uplinks])
+
+
+class TranscriptRecorder:
+    """Collects the messages of one round and enforces the one-shot rule."""
+
+    def __init__(self, m: int):
+        self._m = m
+        self._downlink: dict = {}
+        self._uplinks: dict[int, float] = {}
+
+    def downlink(self, params: dict) -> None:
+        self._downlink.update(params)
+
+    def uplink(self, agent: int, payload: float) -> None:
+        if not 0 <= agent < self._m:
+            raise ProtocolViolationError(f"unknown agent id {agent}")
+        if agent in self._uplinks:
+            raise ProtocolViolationError(
+                f"agent {agent} attempted a second uplink; one message per round"
+            )
+        payload = float(payload)
+        if math.isnan(payload):
+            raise ProtocolViolationError(f"agent {agent} sent a non-numeric payload")
+        self._uplinks[agent] = payload
+
+    def finish(self) -> Transcript:
+        missing = [j for j in range(self._m) if j not in self._uplinks]
+        if missing:
+            raise ProtocolViolationError(f"agents {missing} never sent their message")
+        return Transcript(dict(self._downlink), tuple(sorted(self._uplinks.items())))
+
+
+def _one_shot_round(
+    agents: np.ndarray,
+    downlink: dict,
+    local: Callable[[np.ndarray], np.ndarray],
+    reduce: Callable[[np.ndarray], float],
+    recorder: TranscriptRecorder | None,
+) -> float:
+    """Broadcast ``downlink``, take one message per agent, reduce them.
+
+    ``local`` maps the (m, n) score matrix to the m messages, agent j's
+    message computed from row j alone; ``reduce`` is the server's aggregate
+    of the recorded messages. A fresh recorder is used when none is given.
+    """
+    if recorder is None:
+        recorder = TranscriptRecorder(len(agents))
+    recorder.downlink(downlink)
+    for j, message in enumerate(local(agents)):
+        recorder.uplink(j, message)
+    return reduce(recorder.finish().payloads)
+
+
+def _local_order_statistics(rank: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Local function: each agent's ``rank``-th smallest score."""
+    return lambda agents: np.partition(agents, rank - 1, axis=1)[:, rank - 1]
+
+
+def _server_order_statistic(rank: int) -> Callable[[np.ndarray], float]:
+    """Reducer: the ``rank``-th smallest of the m messages."""
+    return lambda sent: float(np.partition(sent, rank - 1)[rank - 1])
 
 
 def split_cp_calibrate(
@@ -120,7 +196,7 @@ def split_cp_calibrate(
     The threshold is the ceil((n+1)(1-alpha))-th smallest score, or ``inf``
     when that rank exceeds n (the guarantee then holds vacuously).
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     sample = as_sample(scores, allow_empty=False)
     rank = split_rank(sample.size, alpha)
     q_hat = order_statistic(sample, rank)
@@ -138,7 +214,7 @@ def fedcp_qq_calibrate(
     *,
     table: CoverageTable | None = None,
     score_kind: str | None = None,
-    recorder=None,
+    recorder: TranscriptRecorder | None = None,
 ) -> CalibrationResult:
     """One-shot federated calibration through the quantile-of-quantiles.
 
@@ -148,35 +224,21 @@ def fedcp_qq_calibrate(
     m values. The guarantee reported is the exact table coverage, which for
     continuous scores is also the attained coverage.
     """
-    _check_alpha(alpha)
-    agents = as_matrix(scores, balanced=True)
-    m, n = len(agents), agents[0].size
-    key = table.key if table is not None else TableKey(m, n)
-    if (key.m, key.n) != (m, n):
-        raise InvalidArgumentError(
-            f"table is for (m={key.m}, n={key.n}) but scores have (m={m}, n={n})"
-        )
-    ranks, coverage = select_ranks(key, alpha, table=table)
-    if recorder is not None:
-        recorder.downlink({"local_rank": ranks.local_rank})
-    sent = np.empty(m)
-    for j, agent in enumerate(agents):
-        sent[j] = order_statistic(agent, ranks.local_rank)
-        if recorder is not None:
-            recorder.uplink(j, sent[j])
-    q_hat = float(np.partition(sent, ranks.server_rank - 1)[ranks.server_rank - 1])
+    check_alpha(alpha)
+    agents = np.array(as_matrix(scores, balanced=True))
+    m, n = agents.shape
+    table = _table_for(table, m, n)
+    ranks, coverage = select_ranks(table.key, alpha, table=table)
+    l, k = ranks.local_rank, ranks.server_rank
+    q_hat = _one_shot_round(
+        agents, {"local_rank": l}, _local_order_statistics(l), _server_order_statistic(k), recorder
+    )
     return CalibrationResult(
         q_hat=q_hat,
         method="fedcp_qq",
         guaranteed_coverage=coverage,
         params=_with_kind(
-            {
-                "m": m,
-                "n": n,
-                "alpha": alpha,
-                "local_rank": ranks.local_rank,
-                "server_rank": ranks.server_rank,
-            },
+            dict(m=m, n=n, alpha=alpha, local_rank=l, server_rank=k),
             score_kind,
         ),
     )
@@ -187,7 +249,7 @@ def fedcp_avg_calibrate(
     alpha: float,
     *,
     score_kind: str | None = None,
-    recorder=None,
+    recorder: TranscriptRecorder | None = None,
 ) -> CalibrationResult:
     """Baseline that averages the agents' split-rank order statistics.
 
@@ -195,24 +257,24 @@ def fedcp_avg_calibrate(
     fails outright when ceil((n+1)(1-alpha)) > n, since the local quantile
     it averages is undefined there.
     """
-    _check_alpha(alpha)
-    agents = as_matrix(scores, balanced=True)
-    m, n = len(agents), agents[0].size
+    check_alpha(alpha)
+    agents = np.array(as_matrix(scores, balanced=True))
+    m, n = agents.shape
     rank = split_rank(n, alpha)
     if rank > n:
         raise InvalidArgumentError(
             f"averaging baseline needs rank {rank} <= n = {n}; with so few scores "
             f"per agent the local quantile it averages does not exist"
         )
-    if recorder is not None:
-        recorder.downlink({"local_rank": rank})
-    sent = np.empty(m)
-    for j, agent in enumerate(agents):
-        sent[j] = order_statistic(agent, rank)
-        if recorder is not None:
-            recorder.uplink(j, sent[j])
+    q_hat = _one_shot_round(
+        agents,
+        {"local_rank": rank},
+        _local_order_statistics(rank),
+        lambda sent: float(np.mean(sent)),
+        recorder,
+    )
     return CalibrationResult(
-        q_hat=float(np.mean(sent)),
+        q_hat=q_hat,
         method="fedcp_avg",
         guaranteed_coverage=None,
         params=_with_kind({"m": m, "n": n, "alpha": alpha, "local_rank": rank}, score_kind),

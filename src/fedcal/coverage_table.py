@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +43,7 @@ from .errors import (
     InternalError,
     InvalidArgumentError,
     ResourceLimitError,
+    check_alpha,
 )
 from .logspace import log_binom_pmf, log_convolve, suffix_logsumexp
 
@@ -252,10 +255,38 @@ def _logsumexp(values: np.ndarray) -> float:
     return peak + math.log(float(np.sum(np.exp(values - peak))))
 
 
+def _table_for(
+    table: CoverageTable | None, m: int, n: int, cell_cap: int = DEFAULT_CELL_CAP
+) -> CoverageTable:
+    """``table`` once checked to hold (m, n), or a fresh table for (m, n)."""
+    if table is None:
+        return CoverageTable(key=TableKey(m, n, cell_cap))
+    if (table.key.m, table.key.n) != (m, n):
+        raise InvalidArgumentError(
+            f"table is for (m={table.key.m}, n={table.key.n}), not for (m={m}, n={n})"
+        )
+    return table
+
+
+def _column(table: CoverageTable, local_rank: int) -> tuple[float, ...]:
+    """Coverage at ``local_rank`` for server ranks 1..m, read from ``table``.
+
+    A column the table does not hold in full comes from the engine and is
+    stored, so every later reader of the table finds it.
+    """
+    m, l = table.key.m, local_rank
+    stored = tuple(table.entries.get((l, k), math.nan) for k in range(1, m + 1))
+    if not any(math.isnan(v) for v in stored):
+        return stored
+    values = _column_engine(m, table.key.n, l)
+    table.entries.update(((l, k), v) for k, v in enumerate(values, start=1))
+    return values
+
+
 def coverage_column(key: TableKey, local_rank: int) -> np.ndarray:
     """Coverage at ``local_rank`` for every server rank 1..m."""
     RankPair(local_rank, 1).validate(key)
-    return np.array(_column_engine(key.m, key.n, local_rank))
+    return np.array(_column(CoverageTable(key=key), local_rank))
 
 
 def coverage_probability(key: TableKey, ranks: RankPair) -> float:
@@ -265,8 +296,7 @@ def coverage_probability(key: TableKey, ranks: RankPair) -> float:
     path stays polynomial in (m, n) and is the one used by the rank search.
     """
     ranks.validate(key)
-    column = _column_engine(key.m, key.n, ranks.local_rank)
-    return column[ranks.server_rank - 1]
+    return _column(CoverageTable(key=key), ranks.local_rank)[ranks.server_rank - 1]
 
 
 def unbalanced_coverage(sizes: Sequence[int], local_ranks: Sequence[int]) -> np.ndarray:
@@ -342,8 +372,8 @@ def select_ranks(
 
     Walks the feasibility frontier from (n, m) downward: as the local rank
     decreases the smallest feasible server rank can only grow, so the walk
-    probes O(n + m) grid positions, pulling whole columns from the engine
-    (or from ``table`` when already cached there). Ties are broken toward
+    probes O(n + m) grid positions, pulling whole columns through ``table``
+    (a fresh one when none is given). Ties are broken toward
     the smallest local rank, then the smallest server rank.
 
     Raises
@@ -352,23 +382,11 @@ def select_ranks(
         If even the all-maximum entry (n, m) sits below 1 - alpha, which
         happens exactly when alpha < 1 / (m*n + 1).
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     target = 1.0 - alpha
     m, n = key.m, key.n
-
-    def column(l: int) -> tuple[float, ...]:
-        if table is not None:
-            cached = tuple(table.entries.get((l, k), np.nan) for k in range(1, m + 1))
-            if not any(math.isnan(v) for v in cached):
-                return cached
-        values = _column_engine(m, n, l)
-        if table is not None:
-            for k in range(1, m + 1):
-                table.entries[(l, k)] = values[k - 1]
-        return values
-
-    top = column(n)
+    table = _table_for(table, m, n, key.cell_cap)
+    top = _column(table, n)
     if top[m - 1] < target:
         raise InfeasibleError(
             f"coverage {top[m - 1]:.6f} at ranks ({n}, {m}) is below {target}; "
@@ -377,7 +395,7 @@ def select_ranks(
     best: tuple[float, int, int] | None = None
     k_floor = 1
     for l in range(n, 0, -1):
-        values = column(l)
+        values = _column(table, l)
         k = k_floor
         while k <= m and values[k - 1] < target:
             k += 1
@@ -385,17 +403,12 @@ def select_ranks(
             break  # every smaller local rank is infeasible too
         k_floor = k
         candidate = (values[k - 1], l, k)
-        if (
-            best is None
-            or candidate[0] < best[0]
-            or (candidate[0] == best[0] and (candidate[1], candidate[2]) < (best[1], best[2]))
-        ):
+        if best is None or candidate < best:
             best = candidate
     assert best is not None  # the (n, m) probe above guarantees feasibility
     value, l, k = best
     ranks = RankPair(l, k)
-    if table is not None:
-        table.selected = (ranks, value)
+    table.selected = (ranks, value)
     return ranks, value
 
 
@@ -406,8 +419,7 @@ def unbalanced_local_ranks(sizes: Sequence[int], alpha: float) -> list[int]:
     the useless out-of-range sentinel (with a single score per agent the
     uncapped rank would be 2 for every reasonable alpha).
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     return [min(int(n), math.ceil((1.0 - alpha) * (int(n) + 1))) for n in sizes]
 
 
@@ -463,8 +475,7 @@ def conditional_miscoverage_bound(key: TableKey, alpha: float, delta: float) -> 
     conditional miscoverage stays below alpha + sqrt(log(1/delta) / (2 m n)),
     provided the rank pair satisfies :func:`rank_condition_holds`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if not 0.0 < delta <= 0.5:
         raise InvalidArgumentError(f"delta must be in (0, 0.5], got {delta}")
     return alpha + math.sqrt(math.log(1.0 / delta) / (2.0 * key.m * key.n))
@@ -482,7 +493,11 @@ def rank_condition_holds(key: TableKey, ranks: RankPair, alpha: float) -> bool:
 
 
 def save_table(table: CoverageTable, path) -> None:
-    """Write a table as self-describing text, 17 significant digits per value."""
+    """Write a table as self-describing text, 17 significant digits per value.
+
+    The text goes to a temporary file beside ``path`` that then replaces it,
+    so an interrupted write leaves any previous file intact.
+    """
     lines = [
         f"{CACHE_FORMAT_NAME} {CACHE_FORMAT_VERSION}",
         f"m {table.key.m}",
@@ -491,8 +506,14 @@ def save_table(table: CoverageTable, path) -> None:
     ]
     for (l, k) in sorted(table.entries):
         lines.append(f"{l} {k} {table.entries[(l, k)]:.17g}")
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write("\n".join(lines) + "\n")
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="ascii") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def load_table(path) -> CoverageTable:

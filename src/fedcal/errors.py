@@ -27,3 +27,9 @@ class InternalError(FedcalError):
 
 class ProtocolViolationError(FedcalError):
     """A simulated protocol run broke the one-message-per-agent rule."""
+
+
+def check_alpha(alpha: float) -> None:
+    """Reject a miscoverage level outside the open interval (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")

@@ -1,10 +1,13 @@
 """One-shot protocol simulation, synthetic data, and heterogeneity diagnostics.
 
-The simulator routes each calibration method through a transcript recorder
-so the single-round property (exactly one uplink message per agent) is
-asserted rather than assumed. All randomness derives from a master seed via
-counter-style spawn keys, one stream per (replication, agent), so results
-are reproducible under any execution order.
+``METHODS`` is the one registry of calibration methods, keyed by their
+command-line names; the CLI and :func:`run_one_shot` both dispatch through
+it. Every calibration records its round in a transcript, so the
+single-round property (exactly one uplink message per agent) is asserted
+rather than assumed; :func:`run_one_shot` returns that transcript. All
+randomness derives from a master seed via counter-style spawn keys, one
+stream per (replication, agent), so results are reproducible under any
+execution order.
 """
 
 from __future__ import annotations
@@ -16,16 +19,25 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betainc, ndtr
-from scipy.stats import binom
 
-from .conformal import CalibrationResult, fedcp_avg_calibrate, fedcp_qq_calibrate
-from .coverage_table import CoverageTable, RankPair, TableKey, select_ranks
-from .errors import InvalidArgumentError, ProtocolViolationError
+from .conformal import (
+    CalibrationResult,
+    Transcript,
+    TranscriptRecorder,
+    fedcp_avg_calibrate,
+    fedcp_qq_calibrate,
+    split_cp_calibrate,
+)
+from .coverage_table import CoverageTable, RankPair, TableKey, _table_for, select_ranks
+from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
+from .logspace import log_binom_pmf
 from .order_stats import quantile_of_quantiles
 from .privacy import DpConfig, fedcp2_qq_calibrate
 
 __all__ = [
     "FederationSpec",
+    "Method",
+    "METHODS",
     "Transcript",
     "TranscriptRecorder",
     "UniformScores",
@@ -59,8 +71,7 @@ class FederationSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise InvalidArgumentError(f"need at least one agent, got m={self.m}")
-        if not 0.0 < self.alpha < 1.0:
-            raise InvalidArgumentError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_alpha(self.alpha)
         sizes = self.size_list
         if len(sizes) != self.m:
             raise InvalidArgumentError(
@@ -81,51 +92,6 @@ class FederationSpec:
         if len(sizes) != 1:
             raise InvalidArgumentError(f"sizes are unbalanced: {sorted(sizes)}")
         return sizes.pop()
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """Record of one protocol round: broadcast parameters and m uplinks."""
-
-    downlink: dict
-    uplinks: tuple[tuple[int, float], ...]
-
-    @property
-    def payloads(self) -> np.ndarray:
-        return np.array([payload for _, payload in self.uplinks])
-
-
-class TranscriptRecorder:
-    """Collects the messages of one round and enforces the one-shot rule."""
-
-    def __init__(self, m: int):
-        self._m = m
-        self._downlink: dict = {}
-        self._uplinks: dict[int, float] = {}
-
-    def downlink(self, params: dict) -> None:
-        self._downlink.update(params)
-
-    def uplink(self, agent: int, payload: float) -> None:
-        if not 0 <= agent < self._m:
-            raise ProtocolViolationError(f"unknown agent id {agent}")
-        if agent in self._uplinks:
-            raise ProtocolViolationError(
-                f"agent {agent} attempted a second uplink; one message per round"
-            )
-        payload = float(payload)
-        if math.isnan(payload):
-            raise ProtocolViolationError(f"agent {agent} sent a non-numeric payload")
-        self._uplinks[agent] = payload
-
-    def finish(self) -> Transcript:
-        missing = [j for j in range(self._m) if j not in self._uplinks]
-        if missing:
-            raise ProtocolViolationError(f"agents {missing} never sent their message")
-        return Transcript(
-            downlink=dict(self._downlink),
-            uplinks=tuple(sorted(self._uplinks.items())),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +263,45 @@ def synthetic_conditional_quantile(
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Method:
+    """How the CLI and the simulator run one calibration method.
+
+    ``run(agents, alpha, *, table, dp_config, rng, recorder)`` calibrates;
+    ``table`` says whether it reads and extends a coverage table,
+    ``private`` whether it needs a DpConfig and a generator, and
+    ``one_shot`` whether it fits one uplink message per agent.
+    """
+
+    run: Callable[..., CalibrationResult]
+    table: bool = False
+    private: bool = False
+    one_shot: bool = True
+
+
+METHODS: dict[str, Method] = {
+    "centralized": Method(
+        lambda agents, alpha, **_: split_cp_calibrate(np.concatenate(agents), alpha),
+        one_shot=False,
+    ),
+    "fedcp-qq": Method(
+        lambda agents, alpha, *, table, recorder, **_:
+            fedcp_qq_calibrate(agents, alpha, table=table, recorder=recorder),
+        table=True,
+    ),
+    "fedcp-avg": Method(
+        lambda agents, alpha, *, recorder, **_:
+            fedcp_avg_calibrate(agents, alpha, recorder=recorder),
+    ),
+    "fedcp2-qq": Method(
+        lambda agents, alpha, *, table, dp_config, rng, recorder:
+            fedcp2_qq_calibrate(agents, alpha, dp_config, rng, table=table, recorder=recorder),
+        table=True,
+        private=True,
+    ),
+}
+
+
 def run_one_shot(
     spec: FederationSpec,
     scores: Sequence[Sequence[float]],
@@ -306,35 +311,30 @@ def run_one_shot(
     dp_config: DpConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> tuple[CalibrationResult, Transcript]:
-    """Run one calibration round through the transcript abstraction.
+    """Run one calibration round and return it with its transcript.
 
+    ``method`` is a ``METHODS`` name; underscores may stand for its hyphens.
     The returned result is bit-identical to calling the corresponding
     calibrator directly (the recorder only observes messages). Methods that
     cannot operate on one message per agent are rejected.
     """
-    tag = method.replace("-", "_")
     if len(scores) != spec.m:
         raise InvalidArgumentError(f"expected {spec.m} agents of scores, got {len(scores)}")
-    recorder = TranscriptRecorder(spec.m)
-    if tag == "fedcp_qq":
-        result = fedcp_qq_calibrate(scores, spec.alpha, table=table, recorder=recorder)
-    elif tag == "fedcp_avg":
-        result = fedcp_avg_calibrate(scores, spec.alpha, recorder=recorder)
-    elif tag == "fedcp2_qq":
-        if dp_config is None:
-            raise InvalidArgumentError("the private method needs a DpConfig")
-        if rng is None:
-            rng = np.random.default_rng(spec.seed)
-        result = fedcp2_qq_calibrate(
-            scores, spec.alpha, dp_config, rng, table=table, recorder=recorder
-        )
-    elif tag == "centralized":
+    entry = METHODS.get(method.replace("_", "-"))
+    if entry is None:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    if not entry.one_shot:
         raise ProtocolViolationError(
-            "centralized calibration needs every local score, which exceeds "
+            f"{method} calibration needs every local score, which exceeds "
             "one uplink message per agent"
         )
-    else:
-        raise InvalidArgumentError(f"unknown method {method!r}")
+    if entry.private and dp_config is None:
+        raise InvalidArgumentError("the private method needs a DpConfig")
+    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    recorder = TranscriptRecorder(spec.m)
+    result = entry.run(
+        scores, spec.alpha, table=table, dp_config=dp_config, rng=rng, recorder=recorder
+    )
     return result, recorder.finish()
 
 
@@ -374,8 +374,7 @@ def coverage_experiment(
         raise InvalidArgumentError(
             f"heterogeneity model covers {len(model.shifts)} agents, spec has {spec.m}"
         )
-    if table is None:
-        table = CoverageTable(key=TableKey(spec.m, n))
+    table = _table_for(table, spec.m, n)
     rows: list[dict] = []
     for rep in range(replications):
         agents = [
@@ -480,12 +479,16 @@ def conditional_coverage_experiment(
 
 
 def _poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
-    """Mass function of a sum of independent Bernoulli(p_j) by convolution."""
-    pmf = np.ones(1)
-    for prob in p:
-        extended = np.zeros(pmf.size + 1)
-        extended[:-1] = pmf * (1.0 - prob)
-        extended[1:] += pmf * prob
+    """Mass function of a sum of independent Bernoulli(p_j) by convolution.
+
+    The sum runs over the last axis of ``p``; leading axes are batches.
+    """
+    pmf = np.ones(p.shape[:-1] + (1,))
+    for j in range(p.shape[-1]):
+        prob = p[..., j : j + 1]
+        extended = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+        extended[..., :-1] = pmf * (1.0 - prob)
+        extended[..., 1:] += pmf * prob
         pmf = extended
     return pmf
 
@@ -517,7 +520,7 @@ def poisson_binomial_diagnostic(
         reference[0 if pbar == 0.0 else m] = 1.0
         tv = 0.5 * float(np.sum(np.abs(exact_pmf - reference)))
         return {"exact_tv_to_binomial": tv, "ehm_lower": 0.0, "ehm_upper": 0.0}
-    reference = binom.pmf(np.arange(m + 1), m, pbar)
+    reference = np.exp(log_binom_pmf(m, pbar))
     tv = 0.5 * float(np.sum(np.abs(exact_pmf - reference)))
     spread = 1.0 - float(np.sum(p * (1.0 - p))) / (m * pbar * (1.0 - pbar))
     mass = 1.0 - pbar ** (m + 1) - (1.0 - pbar) ** (m + 1)
@@ -551,15 +554,8 @@ def heterogeneity_tv_penalty(
     s = base.sample(rng, draws)
     per_agent_cdf = np.stack([model.agent_cdf(base, j, s) for j in range(m)], axis=1)
     p = betainc(local_rank, n - local_rank + 1, np.clip(per_agent_cdf, 0.0, 1.0))
-    # vectorized Poisson-Binomial convolution across draws
-    pmf = np.ones((draws, 1))
-    for j in range(m):
-        pj = p[:, j : j + 1]
-        extended = np.zeros((draws, pmf.shape[1] + 1))
-        extended[:, :-1] = pmf * (1.0 - pj)
-        extended[:, 1:] += pmf * pj
-        pmf = extended
+    pmf = _poisson_binomial_pmf(p)
     pbar = np.clip(np.mean(p, axis=1, keepdims=True), 1e-300, 1.0 - 1e-16)
-    reference = binom.pmf(np.arange(m + 1)[None, :], m, pbar)
+    reference = np.exp(log_binom_pmf(m, pbar))
     tv = 0.5 * np.sum(np.abs(pmf - reference), axis=1)
     return float(np.mean(tv))

@@ -18,7 +18,6 @@ from .errors import InvalidArgumentError
 __all__ = [
     "as_sample",
     "as_matrix",
-    "matrix_shape",
     "order_statistic",
     "quantile_of_quantiles",
 ]
@@ -46,12 +45,6 @@ def as_matrix(agents: Sequence[Sequence[float]], *, balanced: bool = False) -> l
         if len(sizes) != 1:
             raise InvalidArgumentError(f"balanced score matrix required, got local sizes {sorted(sizes)}")
     return out
-
-
-def matrix_shape(agents: Sequence[np.ndarray]) -> tuple[int, int]:
-    """(m, n) of a balanced matrix; raises if sizes differ."""
-    validated = as_matrix(agents, balanced=True)
-    return len(validated), validated[0].size
 
 
 def order_statistic(sample: Sequence[float] | np.ndarray, rank: int) -> float:

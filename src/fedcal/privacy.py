@@ -22,9 +22,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import CalibrationResult, _with_kind
-from .coverage_table import CoverageTable, RankPair, TableKey, coverage_probability, select_ranks
-from .errors import InfeasibleError, InvalidArgumentError
+from .conformal import (
+    CalibrationResult,
+    TranscriptRecorder,
+    _one_shot_round,
+    _server_order_statistic,
+    _with_kind,
+)
+from .coverage_table import CoverageTable, TableKey, _column, _table_for, select_ranks
+from .errors import InfeasibleError, InvalidArgumentError, check_alpha
 from .order_stats import as_matrix
 
 __all__ = [
@@ -151,13 +157,18 @@ def _edge_weights(scores, q: float, grid: BinGrid) -> np.ndarray:
     return np.maximum(below, above * (q / (1.0 - q)))
 
 
+def _logits(scores, q: float, epsilon: float, grid: BinGrid) -> np.ndarray:
+    """Log-weights exp(-epsilon * utility / (2 * sensitivity)) of the B edges."""
+    if epsilon <= 0.0:
+        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
+    return -0.5 * epsilon * _edge_weights(scores, q, grid)
+
+
 def private_quantile_distribution(
     scores: Sequence[float], q: float, epsilon: float, grid: BinGrid
 ) -> np.ndarray:
     """Exact output distribution of :func:`private_quantile` over the B edges."""
-    if epsilon <= 0.0:
-        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
-    logits = -0.5 * epsilon * _edge_weights(scores, q, grid)
+    logits = _logits(scores, q, epsilon, grid)
     logits -= np.max(logits)
     weights = np.exp(logits)
     return weights / np.sum(weights)
@@ -177,9 +188,7 @@ def private_quantile(
     random generator the call is deterministic, so per-agent generator
     streams make federated runs reproducible.
     """
-    if epsilon <= 0.0:
-        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
-    logits = -0.5 * epsilon * _edge_weights(scores, q, grid)
+    logits = _logits(scores, q, epsilon, grid)
     choice = int(np.argmax(logits + rng.gumbel(size=logits.size)))
     return float(grid.edges[choice + 1])
 
@@ -226,48 +235,52 @@ def select_gamma(
     (1 - alpha) / (1 - gamma * alpha) and the corrected local rank must still
     fit inside n. Among feasible candidates the one whose corrected-rank
     coverage is smallest wins (that coverage measures how much the
-    compensation overshoots); ties go to the smaller gamma.
+    compensation overshoots); ties go to the smaller gamma. Every coverage
+    is read through ``table`` (a fresh one when none is given); the
+    corrected columns are ones the rank search has already stored.
+
+    Raises
+    ------
+    InfeasibleError
+        If no candidate is feasible; the message names why the largest
+        candidate failed.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    check_alpha(alpha)
     if len(gamma_grid) == 0:
         raise InvalidArgumentError("gamma grid must be nonempty")
+    table = _table_for(table, key.m, key.n, key.cell_cap)
     best: GammaSelection | None = None
+    rejected: dict[float, str] = {}
     for gamma in gamma_grid:
         if not 0.0 < gamma < 1.0:
             raise InvalidArgumentError(f"gamma candidates must be in (0, 1), got {gamma}")
         alpha_eff = 1.0 - (1.0 - alpha) / (1.0 - gamma * alpha)
         if alpha_eff <= 0.0:
+            rejected[gamma] = "it leaves no attainable level"
             continue
         try:
             ranks, _ = select_ranks(key, alpha_eff, table=table)
-        except InfeasibleError:
+        except InfeasibleError as exc:
+            rejected[gamma] = str(exc)
             continue
         correction = rank_correction(epsilon, bins, key.m, gamma * alpha)
         total = ranks.local_rank + correction
         if total > key.n:
-            continue
-        corrected = coverage_probability(key, RankPair(total, ranks.server_rank))
-        candidate = GammaSelection(
-            gamma=float(gamma),
-            local_rank=ranks.local_rank,
-            server_rank=ranks.server_rank,
-            correction=correction,
-            corrected_coverage=corrected,
-        )
-        if (
-            best is None
-            or candidate.corrected_coverage < best.corrected_coverage
-            or (
-                candidate.corrected_coverage == best.corrected_coverage
-                and candidate.gamma < best.gamma
+            rejected[gamma] = (
+                f"corrected local rank {total} exceeds n = {key.n}; "
+                f"n is too small for epsilon = {epsilon} with {bins} bins"
             )
-        ):
-            best = candidate
+            continue
+        corrected = _column(table, total)[ranks.server_rank - 1]
+        if best is None or (corrected, gamma) < (best.corrected_coverage, best.gamma):
+            best = GammaSelection(
+                float(gamma), ranks.local_rank, ranks.server_rank, correction, corrected
+            )
     if best is None:
+        gamma = max(rejected)
         raise InfeasibleError(
-            f"every gamma candidate needs a corrected local rank above n = {key.n}; "
-            f"n is too small for epsilon = {epsilon} with {bins} bins"
+            f"no feasible gamma among {len(gamma_grid)} candidate(s); "
+            f"gamma = {gamma:g} fails because {rejected[gamma]}"
         )
     return best
 
@@ -280,7 +293,7 @@ def fedcp2_qq_calibrate(
     *,
     table: CoverageTable | None = None,
     score_kind: str | None = None,
-    recorder=None,
+    recorder: TranscriptRecorder | None = None,
 ) -> CalibrationResult:
     """Private one-shot federated calibration.
 
@@ -288,81 +301,44 @@ def fedcp2_qq_calibrate(
     q = max((local_rank + correction) / n, 1/2) and sends the resulting bin
     edge; the server returns the server_rank-th smallest of the m edges.
     Per-agent generators are spawned from ``rng``, so a seeded generator
-    reproduces the whole run. The reported guarantee is 1 - alpha.
+    reproduces the whole run. A fixed ``config.gamma`` is searched as a
+    one-candidate grid. The reported guarantee is 1 - alpha.
     """
-    if not 0.0 < alpha < 1.0:
-        raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
-    agents = as_matrix(scores, balanced=True)
-    m, n = len(agents), agents[0].size
-    key = table.key if table is not None else TableKey(m, n)
-    if (key.m, key.n) != (m, n):
-        raise InvalidArgumentError(
-            f"table is for (m={key.m}, n={key.n}) but scores have (m={m}, n={n})"
-        )
+    check_alpha(alpha)
+    agents = np.array(as_matrix(scores, balanced=True))
+    m, n = agents.shape
+    table = _table_for(table, m, n)
     epsilon = config.effective_epsilon
     for agent in agents:
         config.grid.bin_index(agent)  # validate range before any sampling
-    if config.gamma is None:
-        selection = select_gamma(
-            key, alpha, epsilon, config.grid.bins, config.gamma_grid, table=table
-        )
-    else:
-        alpha_eff = 1.0 - (1.0 - alpha) / (1.0 - config.gamma * alpha)
-        if alpha_eff <= 0.0:
-            raise InfeasibleError(f"gamma = {config.gamma} leaves no attainable level")
-        ranks, _ = select_ranks(key, alpha_eff, table=table)
-        correction = rank_correction(epsilon, config.grid.bins, m, config.gamma * alpha)
-        if ranks.local_rank + correction > n:
-            raise InfeasibleError(
-                f"corrected local rank {ranks.local_rank + correction} exceeds n = {n}; "
-                f"n is too small for epsilon = {epsilon}"
-            )
-        selection = GammaSelection(
-            gamma=config.gamma,
-            local_rank=ranks.local_rank,
-            server_rank=ranks.server_rank,
-            correction=correction,
-            corrected_coverage=coverage_probability(
-                key, RankPair(ranks.local_rank + correction, ranks.server_rank)
-            ),
-        )
+    grid = config.gamma_grid if config.gamma is None else (config.gamma,)
+    selection = select_gamma(table.key, alpha, epsilon, config.grid.bins, grid, table=table)
     q = max((selection.local_rank + selection.correction) / n, 0.5)
-    if recorder is not None:
-        recorder.downlink(
-            {
-                "quantile": q,
-                "epsilon": epsilon,
-                "edges": config.grid.edges,
-                "server_rank": selection.server_rank,
-            }
-        )
-    streams = rng.spawn(m)
-    sent = np.empty(m)
-    for j, agent in enumerate(agents):
-        sent[j] = private_quantile(agent, q, epsilon, config.grid, streams[j])
-        if recorder is not None:
-            recorder.uplink(j, sent[j])
-    q_hat = float(np.partition(sent, selection.server_rank - 1)[selection.server_rank - 1])
+    k = selection.server_rank
+
+    def local(agents: np.ndarray) -> list[float]:
+        streams = rng.spawn(m)
+        return [private_quantile(a, q, epsilon, config.grid, s) for a, s in zip(agents, streams)]
+
+    q_hat = _one_shot_round(
+        agents,
+        dict(quantile=q, epsilon=epsilon, edges=config.grid.edges, server_rank=k),
+        local,
+        _server_order_statistic(k),
+        recorder,
+    )
     return CalibrationResult(
         q_hat=q_hat,
         method="fedcp2_qq",
         guaranteed_coverage=1.0 - alpha,
         params=_with_kind(
-            {
-                "m": m,
-                "n": n,
-                "alpha": alpha,
-                "epsilon": config.epsilon,
-                "effective_epsilon": epsilon,
-                "bins": config.grid.bins,
-                "s_max": config.grid.s_max,
-                "gamma": selection.gamma,
-                "local_rank": selection.local_rank,
-                "server_rank": selection.server_rank,
-                "correction": selection.correction,
-                "quantile": q,
-                "corrected_coverage": selection.corrected_coverage,
-            },
+            dict(
+                m=m, n=n, alpha=alpha, epsilon=config.epsilon, effective_epsilon=epsilon,
+                bins=config.grid.bins, s_max=config.grid.s_max, gamma=selection.gamma,
+                local_rank=selection.local_rank, server_rank=selection.server_rank,
+                correction=selection.correction, quantile=q,
+                corrected_coverage=selection.corrected_coverage,
+            ),
             score_kind,
         ),
     )

@@ -3,9 +3,20 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
-from fedcal import TableKey, coverage_column, load_table
+from fedcal import (
+    BinGrid,
+    DpConfig,
+    FederationSpec,
+    ProtocolViolationError,
+    TableKey,
+    coverage_column,
+    load_table,
+    run_one_shot,
+)
 from fedcal.cli import main
+from fedcal.federation import METHODS
 
 
 def _run(capsys, *argv):
@@ -134,6 +145,57 @@ class TestCalibrateCommand:
                             "--method", "fedcp-avg")
         assert code == 1
         assert "does not exist" in err
+
+
+    def test_env_var_cache_dir_used_by_calibrate(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FEDCAL_CACHE_DIR", str(tmp_path / "cachedir"))
+        scores = np.random.default_rng(0).uniform(size=(3, 25)).round(6).tolist()
+        paths = _write_agent_files(tmp_path, scores)
+        code, _, _ = _run(capsys, "calibrate", *paths, "--alpha", "0.1", "--method", "fedcp-qq")
+        assert code == 0
+        assert load_table(tmp_path / "cachedir" / "qq_table_m3_n25.txt").key.n == 25
+
+    def test_no_cache_file_without_flag_or_env_var(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FEDCAL_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        scores = np.random.default_rng(0).uniform(size=(3, 25)).round(6).tolist()
+        paths = _write_agent_files(tmp_path, scores)
+        code, _, _ = _run(capsys, "calibrate", *paths, "--alpha", "0.1", "--method", "fedcp-qq")
+        assert code == 0
+        code, _, _ = _run(capsys, "calibrate", *paths, "--alpha", "0.1", "--method", "fedcp-avg",
+                          "--cache", str(tmp_path / "avg.txt"))
+        assert code == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"agent{j}.csv" for j in range(3)]
+
+
+class TestMethodRegistry:
+    def test_calibrate_matches_run_one_shot_for_every_method(self, tmp_path, capsys):
+        assert list(METHODS) == ["centralized", "fedcp-qq", "fedcp-avg", "fedcp2-qq"]
+        agents = (1.0 - np.random.default_rng(3).uniform(size=(6, 50))).round(6).tolist()
+        paths = _write_agent_files(tmp_path, agents)
+        spec = FederationSpec(m=6, sizes=50, alpha=0.2, seed=0)
+        cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))
+        for name, method in METHODS.items():
+            out = tmp_path / f"{name}.json"
+            code, _, _ = _run(capsys, "calibrate", *paths, "--alpha", "0.2", "--method", name,
+                              "--epsilon", "5", "--bins", "100", "--smax", "1", "--seed", "11",
+                              "--out", str(out))
+            assert code == 0
+            if not method.one_shot:
+                with pytest.raises(ProtocolViolationError):
+                    run_one_shot(spec, agents, name)
+                continue
+            result, transcript = run_one_shot(
+                spec, agents, name, dp_config=cfg, rng=np.random.default_rng(11)
+            )
+            expected = {
+                "q_hat": result.q_hat,
+                "method": result.method,
+                "guaranteed_coverage": result.guaranteed_coverage,
+                "params": result.params,
+            }
+            assert json.loads(out.read_text()) == json.loads(json.dumps(expected, default=float))
+            assert [agent for agent, _ in transcript.uplinks] == list(range(6))
 
 
 class TestSimulateCommand:

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -239,6 +240,25 @@ class TestPersistence:
         assert loaded.key.m == 4 and loaded.key.n == 6
         assert loaded.entries == table.entries
         loaded.validate()
+
+    def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
+        key = TableKey(4, 6)
+        table = CoverageTable(key=key)
+        select_ranks(key, 0.25, table=table)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            save_table(CoverageTable(key=key), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_table(path).entries == table.entries
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_newer_version_refused(self, tmp_path):
         path = tmp_path / "table.txt"

@@ -114,6 +114,9 @@ class TestRunOneShot:
         agents = self._agents()
         spec = FederationSpec(m=6, sizes=15, alpha=0.2, seed=0)
         result, transcript = run_one_shot(spec, agents, "fedcp_avg")
+        rank = transcript.downlink["local_rank"]
+        for agent_id, payload in transcript.uplinks:
+            assert payload == order_statistic(agents[agent_id], rank)
         assert result.q_hat == pytest.approx(float(np.mean(transcript.payloads)), rel=1e-15)
         assert result == fedcp_avg_calibrate(agents, 0.2)
 

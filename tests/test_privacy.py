@@ -5,20 +5,23 @@ import pytest
 
 from fedcal import (
     BinGrid,
+    CoverageTable,
     DpConfig,
     InfeasibleError,
     InvalidArgumentError,
     TableKey,
     coverage_probability,
     fedcp2_qq_calibrate,
+    load_table,
     private_quantile,
     private_quantile_distribution,
     quantile_of_quantiles,
     rank_correction,
+    save_table,
     select_gamma,
     select_ranks,
 )
-from fedcal.coverage_table import RankPair
+from fedcal.coverage_table import RankPair, _column_engine
 
 from oracles import mechanism_softmax
 
@@ -195,6 +198,19 @@ class TestSelectGamma:
         with pytest.raises(InfeasibleError, match="too small"):
             select_gamma(TableKey(5, 10), 0.1, 0.05, 100)
 
+    def test_loaded_table_serves_the_whole_search(self, tmp_path):
+        key = TableKey(6, 60)
+        table = CoverageTable(key=key)
+        first = select_gamma(key, 0.2, 5.0, 100, table=table)
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        _column_engine.cache_clear()
+        loaded = load_table(path)
+        second = select_gamma(key, 0.2, 5.0, 100, table=loaded)
+        assert _column_engine.cache_info().misses == 0
+        assert len(loaded.entries) == len(table.entries)
+        assert second == first
+
 
 class TestPrivateCalibrate:
     def _config(self, bins=50, epsilon=5.0, **kwargs):
@@ -250,6 +266,15 @@ class TestPrivateCalibrate:
         cfg = self._config(bins=100, epsilon=0.05)
         with pytest.raises(InfeasibleError):
             fedcp2_qq_calibrate(self._scores(5, 10), 0.1, cfg, np.random.default_rng(0))
+
+    def test_infeasible_fixed_gamma_names_the_reason(self):
+        cfg = self._config(bins=100, epsilon=0.05, gamma=0.1)
+        with pytest.raises(InfeasibleError, match="corrected local rank .* exceeds n = 10"):
+            fedcp2_qq_calibrate(self._scores(5, 10), 0.1, cfg, np.random.default_rng(0))
+        # the inflated level 1 - 0.0244 needs more than the 2 x 4 table offers
+        cfg = self._config(gamma=0.9)
+        with pytest.raises(InfeasibleError, match="no rank pair reaches"):
+            fedcp2_qq_calibrate(self._scores(2, 4), 0.2, cfg, np.random.default_rng(0))
 
     def test_scores_above_smax_rejected_before_sampling(self):
         cfg = self._config()
