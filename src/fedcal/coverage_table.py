@@ -9,17 +9,23 @@ level, and handles agents with unequal sample sizes.
 
 Two independent evaluation routes are provided. ``coverage_bruteforce``
 enumerates the defining nested sum literally and is the reference for small
-problems. ``coverage_probability`` factors the sum through rectangular
-probabilities of a multivariate hypergeometric vector: conditionally on
-their total r, the per-agent counts of scores below the test point behave
-like independent binomials constrained to boxes, so each term becomes
+problems. ``coverage_probability`` evaluates the one-dimensional
+order-statistic integral
 
-    P(sum of box-truncated binomials = r) * prod P(box) / P(Binomial(mn) = r)
+    coverage(l, k) = 1 - integral over [0, 1] of I_{G(t)}(k, m - k + 1) dt,
+    G(t) = I_t(l, n - l + 1),
 
-which reduces in our grouped form to a polynomial convolution of two
-binomial slices, evaluated in log space (see ``logspace``). Coverage is
-nondecreasing in both ranks, which the rank search exploits so that only a
-thin frontier of the (local_rank, server_rank) grid is ever evaluated.
+where I is the regularized incomplete beta function: G(t) is the chance
+that an agent's l-th smallest score falls below t, and the integrand the
+chance that at least k agents' do. The integrand is a polynomial of degree
+m*n in t, so Gauss-Legendre quadrature with m*n/2 + 2 nodes integrates it
+exactly up to rounding (about 3e-13). Unequal sample sizes use the same
+integral with one G_j per agent and a Poisson-Binomial count of covered
+agents. Where a comparison with the level 1 - alpha is closer than that
+rounding can decide, the coverage, a rational number, is settled exactly.
+Coverage is nondecreasing in both ranks, which the rank search exploits so
+that only a thin frontier of (local_rank, server_rank) entries is ever
+evaluated.
 
 Tables are distribution-free, so they are cached keyed by (m, n) alone and
 can be persisted to a small text file and reused across runs.
@@ -31,12 +37,13 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln, roots_legendre
 
 from .errors import (
     InfeasibleError,
@@ -45,7 +52,6 @@ from .errors import (
     ResourceLimitError,
     check_alpha,
 )
-from .logspace import log_binom_pmf, log_convolve, suffix_logsumexp
 
 __all__ = [
     "TableKey",
@@ -211,48 +217,139 @@ def coverage_bruteforce(
 
 
 # ---------------------------------------------------------------------------
-# production path: truncated-binomial convolutions in log space
+# production path: Gauss-Legendre quadrature of the order-statistic integral
 # ---------------------------------------------------------------------------
+
+# Quadrature entries sit within about 3e-13 of the exact coverage; a
+# comparison with 1 - alpha closer than this margin is settled exactly.
+LEVEL_MARGIN = 1e-11
+# Settlement integrates in exact rationals up to this total sample size
+# (m*n when balanced) and in mpmath at SETTLE_DIGITS digits above it.
+EXACT_CELLS = 2000
+SETTLE_DIGITS = 60
+
+
+@lru_cache(maxsize=8)
+def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, 1], read-only."""
+    x, w = roots_legendre(count)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
+def _rule_for(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """A rule exact for polynomials of ``degree``: the smallest power of two
+    >= degree // 2 + 2 nodes, so that a few cached rules serve every shape
+    (building one costs time quadratic in its size)."""
+    return _legendre_rule(1 << (degree // 2 + 1).bit_length())
+
+
+@lru_cache(maxsize=4)
+def _local_cdf(n: int, local_rank: int, count: int) -> np.ndarray:
+    """G(t) = P(local order statistic <= t) at the nodes of a ``count`` rule."""
+    g = betainc(local_rank, n - local_rank + 1, _legendre_rule(count)[0])
+    g.flags.writeable = False
+    return g
+
+
+def _quadrature(m: int, n: int, local_rank: int, server_rank) -> np.ndarray:
+    """Coverage at one local rank for a server rank or a column of them.
+
+    Each server rank reduces its own row of nodes, so an entry evaluated
+    alone is bit-identical to the same entry of a column.
+    """
+    t, w = _rule_for(m * n)
+    g = _local_cdf(n, local_rank, t.size)
+    k = server_rank
+    coverage = 1.0 - (betainc(k, m - k + 1, g) * w).sum(axis=-1)
+    if np.any(coverage < -1e-9) or np.any(coverage > 1.0 + 1e-9):
+        raise InternalError(f"coverage left [0, 1] for m={m}, n={n}, l={local_rank}")
+    return np.clip(coverage, 0.0, 1.0)
 
 
 @lru_cache(maxsize=4096)
-def _column_engine(m: int, n: int, local_rank: int) -> tuple[float, ...]:
-    """Coverage at one local rank for all server ranks 1..m.
+def _entry_engine(m: int, n: int, local_rank: int, server_rank: int) -> float:
+    """One coverage entry, memoised for the process."""
+    return float(_quadrature(m, n, local_rank, server_rank))
 
-    The binomial reparameterization is centered at t = local_rank / (n + 1),
-    which puts the truncation boundary near the mass of both slices; any
-    interior t gives the same value because the tilt cancels in the ratio.
+
+@lru_cache(maxsize=256)
+def _settled(
+    sizes: tuple[int, ...], local_ranks: tuple[int, ...], server_rank: int
+) -> Fraction:
+    """Exact coverage at ``server_rank``, as a rational.
+
+    The miss integral is sum_r Q[r] r! (T-r)! / (T+1)! over the integer
+    coefficients Q of :func:`_miss_polynomial`. Up to EXACT_CELLS it is
+    summed in integers; above, where each weight r! (T-r)! has about
+    T log2 T bits and the sum would dominate the cost, it is summed in
+    mpmath at SETTLE_DIGITS digits and rounded to SETTLE_DIGITS - 10
+    digits, so a value that rounding keeps from an exact tie is read as
+    the tie.
     """
-    l = local_rank
-    t = l / (n + 1.0)
-    log_w = log_binom_pmf(n, t)
-    high = log_w[l:]  # degrees l..n: agents whose local quantile is covered
-    low = log_w[:l]  # degrees 0..l-1
-    powers_high: list[np.ndarray] = [np.zeros(1)]
-    powers_low: list[np.ndarray] = [np.zeros(1)]
-    for _ in range(m):
-        powers_high.append(log_convolve(powers_high[-1], high))
-        powers_low.append(log_convolve(powers_low[-1], low))
-    log_denominator = log_binom_pmf(m * n, t)
-    log_m_fact = gammaln(m + 1.0)
-    log_terms = np.full(m + 1, -np.inf)
-    for j in range(1, m + 1):
-        conv = log_convolve(powers_high[j], powers_low[m - j])
-        r = j * l + np.arange(conv.size)
-        log_choose = log_m_fact - gammaln(j + 1.0) - gammaln(m - j + 1.0)
-        log_terms[j] = log_choose + _logsumexp(conv - log_denominator[r])
-    tails = suffix_logsumexp(log_terms[1:])
-    column = 1.0 - np.exp(tails) / (m * n + 1)
-    if np.any(column < -1e-9) or np.any(column > 1.0 + 1e-9):
-        raise InternalError(f"coverage column left [0, 1] for m={m}, n={n}, l={l}")
-    return tuple(np.clip(column, 0.0, 1.0))
+    total = sum(sizes)
+    coefficients = _miss_polynomial(sizes, local_ranks, server_rank)
+    if total <= EXACT_CELLS:
+        weight, numerator = math.factorial(total), 0  # weight = r! (T-r)!
+        for r, coefficient in enumerate(coefficients):
+            numerator += coefficient * weight
+            if r < total:
+                weight = weight * (r + 1) // (total - r)
+        return 1 - Fraction(numerator, math.factorial(total + 1))
+    import mpmath
+
+    with mpmath.workdps(SETTLE_DIGITS):
+        scale, miss = mpmath.mpf(total + 1), mpmath.mpf(0)  # scale = (T+1) C(T, r)
+        for r, coefficient in enumerate(coefficients):
+            if coefficient:
+                miss += coefficient / scale
+            scale = scale * (total - r) / (r + 1)
+        return Fraction(mpmath.nstr(1 - miss, SETTLE_DIGITS - 10))
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    peak = float(np.max(values))
-    if peak == -np.inf:
-        return -np.inf
-    return peak + math.log(float(np.sum(np.exp(values - peak))))
+def _miss_polynomial(sizes, local_ranks, k: int) -> list[int]:
+    """P(at least k agents covered) in the basis t^r (1-t)^(T-r), T = sum(sizes).
+
+    In that basis G_j has the integer coefficients C(n_j, i) for i >= l_j
+    and 1 - G_j those for i < l_j, and polynomials multiply by convolving
+    their coefficients. Agents are added one at a time, tracking "j agents
+    covered so far" for j < k and "at least k" together; states from which
+    k is out of reach are dropped.
+    """
+    m = len(sizes)
+    state = {0: np.array([1], dtype=object)}
+    for a, (n_a, l_a) in enumerate(zip(sizes, local_ranks)):
+        coeffs = [1]  # C(n_a, i) by the ratio recurrence
+        for i in range(n_a):
+            coeffs.append(coeffs[-1] * (n_a - i) // (i + 1))
+        zeros = [0] * (n_a + 1)
+        branches = [(0, np.array(coeffs[:l_a] + zeros[l_a:], dtype=object))]
+        if l_a <= n_a:
+            branches.append((1, np.array(zeros[:l_a] + coeffs[l_a:], dtype=object)))
+        new = {}
+        for j, poly in state.items():
+            for step, part in branches:
+                to = min(j + step, k)
+                if to + m - a - 1 >= k:
+                    product = np.convolve(poly, part)
+                    new[to] = new[to] + product if to in new else product
+        state = new
+    return state[k].tolist() if k in state else []
+
+
+def _meets_level(value: float, alpha: float, settle) -> tuple[bool, float]:
+    """Whether coverage ``value`` reaches 1 - alpha, and the value to keep.
+
+    A value more than LEVEL_MARGIN from the level is decided as it is;
+    otherwise ``settle()`` gives the exact coverage, which is compared with
+    1 - alpha exactly and kept correctly rounded.
+    """
+    target = 1.0 - alpha
+    if abs(value - target) > LEVEL_MARGIN:
+        return value >= target, value
+    exact = settle()
+    return exact >= 1 - Fraction(alpha), float(exact)
 
 
 def _table_for(
@@ -268,25 +365,35 @@ def _table_for(
     return table
 
 
-def _column(table: CoverageTable, local_rank: int) -> tuple[float, ...]:
-    """Coverage at ``local_rank`` for server ranks 1..m, read from ``table``.
+def _entry(table: CoverageTable, local_rank: int, server_rank: int) -> float:
+    """Coverage at (local_rank, server_rank), read from ``table``.
 
-    A column the table does not hold in full comes from the engine and is
-    stored, so every later reader of the table finds it.
+    An entry the table lacks comes from the engine and is stored, so every
+    later reader of the table finds it.
     """
-    m, l = table.key.m, local_rank
-    stored = tuple(table.entries.get((l, k), math.nan) for k in range(1, m + 1))
-    if not any(math.isnan(v) for v in stored):
-        return stored
-    values = _column_engine(m, table.key.n, l)
-    table.entries.update(((l, k), v) for k, v in enumerate(values, start=1))
-    return values
+    value = table.entries.get((local_rank, server_rank))
+    if value is None:
+        value = _entry_engine(table.key.m, table.key.n, local_rank, server_rank)
+        table.entries[(local_rank, server_rank)] = value
+    return value
+
+
+def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: float) -> bool:
+    """Whether the entry reaches 1 - alpha; a settled entry is stored exact."""
+    m, n = table.key.m, table.key.n
+    reached, value = _meets_level(
+        _entry(table, local_rank, server_rank),
+        alpha,
+        lambda: _settled((n,) * m, (local_rank,) * m, server_rank),
+    )
+    table.entries[(local_rank, server_rank)] = value
+    return reached
 
 
 def coverage_column(key: TableKey, local_rank: int) -> np.ndarray:
     """Coverage at ``local_rank`` for every server rank 1..m."""
     RankPair(local_rank, 1).validate(key)
-    return np.array(_column(CoverageTable(key=key), local_rank))
+    return _quadrature(key.m, key.n, local_rank, np.arange(1, key.m + 1)[:, None])
 
 
 def coverage_probability(key: TableKey, ranks: RankPair) -> float:
@@ -296,15 +403,16 @@ def coverage_probability(key: TableKey, ranks: RankPair) -> float:
     path stays polynomial in (m, n) and is the one used by the rank search.
     """
     ranks.validate(key)
-    return _column(CoverageTable(key=key), ranks.local_rank)[ranks.server_rank - 1]
+    return _entry(CoverageTable(key=key), ranks.local_rank, ranks.server_rank)
 
 
 def unbalanced_coverage(sizes: Sequence[int], local_ranks: Sequence[int]) -> np.ndarray:
     """Coverage for every server rank when agents hold unequal sample sizes.
 
     ``local_ranks[j]`` may exceed ``sizes[j]``; such an agent always reports
-    the out-of-range sentinel and can never count as covered, which the sum
-    reflects by dropping its covered branch.
+    the out-of-range sentinel and can never count as covered (G_j = 0). At
+    each node the number of covered agents is Poisson-Binomial, built agent
+    by agent.
 
     Returns
     -------
@@ -317,45 +425,35 @@ def unbalanced_coverage(sizes: Sequence[int], local_ranks: Sequence[int]) -> np.
         raise InvalidArgumentError("sizes and local_ranks must be equal-length and nonempty")
     if min(sizes) < 1 or min(local_ranks) < 1:
         raise InvalidArgumentError("sizes and local ranks must be positive")
-    m = len(sizes)
     total = sum(sizes)
     if total > DEFAULT_CELL_CAP:
         raise ResourceLimitError(f"total size {total} exceeds cap {DEFAULT_CELL_CAP}")
-    t = sum(min(l, n) for l, n in zip(local_ranks, sizes)) / (total + m)
-    # joint[j, r]: log-weight of configurations with j covered agents and
-    # total below-count r, built agent by agent
-    joint = np.full((m + 1, total + 1), -np.inf)
-    joint[0, 0] = 0.0
-    degree = 0
-    for n_a, l_a in zip(sizes, local_ranks):
-        log_w = log_binom_pmf(n_a, t)
-        high = log_w[l_a:] if l_a <= n_a else None
-        low = log_w[: min(l_a, n_a + 1)]
-        updated = np.full_like(joint, -np.inf)
-        for j in range(m + 1):
-            row = joint[j, : degree + 1]
-            if not np.any(np.isfinite(row)):
-                continue
-            low_conv = log_convolve(row, low)
-            updated[j, : low_conv.size] = np.logaddexp(
-                updated[j, : low_conv.size], low_conv
-            )
-            if high is not None:
-                high_conv = log_convolve(row, high)
-                segment = updated[j + 1, l_a : l_a + high_conv.size]
-                updated[j + 1, l_a : l_a + high_conv.size] = np.logaddexp(segment, high_conv)
-        joint = updated
-        degree += n_a
-    log_denominator = log_binom_pmf(total, t)
-    log_terms = np.full(m + 1, -np.inf)
-    for j in range(1, m + 1):
-        row = joint[j]
-        finite = np.isfinite(row)
-        if finite.any():
-            log_terms[j] = _logsumexp(row[finite] - log_denominator[finite])
-    tails = suffix_logsumexp(log_terms[1:])
-    column = 1.0 - np.exp(tails) / (total + 1)
-    return np.clip(column, 0.0, 1.0)
+    t, w = _rule_for(total)
+    g = np.stack(
+        [
+            betainc(l, n - l + 1, t) if l <= n else np.zeros_like(t)
+            for n, l in zip(sizes, local_ranks)
+        ],
+        axis=-1,
+    )
+    pmf = _poisson_binomial_pmf(g)  # pmf[i, j]: P(j agents covered) at node i
+    tails = np.cumsum(pmf[:, :0:-1], axis=-1)[:, ::-1]  # tails[:, k - 1] = P(>= k)
+    return np.clip(1.0 - w @ tails, 0.0, 1.0)
+
+
+def _poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
+    """Mass function of a sum of independent Bernoulli(p_j) by convolution.
+
+    The sum runs over the last axis of ``p``; leading axes are batches.
+    """
+    pmf = np.ones(p.shape[:-1] + (1,))
+    for j in range(p.shape[-1]):
+        prob = p[..., j : j + 1]
+        extended = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+        extended[..., :-1] = pmf * (1.0 - prob)
+        extended[..., 1:] += pmf * prob
+        pmf = extended
+    return pmf
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +470,9 @@ def select_ranks(
 
     Walks the feasibility frontier from (n, m) downward: as the local rank
     decreases the smallest feasible server rank can only grow, so the walk
-    probes O(n + m) grid positions, pulling whole columns through ``table``
-    (a fresh one when none is given). Ties are broken toward
+    probes O(n + m) entries, each read through ``table`` (a fresh one when
+    none is given). An entry within ``LEVEL_MARGIN`` of 1 - alpha is settled
+    exactly and stored at its exact value. Ties are broken toward
     the smallest local rank, then the smallest server rank.
 
     Raises
@@ -383,26 +482,23 @@ def select_ranks(
         happens exactly when alpha < 1 / (m*n + 1).
     """
     check_alpha(alpha)
-    target = 1.0 - alpha
     m, n = key.m, key.n
     table = _table_for(table, m, n, key.cell_cap)
-    top = _column(table, n)
-    if top[m - 1] < target:
+    if not _reaches(table, n, m, alpha):
         raise InfeasibleError(
-            f"coverage {top[m - 1]:.6f} at ranks ({n}, {m}) is below {target}; "
-            f"no rank pair reaches the requested level for m={m}, n={n}"
+            f"coverage {table.entries[(n, m)]:.6f} at ranks ({n}, {m}) is below "
+            f"{1.0 - alpha}; no rank pair reaches the requested level for m={m}, n={n}"
         )
     best: tuple[float, int, int] | None = None
     k_floor = 1
     for l in range(n, 0, -1):
-        values = _column(table, l)
         k = k_floor
-        while k <= m and values[k - 1] < target:
+        while k <= m and not _reaches(table, l, k, alpha):
             k += 1
         if k > m:
             break  # every smaller local rank is infeasible too
         k_floor = k
-        candidate = (values[k - 1], l, k)
+        candidate = (table.entries[(l, k)], l, k)
         if best is None or candidate < best:
             best = candidate
     assert best is not None  # the (n, m) probe above guarantees feasibility
@@ -437,14 +533,14 @@ def select_ranks_unbalanced(
     """
     ranks = unbalanced_local_ranks(sizes, alpha)
     column = unbalanced_coverage(sizes, ranks)
-    target = 1.0 - alpha
-    feasible = np.nonzero(column >= target)[0]
-    if feasible.size == 0:
-        raise InfeasibleError(
-            f"no server rank reaches coverage {target} for sizes {list(sizes)}"
-        )
-    k = int(feasible[0]) + 1
-    return ranks, k, float(column[k - 1])
+    exact_key = (tuple(int(s) for s in sizes), tuple(ranks))
+    for k, value in enumerate(column.tolist(), start=1):
+        reached, value = _meets_level(value, alpha, lambda: _settled(*exact_key, k))
+        if reached:
+            return ranks, k, value
+    raise InfeasibleError(
+        f"no server rank reaches coverage {1.0 - alpha} for sizes {list(sizes)}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ from .conformal import (
     fedcp_qq_calibrate,
     split_cp_calibrate,
 )
-from .coverage_table import CoverageTable, RankPair, TableKey, _table_for, select_ranks
+from .coverage_table import (
+    CoverageTable,
+    RankPair,
+    TableKey,
+    _poisson_binomial_pmf,
+    _table_for,
+    select_ranks,
+)
 from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
 from .logspace import log_binom_pmf
 from .order_stats import quantile_of_quantiles
@@ -476,21 +483,6 @@ def conditional_coverage_experiment(
 # ---------------------------------------------------------------------------
 # heterogeneity diagnostics
 # ---------------------------------------------------------------------------
-
-
-def _poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
-    """Mass function of a sum of independent Bernoulli(p_j) by convolution.
-
-    The sum runs over the last axis of ``p``; leading axes are batches.
-    """
-    pmf = np.ones(p.shape[:-1] + (1,))
-    for j in range(p.shape[-1]):
-        prob = p[..., j : j + 1]
-        extended = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
-        extended[..., :-1] = pmf * (1.0 - prob)
-        extended[..., 1:] += pmf * prob
-        pmf = extended
-    return pmf
 
 
 def poisson_binomial_diagnostic(

@@ -29,7 +29,7 @@ from .conformal import (
     _server_order_statistic,
     _with_kind,
 )
-from .coverage_table import CoverageTable, TableKey, _column, _table_for, select_ranks
+from .coverage_table import CoverageTable, TableKey, _entry, _table_for, select_ranks
 from .errors import InfeasibleError, InvalidArgumentError, check_alpha
 from .order_stats import as_matrix
 
@@ -236,8 +236,8 @@ def select_gamma(
     fit inside n. Among feasible candidates the one whose corrected-rank
     coverage is smallest wins (that coverage measures how much the
     compensation overshoots); ties go to the smaller gamma. Every coverage
-    is read through ``table`` (a fresh one when none is given); the
-    corrected columns are ones the rank search has already stored.
+    is read through ``table`` (a fresh one when none is given), which stores
+    each corrected entry for the next search.
 
     Raises
     ------
@@ -271,7 +271,7 @@ def select_gamma(
                 f"n is too small for epsilon = {epsilon} with {bins} bins"
             )
             continue
-        corrected = _column(table, total)[ranks.server_rank - 1]
+        corrected = _entry(table, total, ranks.server_rank)
         if best is None or (corrected, gamma) < (best.corrected_coverage, best.gamma):
             best = GammaSelection(
                 float(gamma), ranks.local_rank, ranks.server_rank, correction, corrected

@@ -1,18 +1,22 @@
 """Independent oracles for the coverage engine and the private mechanism.
 
 Every function here recomputes a quantity along a route the library does
-not use: exact rationals over literal index tuples, Gauss-Legendre
-quadrature of the order-statistic integrand, batched Monte-Carlo, and a
-straight transcription of the exponential-mechanism softmax. Expected
-values frozen in the tests were produced by these.
+not use: exact rationals over literal index tuples, truncated-binomial
+convolutions in log space, batched Monte-Carlo, and a straight
+transcription of the exponential-mechanism softmax. Gauss-Legendre
+quadrature of the order-statistic integrand is kept as the plain formula
+the library's engine evaluates. Expected values frozen in the tests were
+produced by these.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import betainc, roots_legendre
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import betainc, gammaln, logsumexp, roots_legendre
 
 
 def coverage_exact_fraction(m: int, n: int, l: int, k: int) -> Fraction:
@@ -64,6 +68,106 @@ def coverage_by_quadrature(m: int, n: int, l: int, k: int) -> float:
     g = betainc(l, n - l + 1, t)
     integrand = betainc(k, m - k + 1, g)
     return 1.0 - 0.5 * float(np.dot(w, integrand))
+
+
+def _log_binom_pmf(n: int, t: float) -> np.ndarray:
+    x = np.arange(n + 1, dtype=float)
+    log_coeff = gammaln(n + 1.0) - gammaln(x + 1.0) - gammaln(n - x + 1.0)
+    return log_coeff + x * math.log(t) + (n - x) * math.log1p(-t)
+
+
+def log_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of two log-weight arrays, coefficient by coefficient
+    with a max-shifted log-sum-exp, so every coefficient keeps near machine
+    relative precision."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return a + b[0]
+    pad = np.full(len(b) - 1, -np.inf)
+    terms = sliding_window_view(np.concatenate([pad, a, pad]), len(b)) + b[::-1]
+    peak = np.max(terms, axis=1, keepdims=True)
+    peak[np.isneginf(peak)] = 0.0
+    with np.errstate(divide="ignore"):  # all-zero weights give log 0 = -inf
+        return np.log(np.sum(np.exp(terms - peak), axis=1)) + peak[:, 0]
+
+
+def _suffix_logsumexp(log_terms: np.ndarray) -> np.ndarray:
+    """``out[i] = logsumexp(log_terms[i:])``."""
+    return np.logaddexp.accumulate(log_terms[::-1])[::-1]
+
+
+@lru_cache(maxsize=256)
+def coverage_column_by_convolution(m: int, n: int, l: int) -> tuple:
+    """Coverage at local rank l for server ranks 1..m, through the
+    multivariate-hypergeometric factorization of the nested sum.
+
+    Conditionally on their total r, the per-agent counts of scores below
+    the test point are independent binomials constrained to boxes, so the
+    sum becomes convolutions of two binomial slices divided by a matched
+    binomial mass. The binomial parameter t = l / (n + 1) cancels in that
+    ratio; it only centres the slices.
+    """
+    t = l / (n + 1.0)
+    log_w = _log_binom_pmf(n, t)
+    high, low = log_w[l:], log_w[:l]
+    powers_high, powers_low = [np.zeros(1)], [np.zeros(1)]
+    for _ in range(m):
+        powers_high.append(log_convolve(powers_high[-1], high))
+        powers_low.append(log_convolve(powers_low[-1], low))
+    log_denominator = _log_binom_pmf(m * n, t)
+    log_terms = np.full(m, -np.inf)
+    for j in range(1, m + 1):
+        conv = log_convolve(powers_high[j], powers_low[m - j])
+        r = j * l + np.arange(conv.size)
+        log_choose = gammaln(m + 1.0) - gammaln(j + 1.0) - gammaln(m - j + 1.0)
+        log_terms[j - 1] = log_choose + logsumexp(conv - log_denominator[r])
+    column = 1.0 - np.exp(_suffix_logsumexp(log_terms)) / (m * n + 1)
+    return tuple(np.clip(column, 0.0, 1.0))
+
+
+def select_ranks_by_convolution(m: int, n: int, alpha: float) -> tuple[int, int]:
+    """Rank pair of minimal coverage >= 1 - alpha over convolution columns,
+    by the frontier walk (ties toward the smaller local, then server rank)."""
+    target = 1.0 - alpha
+    best, k_floor = None, 1
+    for l in range(n, 0, -1):
+        column = coverage_column_by_convolution(m, n, l)
+        k = next((k for k in range(k_floor, m + 1) if column[k - 1] >= target), None)
+        if k is None:
+            break
+        k_floor = k
+        best = min(best or (2.0, 0, 0), (column[k - 1], l, k))
+    return best[1], best[2]
+
+
+def unbalanced_coverage_by_convolution(sizes, local_ranks) -> np.ndarray:
+    """Unequal-size coverage for server ranks 1..m: a joint log-weight
+    recursion over (covered agents, total count below the test point),
+    built agent by agent."""
+    m, total = len(sizes), sum(sizes)
+    t = sum(min(l, n) for l, n in zip(local_ranks, sizes)) / (total + m)
+    joint = np.full((m + 1, total + 1), -np.inf)
+    joint[0, 0] = 0.0
+    degree = 0
+    for n_a, l_a in zip(sizes, local_ranks):
+        log_w = _log_binom_pmf(n_a, t)
+        updated = np.full_like(joint, -np.inf)
+        for j in range(m + 1):
+            row = joint[j, : degree + 1]
+            if not np.any(np.isfinite(row)):
+                continue
+            low = log_convolve(row, log_w[: min(l_a, n_a + 1)])
+            updated[j, : low.size] = np.logaddexp(updated[j, : low.size], low)
+            if l_a <= n_a:
+                high = log_convolve(row, log_w[l_a:])
+                span = slice(l_a, l_a + high.size)
+                updated[j + 1, span] = np.logaddexp(updated[j + 1, span], high)
+        joint = updated
+        degree += n_a
+    log_denominator = _log_binom_pmf(total, t)
+    log_terms = np.array([logsumexp(joint[j] - log_denominator) for j in range(1, m + 1)])
+    return np.clip(1.0 - np.exp(_suffix_logsumexp(log_terms)) / (total + 1), 0.0, 1.0)
 
 
 def mc_qq_coverage(m, n, l, k, reps, seed, batch=2000):

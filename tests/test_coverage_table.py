@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,13 +25,25 @@ from fedcal import (
     select_ranks_unbalanced,
     unbalanced_coverage,
 )
-from fedcal.coverage_table import coverage_bruteforce_column, unbalanced_local_ranks
+
+import fedcal.coverage_table as coverage_table
+from fedcal.coverage_table import (
+    LEVEL_MARGIN,
+    _entry_engine,
+    _meets_level,
+    _settled,
+    coverage_bruteforce_column,
+    unbalanced_local_ranks,
+)
 
 from oracles import (
     coverage_by_quadrature,
+    coverage_column_by_convolution,
     coverage_exact_fraction,
     inid_coverage_exact_fraction,
     mc_qq_coverage,
+    select_ranks_by_convolution,
+    unbalanced_coverage_by_convolution,
 )
 
 
@@ -76,6 +89,13 @@ class TestFastPath:
             got = coverage_probability(TableKey(m, n), RankPair(l, k))
             assert got == pytest.approx(coverage_by_quadrature(m, n, l, k), abs=1e-11)
 
+    def test_entries_bit_identical_to_their_column(self):
+        key = TableKey(9, 14)
+        for l in range(1, 15):
+            column = coverage_column(key, l)
+            for k in range(1, 10):
+                assert coverage_probability(key, RankPair(l, k)) == column[k - 1]
+
     def test_column_monotone_in_both_ranks(self):
         key = TableKey(6, 8)
         grid = np.array([coverage_column(key, l) for l in range(1, 9)])
@@ -97,6 +117,87 @@ class TestFastPath:
             coverage_probability(TableKey(3, 4), RankPair(5, 1))
         with pytest.raises(InvalidArgumentError):
             coverage_probability(TableKey(3, 4), RankPair(1, 4))
+
+
+class TestConvolutionOracle:
+    """The production quadrature against the log-space convolution route."""
+
+    def test_matches_on_medium_shapes(self):
+        for (m, n, l, k) in [(10, 20, 18, 9), (20, 15, 14, 17), (7, 40, 36, 4), (50, 20, 18, 35)]:
+            got = coverage_probability(TableKey(m, n), RankPair(l, k))
+            assert got == pytest.approx(coverage_column_by_convolution(m, n, l)[k - 1], abs=1e-12)
+
+    def test_same_ranks_on_the_sweep_grid(self):
+        for m in (5, 20):
+            for n in range(10, 101):
+                ranks, _ = select_ranks(TableKey(m, n), 0.1)
+                expected = select_ranks_by_convolution(m, n, 0.1)
+                assert (ranks.local_rank, ranks.server_rank) == expected, (m, n)
+
+    def test_unbalanced_matches(self):
+        cases = [([7, 12, 30, 5], [6, 11, 27, 5]), ([40, 3], [36, 3]), ([9, 1, 17], [10, 1, 16])]
+        for sizes, ranks in cases:
+            np.testing.assert_allclose(
+                unbalanced_coverage(sizes, ranks),
+                unbalanced_coverage_by_convolution(sizes, ranks),
+                rtol=0.0,
+                atol=1e-12,
+            )
+
+
+class TestCertifiedLevel:
+    """Entries equal to 1 - alpha, where a float compare can go either way."""
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (3, 1), (1, 19), (19, 1)])
+    def test_true_tie_is_feasible(self, m, n):
+        table = CoverageTable(key=TableKey(m, n))
+        ranks, coverage = select_ranks(TableKey(m, n), 0.25, table=table)
+        rank = math.ceil(0.75 * (m * n + 1))
+        assert (ranks.local_rank, ranks.server_rank) == ((rank, 1) if m == 1 else (1, rank))
+        assert coverage == 0.75
+        assert table.entries[(ranks.local_rank, ranks.server_rank)] == 0.75
+
+    @pytest.mark.parametrize("agents", [3, 19])
+    def test_true_tie_with_unequal_size_route(self, agents):
+        ranks, k, coverage = select_ranks_unbalanced([1] * agents, 0.25)
+        assert ranks == [1] * agents
+        assert k == math.ceil(0.75 * (agents + 1))
+        assert coverage == 0.75
+
+    def test_margin_decides_the_route(self):
+        calls = []
+
+        def settle():
+            calls.append(1)
+            return Fraction(9, 10)
+
+        assert _meets_level(0.9 + 2 * LEVEL_MARGIN, 0.1, settle) == (True, 0.9 + 2 * LEVEL_MARGIN)
+        assert _meets_level(0.9 - 2 * LEVEL_MARGIN, 0.1, settle) == (False, 0.9 - 2 * LEVEL_MARGIN)
+        assert calls == []
+        assert _meets_level(0.9 - LEVEL_MARGIN / 2, 0.1, settle) == (True, 0.9)
+        assert calls == [1]
+
+    def test_exact_route_below_the_level_is_infeasible(self):
+        # 1e-20 below 3/4: rounds to 0.75, yet misses the level 0.75
+        assert _meets_level(0.75, 0.25, lambda: Fraction(3, 4) - Fraction(1, 10**20)) == (
+            False,
+            0.75,
+        )
+
+    def test_settled_matches_exact_rationals(self):
+        for (m, n, l, k) in [(3, 4, 2, 2), (2, 3, 2, 1), (4, 2, 2, 4), (1, 5, 3, 1)]:
+            assert _settled((n,) * m, (l,) * m, k) == coverage_exact_fraction(m, n, l, k)
+        for sizes, ranks, k in [((5, 3), (6, 2), 1), ((2, 3, 4), (2, 3, 4), 2), ((4, 2), (3, 1), 2)]:
+            assert _settled(sizes, ranks, k) == inid_coverage_exact_fraction(sizes, ranks, k)
+
+    def test_high_precision_route_matches_rationals(self, monkeypatch):
+        exact = _settled((15,) * 20, (14,) * 20, 17)
+        monkeypatch.setattr(coverage_table, "EXACT_CELLS", 0)
+        approx = _settled.__wrapped__((15,) * 20, (14,) * 20, 17)
+        assert approx != exact
+        assert abs(approx - exact) < Fraction(1, 10**45)
+        assert _settled.__wrapped__((3,), (3,), 1) == Fraction(3, 4)
+        assert _settled.__wrapped__((1,) * 19, (1,) * 19, 18) == Fraction(9, 10)
 
 
 class TestMaxReportClosedForm:
@@ -271,6 +372,21 @@ class TestPersistence:
         path.write_text("not a table\n")
         with pytest.raises(InvalidArgumentError):
             load_table(path)
+
+    def test_full_column_cache_from_the_oracle(self, tmp_path):
+        key = TableKey(7, 13)
+        table = CoverageTable(key=key)
+        for l in range(1, 14):
+            column = coverage_column_by_convolution(7, 13, l)
+            table.entries.update(((l, k), v) for k, v in enumerate(column, start=1))
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        expected = {alpha: select_ranks(key, alpha)[0] for alpha in (0.05, 0.1, 0.2)}
+        _entry_engine.cache_clear()
+        loaded = load_table(path)
+        for alpha, ranks in expected.items():
+            assert select_ranks(key, alpha, table=loaded)[0] == ranks
+        assert _entry_engine.cache_info().misses == 0
 
     def test_validate_catches_monotonicity_break(self):
         table = CoverageTable(key=TableKey(2, 2))

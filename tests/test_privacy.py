@@ -21,7 +21,7 @@ from fedcal import (
     select_gamma,
     select_ranks,
 )
-from fedcal.coverage_table import RankPair, _column_engine
+from fedcal.coverage_table import RankPair, _entry_engine
 
 from oracles import mechanism_softmax
 
@@ -204,10 +204,10 @@ class TestSelectGamma:
         first = select_gamma(key, 0.2, 5.0, 100, table=table)
         path = tmp_path / "table.txt"
         save_table(table, path)
-        _column_engine.cache_clear()
+        _entry_engine.cache_clear()
         loaded = load_table(path)
         second = select_gamma(key, 0.2, 5.0, 100, table=loaded)
-        assert _column_engine.cache_info().misses == 0
+        assert _entry_engine.cache_info().misses == 0
         assert len(loaded.entries) == len(table.entries)
         assert second == first
 
