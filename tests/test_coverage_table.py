@@ -1,9 +1,11 @@
 import math
 import os
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from fedcal import (
     CoverageTable,
@@ -26,10 +28,10 @@ from fedcal import (
     unbalanced_coverage,
 )
 
-import fedcal.coverage_table as coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     _entry_engine,
+    _legendre_rule,
     _meets_level,
     _settled,
     coverage_bruteforce_column,
@@ -88,6 +90,16 @@ class TestFastPath:
         for (m, n, l, k) in [(10, 20, 18, 9), (20, 15, 14, 17), (7, 40, 36, 4), (50, 20, 18, 35)]:
             got = coverage_probability(TableKey(m, n), RankPair(l, k))
             assert got == pytest.approx(coverage_by_quadrature(m, n, l, k), abs=1e-11)
+
+    def test_legendre_rule(self):
+        for count in (2, 3, 7, 64):
+            x, w = roots_legendre(count)
+            t, v = _legendre_rule(count)
+            np.testing.assert_allclose(t, (x + 1) / 2, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(v, w / 2, rtol=1e-11, atol=0)
+        t, v = _legendre_rule(4096)
+        for degree in (0, 1, 7, 100, 1000, 8191):  # exact up to degree 2 * 4096 - 1
+            assert abs(v @ t**degree - 1 / (degree + 1)) < 1e-15
 
     def test_entries_bit_identical_to_their_column(self):
         key = TableKey(9, 14)
@@ -190,14 +202,40 @@ class TestCertifiedLevel:
         for sizes, ranks, k in [((5, 3), (6, 2), 1), ((2, 3, 4), (2, 3, 4), 2), ((4, 2), (3, 1), 2)]:
             assert _settled(sizes, ranks, k) == inid_coverage_exact_fraction(sizes, ranks, k)
 
-    def test_high_precision_route_matches_rationals(self, monkeypatch):
-        exact = _settled((15,) * 20, (14,) * 20, 17)
-        monkeypatch.setattr(coverage_table, "EXACT_CELLS", 0)
-        approx = _settled.__wrapped__((15,) * 20, (14,) * 20, 17)
-        assert approx != exact
-        assert abs(approx - exact) < Fraction(1, 10**45)
-        assert _settled.__wrapped__((3,), (3,), 1) == Fraction(3, 4)
-        assert _settled.__wrapped__((1,) * 19, (1,) * 19, 18) == Fraction(9, 10)
+    def test_closed_forms_match_exact_rationals(self):
+        # one agent, l = n, n = 1 and l = 1 take closed forms
+        for (m, n, l, k) in [(1, 6, 4, 1), (3, 4, 4, 2), (4, 3, 3, 1), (5, 1, 1, 3), (3, 4, 1, 2), (4, 3, 1, 4)]:
+            assert _settled((n,) * m, (l,) * m, k) == coverage_exact_fraction(m, n, l, k)
+        # agents whose rank exceeds their size drop out before the closed form
+        for sizes, ranks, k in [((4, 4, 2), (4, 4, 3), 1), ((4, 4, 2), (4, 4, 3), 3), ((1, 1, 2), (1, 1, 3), 2)]:
+            assert _settled(sizes, ranks, k) == inid_coverage_exact_fraction(sizes, ranks, k)
+
+    @pytest.mark.parametrize(
+        "m, n, alpha, pair, value",
+        [
+            (999, 1, 0.1, (1, 900), 0.9),
+            (9999, 1, 0.1, (1, 9000), 0.9),
+            (1, 9999, 0.1, (9000, 1), 0.9),
+            (99, 101, 1e-4, (101, 99), 0.9999),
+        ],
+    )
+    def test_systematic_ties_settle_quickly(self, m, n, alpha, pair, value):
+        # k / (m + 1), l / (n + 1) and the top entry m n / (m n + 1) are
+        # exact ties at these levels; settling them must not build the
+        # integer polynomial of a large shape
+        table = CoverageTable(key=TableKey(m, n))
+        start = time.perf_counter()
+        ranks, coverage = select_ranks(TableKey(m, n), alpha, table=table)
+        assert time.perf_counter() - start < 60
+        assert (ranks.local_rank, ranks.server_rank) == pair
+        assert coverage == value
+        assert len(table.entries) < 2 * n + 100  # the search gallops over server ranks
+
+    def test_many_singletons_settle_quickly(self):
+        start = time.perf_counter()
+        ranks, k, coverage = select_ranks_unbalanced([1] * 999, 0.1)
+        assert time.perf_counter() - start < 60
+        assert (ranks, k, coverage) == ([1] * 999, 900, 0.9)
 
 
 class TestMaxReportClosedForm:
