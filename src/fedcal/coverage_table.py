@@ -244,7 +244,7 @@ def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
         for j in range(1, count):
             previous, p = p, ((2 * j + 1) * x * p - j * previous) / (j + 1)
         slope = count * (previous - x * p) / ((1.0 - x) * (1.0 + x))  # P'(x)
-        if step <= 1e-13:
+        if step <= 1e-13:  # Newton converges quadratically: x is exact to rounding
             break
         step = float(np.abs(p / slope).max())
         x = x - p / slope
