@@ -159,11 +159,11 @@ def _load_or_new_table(path: Path, key: TableKey) -> tuple[CoverageTable, int]:
                 f"requested (m={key.m}, n={key.n})"
             )
         return table, len(table.entries)
-    return CoverageTable(key=key), -1
+    return CoverageTable(key=key), 0
 
 
 def _save_if_grown(table: CoverageTable, path: Path, loaded_entries: int) -> None:
-    if len(table.entries) != max(loaded_entries, 0):
+    if len(table.entries) != loaded_entries:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(table, path)
 
@@ -197,7 +197,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     _require(options, "alpha", "method")
     method = _method(options)
     agents = read_score_matrix_csv(args.scores)
-    table, path, loaded = None, None, -1
+    table, path, loaded = None, None, 0
     if method.table and (options.get("cache") or os.environ.get(CACHE_DIR_ENV)):
         key = TableKey(len(agents), agents[0].size)
         path = _cache_path(options, key.m, key.n)
@@ -237,7 +237,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"sampler must be one of {', '.join(sorted(SAMPLERS))}"
         )
     spec = FederationSpec(
-        m=options["m"], sizes=options["n"], alpha=options["alpha"], seed=options["seed"]
+        m=options["m"], n=options["n"], alpha=options["alpha"], seed=options["seed"]
     )
     dp = _dp_config(options) if private else None
     summary = coverage_experiment(

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coverage_table import CoverageTable, _table_for, select_ranks
+from .coverage_table import CoverageTable, TableKey, select_ranks
 from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
 from .order_stats import as_matrix, as_sample, order_statistic
 
@@ -227,8 +227,7 @@ def fedcp_qq_calibrate(
     check_alpha(alpha)
     agents = np.array(as_matrix(scores, balanced=True))
     m, n = agents.shape
-    table = _table_for(table, m, n)
-    ranks, coverage = select_ranks(table.key, alpha, table=table)
+    ranks, coverage = select_ranks(TableKey(m, n), alpha, table=table)
     l, k = ranks.local_rank, ranks.server_rank
     q_hat = _one_shot_round(
         agents, {"local_rank": l}, _local_order_statistics(l), _server_order_statistic(k), recorder
@@ -338,7 +337,10 @@ def evaluate_intervals(
 
 def read_scores_csv(path) -> np.ndarray:
     """Scores from a one-column CSV, optionally headed by a 'score' line."""
-    rows = _read_rows(path)
+    return _one_column_scores(path, _read_rows(path))
+
+
+def _one_column_scores(path, rows) -> np.ndarray:
     scores = []
     for line_no, row in rows:
         if len(row) != 1:
@@ -364,6 +366,7 @@ def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
         rows = _read_rows(paths[0])
         if rows and len(rows[0][1]) == 2:
             return _group_by_agent(paths[0], rows)
+        return [_one_column_scores(paths[0], rows)]
     return [read_scores_csv(p) for p in paths]
 
 

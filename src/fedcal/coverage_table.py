@@ -72,7 +72,12 @@ __all__ = [
     "load_table",
 ]
 
-DEFAULT_CELL_CAP = 10**6
+# m*n at most this: exact arithmetic and the quadrature rules stay tractable
+CELL_CAP = 10**6
+
+# stored entries are within rounding of the exact coverage, which is
+# nondecreasing in both ranks
+MONOTONE_TOL = 1e-12
 
 CACHE_FORMAT_NAME = "fedcal-coverage-table"
 CACHE_FORMAT_VERSION = 1
@@ -80,18 +85,20 @@ CACHE_FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class TableKey:
-    """Problem size: m agents, n calibration scores per agent."""
+    """Problem size: m agents, n calibration scores per agent.
+
+    Requires m, n >= 1 and m*n <= ``CELL_CAP``.
+    """
 
     m: int
     n: int
-    cell_cap: int = DEFAULT_CELL_CAP
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.n < 1:
             raise InvalidArgumentError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
-        if self.m * self.n > self.cell_cap:
+        if self.m * self.n > CELL_CAP:
             raise ResourceLimitError(
-                f"m*n = {self.m * self.n} exceeds the exact-arithmetic cap {self.cell_cap}"
+                f"m*n = {self.m * self.n} exceeds the exact-arithmetic cap {CELL_CAP}"
             )
 
 
@@ -117,31 +124,25 @@ class RankPair:
 class CoverageTable:
     """Lazily filled map (local_rank, server_rank) -> coverage for one (m, n).
 
-    ``selected`` carries the rank pair chosen by ``select_ranks`` together
-    with its coverage; it is not part of the persisted file because the
-    stored entries are level-independent.
+    Holds only the entries a search has read (about n + m of the m*n);
+    they are level-independent, so one table serves every alpha.
     """
 
     key: TableKey
     entries: dict[tuple[int, int], float] = field(default_factory=dict)
-    selected: tuple[RankPair, float] | None = None
 
-    def validate(self, tol: float = 1e-12) -> None:
-        """Check range and monotonicity invariants on the stored entries."""
+    def validate(self) -> None:
+        """Check every entry's ranks, its range [0, 1], and monotonicity in
+        both ranks up to ``MONOTONE_TOL`` against its stored neighbours."""
         for (l, k), value in self.entries.items():
             RankPair(l, k).validate(self.key)
-            if not -tol <= value <= 1.0 + tol:
+            if not 0.0 <= value <= 1.0:
                 raise InternalError(f"entry ({l}, {k}) = {value} outside [0, 1]")
             for nbr, other in (((l + 1, k), "local"), ((l, k + 1), "server")):
-                if nbr in self.entries and self.entries[nbr] < value - tol:
+                if nbr in self.entries and self.entries[nbr] < value - MONOTONE_TOL:
                     raise InternalError(
                         f"coverage not nondecreasing in {other} rank at ({l}, {k})"
                     )
-        if self.selected is not None:
-            ranks, value = self.selected
-            stored = self.entries.get((ranks.local_rank, ranks.server_rank))
-            if stored is not None and abs(stored - value) > tol:
-                raise InternalError("selected coverage disagrees with its stored entry")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +150,13 @@ class CoverageTable:
 # ---------------------------------------------------------------------------
 
 
-def _cartesian_sums_products(n: int, values: range, count: int, max_terms: int):
+# the literal enumeration grows exponentially with m; beyond these sizes it
+# would exhaust memory or time
+BRUTE_FORCE_CELLS = 64
+BRUTE_FORCE_TERMS = 20_000_000
+
+
+def _cartesian_sums_products(n: int, values: range, count: int):
     """Sums and C(n, .)-products over all index tuples values^count.
 
     Grown one coordinate at a time; int64 is safe because every product of
@@ -160,39 +167,33 @@ def _cartesian_sums_products(n: int, values: range, count: int, max_terms: int):
     vals = np.fromiter(values, dtype=np.int64)
     coeffs = np.array([math.comb(n, int(v)) for v in values], dtype=np.int64)
     for _ in range(count):
-        if sums.size * vals.size > max_terms:
+        if sums.size * vals.size > BRUTE_FORCE_TERMS:
             raise ResourceLimitError("brute-force enumeration exceeds the term cap")
         sums = (sums[:, None] + vals[None, :]).ravel()
         prods = (prods[:, None] * coeffs[None, :]).ravel()
     return sums, prods
 
 
-def coverage_bruteforce_column(
-    key: TableKey,
-    local_rank: int,
-    *,
-    max_cells: int = 64,
-    max_terms: int = 20_000_000,
-) -> np.ndarray:
+def coverage_bruteforce_column(key: TableKey, local_rank: int) -> np.ndarray:
     """Coverage for every server rank by direct summation over index tuples.
 
     Reference oracle for :func:`coverage_probability`; exact up to float
-    rounding (roughly 1e-13). Guarded because the term count grows
-    exponentially with m.
+    rounding (roughly 1e-13). Limited to m*n <= ``BRUTE_FORCE_CELLS`` and
+    ``BRUTE_FORCE_TERMS`` summed terms.
     """
     m, n = key.m, key.n
     RankPair(local_rank, 1).validate(key)
-    if m * n > max_cells:
+    if m * n > BRUTE_FORCE_CELLS:
         raise ResourceLimitError(
-            f"brute force limited to m*n <= {max_cells}, got {m * n}"
+            f"brute force limited to m*n <= {BRUTE_FORCE_CELLS}, got {m * n}"
         )
     l = local_rank
     denom = np.array([math.comb(m * n, s) for s in range(m * n + 1)], dtype=float)
     per_j = np.zeros(m + 1)
     for j in range(1, m + 1):
-        hi_sums, hi_prods = _cartesian_sums_products(n, range(l, n + 1), j, max_terms)
-        lo_sums, lo_prods = _cartesian_sums_products(n, range(0, l), m - j, max_terms)
-        if hi_sums.size * lo_sums.size > max_terms:
+        hi_sums, hi_prods = _cartesian_sums_products(n, range(l, n + 1), j)
+        lo_sums, lo_prods = _cartesian_sums_products(n, range(0, l), m - j)
+        if hi_sums.size * lo_sums.size > BRUTE_FORCE_TERMS:
             raise ResourceLimitError("brute-force enumeration exceeds the term cap")
         s = hi_sums[:, None] + lo_sums[None, :]
         w = hi_prods[:, None].astype(float) * lo_prods[None, :]
@@ -201,19 +202,10 @@ def coverage_bruteforce_column(
     return 1.0 - tails[1:] / (m * n + 1)
 
 
-def coverage_bruteforce(
-    key: TableKey,
-    ranks: RankPair,
-    *,
-    max_cells: int = 64,
-    max_terms: int = 20_000_000,
-) -> float:
+def coverage_bruteforce(key: TableKey, ranks: RankPair) -> float:
     """Single-entry wrapper around :func:`coverage_bruteforce_column`."""
     ranks.validate(key)
-    column = coverage_bruteforce_column(
-        key, ranks.local_rank, max_cells=max_cells, max_terms=max_terms
-    )
-    return float(column[ranks.server_rank - 1])
+    return float(coverage_bruteforce_column(key, ranks.local_rank)[ranks.server_rank - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -385,12 +377,10 @@ def _meets_level(value: float, alpha: float, settle) -> tuple[bool, float]:
     return exact >= 1 - Fraction(alpha), float(exact)
 
 
-def _table_for(
-    table: CoverageTable | None, m: int, n: int, cell_cap: int = DEFAULT_CELL_CAP
-) -> CoverageTable:
+def _table_for(table: CoverageTable | None, m: int, n: int) -> CoverageTable:
     """``table`` once checked to hold (m, n), or a fresh table for (m, n)."""
     if table is None:
-        return CoverageTable(key=TableKey(m, n, cell_cap))
+        return CoverageTable(key=TableKey(m, n))
     if (table.key.m, table.key.n) != (m, n):
         raise InvalidArgumentError(
             f"table is for (m={table.key.m}, n={table.key.n}), not for (m={m}, n={n})"
@@ -478,8 +468,8 @@ def unbalanced_coverage(sizes: Sequence[int], local_ranks: Sequence[int]) -> np.
     if min(sizes) < 1 or min(local_ranks) < 1:
         raise InvalidArgumentError("sizes and local ranks must be positive")
     total = sum(sizes)
-    if total > DEFAULT_CELL_CAP:
-        raise ResourceLimitError(f"total size {total} exceeds cap {DEFAULT_CELL_CAP}")
+    if total > CELL_CAP:
+        raise ResourceLimitError(f"total size {total} exceeds cap {CELL_CAP}")
     agents = [(n, l) for n, l in zip(sizes, local_ranks) if l <= n]
     if len(set(agents)) == 1:
         column = np.ones(len(sizes))
@@ -542,7 +532,7 @@ def select_ranks(
     """
     check_alpha(alpha)
     m, n = key.m, key.n
-    table = _table_for(table, m, n, key.cell_cap)
+    table = _table_for(table, m, n)
     if not _reaches(table, n, m, alpha):
         raise InfeasibleError(
             f"coverage {table.entries[(n, m)]:.6f} at ranks ({n}, {m}) is below "
@@ -560,9 +550,7 @@ def select_ranks(
             best = candidate
     assert best is not None  # the (n, m) probe above guarantees feasibility
     value, l, k = best
-    ranks = RankPair(l, k)
-    table.selected = (ranks, value)
-    return ranks, value
+    return RankPair(l, k), value
 
 
 def _first_reaching(table: CoverageTable, local_rank: int, low: int, alpha: float) -> int:
@@ -690,40 +678,43 @@ def save_table(table: CoverageTable, path) -> None:
 
 
 def load_table(path) -> CoverageTable:
-    """Read a table written by :func:`save_table`; values round-trip exactly."""
-    with open(path, "r", encoding="ascii") as handle:
-        return _parse_table(handle)
+    """Read a table written by :func:`save_table`; values round-trip exactly.
+
+    The table must pass :meth:`CoverageTable.validate`. A file that is
+    malformed or fails validation raises InvalidArgumentError naming it.
+    """
+    try:
+        with open(path, "r", encoding="ascii") as handle:
+            table = _parse_table(handle)
+        table.validate()
+    except (ValueError, InternalError) as exc:  # UnicodeDecodeError is a ValueError
+        raise InvalidArgumentError(f"coverage-table file {path}: {exc}") from None
+    return table
 
 
 def _parse_table(handle: io.TextIOBase) -> CoverageTable:
-    def fail(message: str) -> InvalidArgumentError:
-        return InvalidArgumentError(f"malformed coverage-table file: {message}")
-
+    """The table a cache file spells out, checked for syntax only."""
     header = handle.readline().split()
     if len(header) != 2 or header[0] != CACHE_FORMAT_NAME:
-        raise fail("missing format header")
+        raise InvalidArgumentError("missing format header")
     try:
         version = int(header[1])
     except ValueError:
-        raise fail(f"bad version {header[1]!r}") from None
+        raise InvalidArgumentError(f"bad version {header[1]!r}") from None
     if version > CACHE_FORMAT_VERSION:
-        raise fail(
+        raise InvalidArgumentError(
             f"file version {version} is newer than supported {CACHE_FORMAT_VERSION}"
         )
     fields: dict[str, int] = {}
     for name in ("m", "n", "entries"):
         parts = handle.readline().split()
         if len(parts) != 2 or parts[0] != name:
-            raise fail(f"expected '{name} <int>' line")
+            raise InvalidArgumentError(f"expected '{name} <int>' line")
         fields[name] = int(parts[1])
     table = CoverageTable(key=TableKey(fields["m"], fields["n"]))
     for index in range(fields["entries"]):
         parts = handle.readline().split()
         if len(parts) != 3:
-            raise fail(f"entry line {index + 1} malformed")
-        l, k, value = int(parts[0]), int(parts[1]), float(parts[2])
-        RankPair(l, k).validate(table.key)
-        if not 0.0 <= value <= 1.0:
-            raise fail(f"entry ({l}, {k}) outside [0, 1]")
-        table.entries[(l, k)] = value
+            raise InvalidArgumentError(f"entry line {index + 1} malformed")
+        table.entries[(int(parts[0]), int(parts[1]))] = float(parts[2])
     return table

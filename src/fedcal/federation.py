@@ -37,7 +37,6 @@ from .coverage_table import (
     select_ranks,
 )
 from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
-from .logspace import log_binom_pmf
 from .order_stats import quantile_of_quantiles
 from .privacy import DpConfig, fedcp2_qq_calibrate
 
@@ -68,10 +67,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FederationSpec:
-    """Agents, local sizes, miscoverage level, and the master seed."""
+    """m agents holding n scores each, the miscoverage level, and the master seed."""
 
     m: int
-    sizes: int | tuple[int, ...]
+    n: int
     alpha: float
     seed: int = 0
 
@@ -79,26 +78,8 @@ class FederationSpec:
         if self.m < 1:
             raise InvalidArgumentError(f"need at least one agent, got m={self.m}")
         check_alpha(self.alpha)
-        sizes = self.size_list
-        if len(sizes) != self.m:
-            raise InvalidArgumentError(
-                f"got {len(sizes)} sizes for m={self.m} agents"
-            )
-        if min(sizes) < 1:
-            raise InvalidArgumentError("every local size must be >= 1")
-
-    @property
-    def size_list(self) -> list[int]:
-        if isinstance(self.sizes, int):
-            return [self.sizes] * self.m
-        return [int(s) for s in self.sizes]
-
-    @property
-    def balanced_n(self) -> int:
-        sizes = set(self.size_list)
-        if len(sizes) != 1:
-            raise InvalidArgumentError(f"sizes are unbalanced: {sorted(sizes)}")
-        return sizes.pop()
+        if self.n < 1:
+            raise InvalidArgumentError(f"every local size must be >= 1, got n={self.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +186,8 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 _POISSON_TERMS = 32
 _OUTLIER_PROB = 0.01
 _OUTLIER_SD = 25.0
+# 80 halvings shrink the initial bracket (width about 630) below 1e-21
+_BISECTION_STEPS = 80
 
 
 def synthetic_dataset(
@@ -244,20 +227,19 @@ def _synthetic_cdf(y: np.ndarray, x: np.ndarray, outliers: bool) -> np.ndarray:
     return np.sum(weights * cdf, axis=-1)
 
 
-def synthetic_conditional_quantile(
-    x, level: float, *, outliers: bool = True, iterations: int = 80
-) -> np.ndarray:
+def synthetic_conditional_quantile(x, level: float, *, outliers: bool = True) -> np.ndarray:
     """Exact conditional ``level``-quantile of Y given X under the generator.
 
-    Inverts the mixture c.d.f. by bisection; serves as a stand-in predictor
-    so experiments exercise calibration without training any model.
+    Inverts the mixture c.d.f. by ``_BISECTION_STEPS`` bisection steps;
+    serves as a stand-in predictor so experiments exercise calibration
+    without training any model.
     """
     if not 0.0 < level < 1.0:
         raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo = np.full(x.shape, -12.0 * _OUTLIER_SD)
     hi = np.full(x.shape, _POISSON_TERMS + 12.0 * _OUTLIER_SD)
-    for _ in range(iterations):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         below = _synthetic_cdf(mid, x, outliers) < level
         lo = np.where(below, mid, lo)
@@ -375,7 +357,7 @@ def coverage_experiment(
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
     if test_size < 1:
         raise InvalidArgumentError(f"test_size must be >= 1, got {test_size}")
-    n = spec.balanced_n
+    n = spec.n
     model = heterogeneity if heterogeneity is not None else HeterogeneityModel.identity(spec.m)
     if len(model.shifts) != spec.m:
         raise InvalidArgumentError(
@@ -466,7 +448,7 @@ def conditional_coverage_experiment(
         raise InvalidArgumentError(
             "conditional coverage needs a sampler with a known cdf"
         )
-    n = spec.balanced_n
+    n = spec.n
     key = TableKey(spec.m, n)
     if ranks is None:
         ranks, _ = select_ranks(key, spec.alpha, table=table)
@@ -485,9 +467,7 @@ def conditional_coverage_experiment(
 # ---------------------------------------------------------------------------
 
 
-def poisson_binomial_diagnostic(
-    p: Sequence[float], *, lower_constant: float = 1.0
-) -> dict:
+def poisson_binomial_diagnostic(p: Sequence[float]) -> dict:
     """Total-variation distance of a Poisson-Binomial to its mean binomial.
 
     Returns the exact distance together with structural lower/upper factors
@@ -495,9 +475,9 @@ def poisson_binomial_diagnostic(
     pbar (1-pbar))): the upper bound carries its sharp m/(m+1) constant and
     always dominates the exact distance; the matching lower bound holds only
     up to a universal constant that is not pinned down here, so
-    ``ehm_lower`` is reported with ``lower_constant`` (default 1) and is not
-    itself a certified bound. Both factors degenerate to 0 when pbar is 0
-    or 1.
+    ``ehm_lower`` is reported with constant 1 and is not itself a certified
+    bound. Both factors degenerate to 0 when pbar is 0 or 1. The binomial
+    is the Poisson-Binomial with every probability equal to pbar.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -506,19 +486,15 @@ def poisson_binomial_diagnostic(
         raise InvalidArgumentError("all probabilities must lie in [0, 1]")
     m = p.size
     pbar = float(np.mean(p))
-    exact_pmf = _poisson_binomial_pmf(p)
-    if pbar in (0.0, 1.0):
-        reference = np.zeros(m + 1)
-        reference[0 if pbar == 0.0 else m] = 1.0
-        tv = 0.5 * float(np.sum(np.abs(exact_pmf - reference)))
+    reference = _poisson_binomial_pmf(np.full(m, pbar))
+    tv = 0.5 * float(np.sum(np.abs(_poisson_binomial_pmf(p) - reference)))
+    if pbar in (0.0, 1.0):  # the spread factor below would divide by zero
         return {"exact_tv_to_binomial": tv, "ehm_lower": 0.0, "ehm_upper": 0.0}
-    reference = np.exp(log_binom_pmf(m, pbar))
-    tv = 0.5 * float(np.sum(np.abs(exact_pmf - reference)))
     spread = 1.0 - float(np.sum(p * (1.0 - p))) / (m * pbar * (1.0 - pbar))
     mass = 1.0 - pbar ** (m + 1) - (1.0 - pbar) ** (m + 1)
     return {
         "exact_tv_to_binomial": tv,
-        "ehm_lower": lower_constant * mass * spread,
+        "ehm_lower": mass * spread,
         "ehm_upper": (m / (m + 1.0)) * mass * spread,
     }
 
@@ -546,8 +522,7 @@ def heterogeneity_tv_penalty(
     s = base.sample(rng, draws)
     per_agent_cdf = np.stack([model.agent_cdf(base, j, s) for j in range(m)], axis=1)
     p = betainc(local_rank, n - local_rank + 1, np.clip(per_agent_cdf, 0.0, 1.0))
-    pmf = _poisson_binomial_pmf(p)
-    pbar = np.clip(np.mean(p, axis=1, keepdims=True), 1e-300, 1.0 - 1e-16)
-    reference = np.exp(log_binom_pmf(m, pbar))
-    tv = 0.5 * np.sum(np.abs(pmf - reference), axis=1)
+    pbar = np.mean(p, axis=1, keepdims=True)
+    reference = _poisson_binomial_pmf(np.broadcast_to(pbar, p.shape))
+    tv = 0.5 * np.sum(np.abs(_poisson_binomial_pmf(p) - reference), axis=1)
     return float(np.mean(tv))

@@ -17,7 +17,7 @@ samples (there the weight reduces to the count of scores above each edge).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -107,34 +107,21 @@ class BinGrid:
 class DpConfig:
     """Parameters of the private calibrator.
 
-    ``gamma=None`` requests the automatic grid search. ``epsilon_multiplier``
-    rescales the budget actually spent by the mechanism and the rank
-    correction; it exists so users of secure shuffling or aggregation can
-    account for their amplification factor without this package implementing
-    those primitives.
+    ``epsilon`` is the budget each agent's mechanism spends; a caller whose
+    secure shuffling or aggregation amplifies privacy passes the amplified
+    budget. ``gamma=None`` searches ``DEFAULT_GAMMA_GRID`` for the mixing
+    parameter; a fixed ``gamma`` is used as given.
     """
 
     epsilon: float
     grid: BinGrid
     gamma: float | None = None
-    gamma_grid: tuple[float, ...] = field(default=DEFAULT_GAMMA_GRID)
-    epsilon_multiplier: float = 1.0
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0.0:
             raise InvalidArgumentError(f"epsilon must be positive, got {self.epsilon}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise InvalidArgumentError(f"gamma must be in (0, 1), got {self.gamma}")
-        if len(self.gamma_grid) == 0:
-            raise InvalidArgumentError("gamma grid must be nonempty")
-        if any(not 0.0 < g < 1.0 for g in self.gamma_grid):
-            raise InvalidArgumentError("all gamma candidates must be in (0, 1)")
-        if self.epsilon_multiplier <= 0.0:
-            raise InvalidArgumentError("epsilon multiplier must be positive")
-
-    @property
-    def effective_epsilon(self) -> float:
-        return self.epsilon * self.epsilon_multiplier
 
 
 def _edge_weights(scores, q: float, grid: BinGrid) -> np.ndarray:
@@ -225,7 +212,7 @@ def select_gamma(
     alpha: float,
     epsilon: float,
     bins: int,
-    gamma_grid: Sequence[float] = DEFAULT_GAMMA_GRID,
+    candidates: Sequence[float] = DEFAULT_GAMMA_GRID,
     *,
     table: CoverageTable | None = None,
 ) -> GammaSelection:
@@ -246,12 +233,12 @@ def select_gamma(
         candidate failed.
     """
     check_alpha(alpha)
-    if len(gamma_grid) == 0:
+    if len(candidates) == 0:
         raise InvalidArgumentError("gamma grid must be nonempty")
-    table = _table_for(table, key.m, key.n, key.cell_cap)
+    table = _table_for(table, key.m, key.n)
     best: GammaSelection | None = None
     rejected: dict[float, str] = {}
-    for gamma in gamma_grid:
+    for gamma in candidates:
         if not 0.0 < gamma < 1.0:
             raise InvalidArgumentError(f"gamma candidates must be in (0, 1), got {gamma}")
         alpha_eff = 1.0 - (1.0 - alpha) / (1.0 - gamma * alpha)
@@ -279,7 +266,7 @@ def select_gamma(
     if best is None:
         gamma = max(rejected)
         raise InfeasibleError(
-            f"no feasible gamma among {len(gamma_grid)} candidate(s); "
+            f"no feasible gamma among {len(candidates)} candidate(s); "
             f"gamma = {gamma:g} fails because {rejected[gamma]}"
         )
     return best
@@ -307,22 +294,23 @@ def fedcp2_qq_calibrate(
     check_alpha(alpha)
     agents = np.array(as_matrix(scores, balanced=True))
     m, n = agents.shape
-    table = _table_for(table, m, n)
-    epsilon = config.effective_epsilon
-    for agent in agents:
-        config.grid.bin_index(agent)  # validate range before any sampling
-    grid = config.gamma_grid if config.gamma is None else (config.gamma,)
-    selection = select_gamma(table.key, alpha, epsilon, config.grid.bins, grid, table=table)
+    config.grid.bin_index(agents)  # validate range before any sampling
+    candidates = DEFAULT_GAMMA_GRID if config.gamma is None else (config.gamma,)
+    selection = select_gamma(
+        TableKey(m, n), alpha, config.epsilon, config.grid.bins, candidates, table=table
+    )
     q = max((selection.local_rank + selection.correction) / n, 0.5)
     k = selection.server_rank
 
     def local(agents: np.ndarray) -> list[float]:
         streams = rng.spawn(m)
-        return [private_quantile(a, q, epsilon, config.grid, s) for a, s in zip(agents, streams)]
+        return [
+            private_quantile(a, q, config.epsilon, config.grid, s) for a, s in zip(agents, streams)
+        ]
 
     q_hat = _one_shot_round(
         agents,
-        dict(quantile=q, epsilon=epsilon, edges=config.grid.edges, server_rank=k),
+        dict(quantile=q, epsilon=config.epsilon, edges=config.grid.edges, server_rank=k),
         local,
         _server_order_statistic(k),
         recorder,
@@ -333,7 +321,7 @@ def fedcp2_qq_calibrate(
         guaranteed_coverage=1.0 - alpha,
         params=_with_kind(
             dict(
-                m=m, n=n, alpha=alpha, epsilon=config.epsilon, effective_epsilon=epsilon,
+                m=m, n=n, alpha=alpha, epsilon=config.epsilon,
                 bins=config.grid.bins, s_max=config.grid.s_max, gamma=selection.gamma,
                 local_rank=selection.local_rank, server_rank=selection.server_rank,
                 correction=selection.correction, quantile=q,

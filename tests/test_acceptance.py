@@ -311,7 +311,7 @@ def test_c10_conditional_miscoverage_bound_holds():
     details = []
     for ranks in (RankPair(19, 10), RankPair(20, 9)):
         assert rank_condition_holds(key, ranks, alpha)
-        spec = FederationSpec(m=m, sizes=n, alpha=alpha, seed=MASTER_SEED + ranks.local_rank)
+        spec = FederationSpec(m=m, n=n, alpha=alpha, seed=MASTER_SEED + ranks.local_rank)
         result = conditional_coverage_experiment(
             spec, reps, sampler=_Uniform01(), ranks=ranks
         )
@@ -351,7 +351,7 @@ def test_c12_every_simulated_round_is_one_shot():
     rounds = 0
     for (m, n) in [(2, 40), (5, 50), (8, 64), (10, 100)]:
         agents = (1.0 - rng.uniform(size=(m, n))).tolist()
-        spec = FederationSpec(m=m, sizes=n, alpha=0.1, seed=1)
+        spec = FederationSpec(m=m, n=n, alpha=0.1, seed=1)
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 20))
         for method in ("fedcp_qq", "fedcp_avg", "fedcp2_qq"):
             _, transcript = run_one_shot(spec, agents, method, dp_config=cfg)
@@ -360,7 +360,7 @@ def test_c12_every_simulated_round_is_one_shot():
             rounds += 1
     with pytest.raises(ProtocolViolationError):
         run_one_shot(
-            FederationSpec(m=2, sizes=5, alpha=0.1, seed=0),
+            FederationSpec(m=2, n=5, alpha=0.1, seed=0),
             [[1.0] * 5, [2.0] * 5],
             "centralized",
         )

@@ -155,6 +155,16 @@ class TestCalibrateCommand:
         assert code == 0
         assert load_table(tmp_path / "cachedir" / "qq_table_m3_n25.txt").key.n == 25
 
+    def test_corrupt_cache_rejected(self, tmp_path, capsys):
+        cache = tmp_path / "t.txt"
+        cache.write_text("fedcal-coverage-table 1\nm 3\nn 25\nentries 2\n20 2 0.9\n21 2 0.8\n")
+        scores = np.random.default_rng(0).uniform(size=(3, 25)).round(6).tolist()
+        paths = _write_agent_files(tmp_path, scores)
+        code, _, err = _run(capsys, "calibrate", *paths, "--alpha", "0.1", "--method", "fedcp-qq",
+                            "--cache", str(cache))
+        assert code == 1
+        assert str(cache) in err and "nondecreasing" in err
+
     def test_no_cache_file_without_flag_or_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FEDCAL_CACHE_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
@@ -173,7 +183,7 @@ class TestMethodRegistry:
         assert list(METHODS) == ["centralized", "fedcp-qq", "fedcp-avg", "fedcp2-qq"]
         agents = (1.0 - np.random.default_rng(3).uniform(size=(6, 50))).round(6).tolist()
         paths = _write_agent_files(tmp_path, agents)
-        spec = FederationSpec(m=6, sizes=50, alpha=0.2, seed=0)
+        spec = FederationSpec(m=6, n=50, alpha=0.2, seed=0)
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))
         for name, method in METHODS.items():
             out = tmp_path / f"{name}.json"

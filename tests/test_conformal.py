@@ -203,6 +203,21 @@ class TestCsvIngestion:
         with pytest.raises(InvalidArgumentError, match=":2"):
             read_scores_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("agent,score\n0,1.0\nx,2.0\n", 3),  # agent id not an integer
+            ("agent,score\n0,1.0\n-1,2.0\n", 3),  # negative agent id
+            ("agent,score\n0,1.0\n1,2.0\n5\n", 4),  # one field
+            ("agent,score\n0,1.0\n1,inf\n", 3),  # score not finite
+        ],
+    )
+    def test_agent_column_errors_name_the_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match=rf"bad\.csv:{line}: "):
+            read_score_matrix_csv([path])
+
     def test_missing_agent_id_rejected(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("agent,score\n0,1.0\n2,2.0\n")

@@ -290,7 +290,6 @@ class TestSelectRanks:
         assert coverage >= 0.8
         feasible = [v for v in table.entries.values() if v >= 0.8]
         assert coverage == min(feasible)
-        assert table.selected == (ranks, coverage)
         table.validate()
 
     def test_infeasible_alpha_raises(self):
@@ -426,6 +425,19 @@ class TestPersistence:
             assert select_ranks(key, alpha, table=loaded)[0] == ranks
         assert _entry_engine.cache_info().misses == 0
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            "1 1 0.5\n1 2 0.4\n",  # coverage falls as the server rank grows
+            "1 1 0.5\n1 x 0.6\n",  # a rank that is not an integer
+        ],
+    )
+    def test_load_rejects_corrupt_entries(self, tmp_path, entries):
+        path = tmp_path / "table.txt"
+        path.write_text("fedcal-coverage-table 1\nm 2\nn 2\nentries 2\n" + entries)
+        with pytest.raises(InvalidArgumentError, match="table.txt"):
+            load_table(path)
+
     def test_validate_catches_monotonicity_break(self):
         table = CoverageTable(key=TableKey(2, 2))
         table.entries[(1, 1)] = 0.5
@@ -438,7 +450,6 @@ class TestTableKey:
     def test_cell_cap(self):
         with pytest.raises(ResourceLimitError):
             TableKey(2000, 2000)
-        TableKey(2000, 2000, cell_cap=4 * 10**6)
 
     def test_positivity(self):
         with pytest.raises(InvalidArgumentError):

@@ -102,7 +102,7 @@ class TestRunOneShot:
 
     def test_qq_payloads_are_local_order_statistics(self):
         agents = self._agents()
-        spec = FederationSpec(m=6, sizes=15, alpha=0.1, seed=0)
+        spec = FederationSpec(m=6, n=15, alpha=0.1, seed=0)
         result, transcript = run_one_shot(spec, agents, "fedcp_qq")
         rank = transcript.downlink["local_rank"]
         for agent_id, payload in transcript.uplinks:
@@ -112,7 +112,7 @@ class TestRunOneShot:
 
     def test_avg_aggregate_is_mean_of_payloads(self):
         agents = self._agents()
-        spec = FederationSpec(m=6, sizes=15, alpha=0.2, seed=0)
+        spec = FederationSpec(m=6, n=15, alpha=0.2, seed=0)
         result, transcript = run_one_shot(spec, agents, "fedcp_avg")
         rank = transcript.downlink["local_rank"]
         for agent_id, payload in transcript.uplinks:
@@ -122,7 +122,7 @@ class TestRunOneShot:
 
     def test_private_payloads_are_grid_edges_and_match_direct_call(self):
         agents = (1.0 - np.random.default_rng(4).uniform(size=(5, 60))).tolist()
-        spec = FederationSpec(m=5, sizes=60, alpha=0.1, seed=9)
+        spec = FederationSpec(m=5, n=60, alpha=0.1, seed=9)
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 20))
         result, transcript = run_one_shot(
             spec, agents, "fedcp2-qq", dp_config=cfg, rng=np.random.default_rng(9)
@@ -138,7 +138,7 @@ class TestRunOneShot:
             m = int(rng.integers(2, 9))
             n = int(rng.integers(12, 60))
             agents = (1.0 - rng.uniform(size=(m, n))).tolist()
-            spec = FederationSpec(m=m, sizes=n, alpha=0.1, seed=1)
+            spec = FederationSpec(m=m, n=n, alpha=0.1, seed=1)
             for method in ("fedcp_qq", "fedcp_avg"):
                 _, transcript = run_one_shot(spec, agents, method)
                 assert len(transcript.uplinks) == m
@@ -146,13 +146,13 @@ class TestRunOneShot:
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 20))
         for (m, n) in [(5, 50), (10, 50), (5, 100)]:
             agents = (1.0 - rng.uniform(size=(m, n))).tolist()
-            spec = FederationSpec(m=m, sizes=n, alpha=0.1, seed=1)
+            spec = FederationSpec(m=m, n=n, alpha=0.1, seed=1)
             _, transcript = run_one_shot(spec, agents, "fedcp2_qq", dp_config=cfg)
             assert len(transcript.uplinks) == m
             assert sorted(a for a, _ in transcript.uplinks) == list(range(m))
 
     def test_centralized_violates_the_protocol(self):
-        spec = FederationSpec(m=2, sizes=5, alpha=0.1, seed=0)
+        spec = FederationSpec(m=2, n=5, alpha=0.1, seed=0)
         with pytest.raises(ProtocolViolationError):
             run_one_shot(spec, self._agents(2, 5), "centralized")
 
@@ -171,14 +171,14 @@ class TestRunOneShot:
 
 class TestCoverageExperiment:
     def test_deterministic_for_fixed_spec(self):
-        spec = FederationSpec(m=5, sizes=12, alpha=0.1, seed=31)
+        spec = FederationSpec(m=5, n=12, alpha=0.1, seed=31)
         first = coverage_experiment(spec, 20, "fedcp_qq", UniformScores(), 200)
         second = coverage_experiment(spec, 20, "fedcp_qq", UniformScores(), 200)
         assert first.rows == second.rows
         assert first.mean_coverage == second.mean_coverage
 
     def test_uniform_scores_hit_the_table_coverage(self):
-        spec = FederationSpec(m=10, sizes=20, alpha=0.1, seed=5)
+        spec = FederationSpec(m=10, n=20, alpha=0.1, seed=5)
         _, expected = select_ranks(TableKey(10, 20), 0.1)
         reps = 800
         summary = coverage_experiment(spec, reps, "fedcp_qq", UniformScores(), 500)
@@ -189,7 +189,7 @@ class TestCoverageExperiment:
 
     def test_averaging_baseline_inflates_length_under_outliers(self):
         sampler = OutlierScores()
-        spec = FederationSpec(m=20, sizes=20, alpha=0.1, seed=77)
+        spec = FederationSpec(m=20, n=20, alpha=0.1, seed=77)
         qq = coverage_experiment(spec, 50, "fedcp_qq", sampler, 200)
         avg = coverage_experiment(spec, 50, "fedcp_avg", sampler, 200)
         assert avg.mean_length > qq.mean_length
@@ -201,7 +201,7 @@ class TestCoverageExperiment:
         assert single > federated
 
     def test_rows_export_round_trip(self, tmp_path):
-        spec = FederationSpec(m=3, sizes=10, alpha=0.2, seed=0)
+        spec = FederationSpec(m=3, n=10, alpha=0.2, seed=0)
         summary = coverage_experiment(spec, 3, "fedcp_qq", UniformScores(), 50)
         path = tmp_path / "rows.csv"
         write_rows_csv(summary.rows, path)
@@ -214,7 +214,7 @@ class TestCoverageExperiment:
 
 class TestConditionalCoverage:
     def test_uniform_scores_give_one_minus_threshold(self):
-        spec = FederationSpec(m=4, sizes=10, alpha=0.1, seed=3)
+        spec = FederationSpec(m=4, n=10, alpha=0.1, seed=3)
         ranks = RankPair(9, 4)
         result = conditional_coverage_experiment(
             spec, 5, sampler=UniformScores(), ranks=ranks
@@ -227,7 +227,7 @@ class TestConditionalCoverage:
             assert result.alpha_p[rep] == pytest.approx(1.0 - values[3], abs=1e-15)
 
     def test_mean_miscoverage_at_most_alpha(self):
-        spec = FederationSpec(m=10, sizes=20, alpha=0.1, seed=8)
+        spec = FederationSpec(m=10, n=20, alpha=0.1, seed=8)
         result = conditional_coverage_experiment(spec, 2000, sampler=UniformScores())
         se = float(np.std(result.alpha_p, ddof=1) / math.sqrt(2000))
         assert result.mean <= 0.1 + 3 * se
@@ -236,7 +236,7 @@ class TestConditionalCoverage:
         key = TableKey(10, 20)
         ranks = RankPair(19, 10)
         assert rank_condition_holds(key, ranks, 0.1)
-        spec = FederationSpec(m=10, sizes=20, alpha=0.1, seed=21)
+        spec = FederationSpec(m=10, n=20, alpha=0.1, seed=21)
         result = conditional_coverage_experiment(
             spec, 3000, sampler=UniformScores(), ranks=ranks
         )
@@ -249,7 +249,7 @@ class TestConditionalCoverage:
             def sample(self, rng, size):
                 return rng.uniform(size=size)
 
-        spec = FederationSpec(m=2, sizes=5, alpha=0.1, seed=0)
+        spec = FederationSpec(m=2, n=5, alpha=0.1, seed=0)
         with pytest.raises(InvalidArgumentError, match="cdf"):
             conditional_coverage_experiment(spec, 2, sampler=OpaqueSampler())
 
@@ -317,7 +317,7 @@ class TestHeterogeneity:
             model, UniformScores(), key, ranks.local_rank,
             np.random.default_rng(123), draws=6000,
         )
-        spec = FederationSpec(m=m, sizes=n, alpha=alpha, seed=55)
+        spec = FederationSpec(m=m, n=n, alpha=alpha, seed=55)
         summary = coverage_experiment(
             spec, 600, "fedcp_qq", UniformScores(), 400, heterogeneity=model
         )

@@ -300,16 +300,3 @@ class TestPrivateCalibrate:
         se = float(np.std(coverages, ddof=1) / math.sqrt(reps))
         assert float(np.mean(coverages)) >= 1 - alpha - 3 * se
 
-    def test_epsilon_multiplier_reduces_correction(self):
-        scores = self._scores(5, 100)
-        plain = fedcp2_qq_calibrate(
-            scores, 0.1, self._config(epsilon=2.0), np.random.default_rng(6)
-        )
-        amplified = fedcp2_qq_calibrate(
-            scores,
-            0.1,
-            self._config(epsilon=2.0, epsilon_multiplier=math.sqrt(5.0)),
-            np.random.default_rng(6),
-        )
-        assert amplified.params["effective_epsilon"] == pytest.approx(2.0 * math.sqrt(5.0))
-        assert amplified.params["correction"] < plain.params["correction"]
