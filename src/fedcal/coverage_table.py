@@ -205,7 +205,8 @@ def coverage_bruteforce_column(key: TableKey, local_rank: int) -> np.ndarray:
 def coverage_bruteforce(key: TableKey, ranks: RankPair) -> float:
     """Single-entry wrapper around :func:`coverage_bruteforce_column`."""
     ranks.validate(key)
-    return float(coverage_bruteforce_column(key, ranks.local_rank)[ranks.server_rank - 1])
+    column = coverage_bruteforce_column(key, ranks.local_rank)
+    return float(column[ranks.server_rank - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +698,7 @@ def _parse_table(handle: io.TextIOBase) -> CoverageTable:
     header = handle.readline().split()
     if len(header) != 2 or header[0] != CACHE_FORMAT_NAME:
         raise InvalidArgumentError("missing format header")
-    try:
-        version = int(header[1])
-    except ValueError:
-        raise InvalidArgumentError(f"bad version {header[1]!r}") from None
+    version = int(header[1])
     if version > CACHE_FORMAT_VERSION:
         raise InvalidArgumentError(
             f"file version {version} is newer than supported {CACHE_FORMAT_VERSION}"
