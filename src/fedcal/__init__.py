@@ -53,7 +53,6 @@ from .federation import (
     HeterogeneityModel,
     OutlierScores,
     Transcript,
-    TranscriptRecorder,
     UniformScores,
     conditional_coverage_experiment,
     coverage_experiment,

@@ -204,7 +204,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         table, loaded = _load_or_new_table(path, key)
     dp = _dp_config(options) if method.private else None
     rng = np.random.default_rng(options["seed"])
-    result = method.run(agents, options["alpha"], table=table, dp_config=dp, rng=rng, recorder=None)
+    result = method.run(agents, options["alpha"], table=table, dp_config=dp, rng=rng)
     if path is not None:
         _save_if_grown(table, path, loaded)
     print(f"method={result.method}")

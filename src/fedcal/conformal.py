@@ -8,8 +8,9 @@ threshold of ``inf`` yields the vacuous interval (-inf, inf).
 Every federated calibrator is one protocol round (:func:`_one_shot_round`):
 the server broadcasts parameters, each agent sends one number, and the
 server reduces the m numbers. The calibrators differ only in the local
-function and the reducer. Every round is recorded by a
-:class:`TranscriptRecorder`, which enforces one uplink message per agent.
+function and the reducer. The round checks that every agent sent exactly
+one number and returns its :class:`Transcript`, which the calibrator keeps
+on its result.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "CalibrationResult",
     "PredictionInterval",
     "Transcript",
-    "TranscriptRecorder",
     "split_rank",
     "split_cp_calibrate",
     "fedcp_qq_calibrate",
@@ -82,13 +82,31 @@ class ScoreFunction:
 
 
 @dataclass(frozen=True)
+class Transcript:
+    """Record of one protocol round: broadcast parameters and m uplinks."""
+
+    downlink: dict
+    uplinks: tuple[tuple[int, float], ...]
+
+    @property
+    def payloads(self) -> np.ndarray:
+        return np.array([payload for _, payload in self.uplinks])
+
+
+@dataclass(frozen=True)
 class CalibrationResult:
-    """Threshold plus provenance from one calibration run."""
+    """Threshold plus provenance from one calibration run.
+
+    ``transcript`` is the audited one-shot round of a federated calibrator
+    (what the server broadcast and the one number each agent sent back);
+    it is None for the centralized calibrator, which runs no round.
+    """
 
     q_hat: float
     method: str
     guaranteed_coverage: float | None
     params: dict = field(default_factory=dict)
+    transcript: Transcript | None = None
 
 
 @dataclass(frozen=True)
@@ -115,67 +133,35 @@ def split_rank(n: int, alpha: float) -> int:
     return math.ceil((n + 1) * (1.0 - alpha))
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """Record of one protocol round: broadcast parameters and m uplinks."""
-
-    downlink: dict
-    uplinks: tuple[tuple[int, float], ...]
-
-    @property
-    def payloads(self) -> np.ndarray:
-        return np.array([payload for _, payload in self.uplinks])
-
-
-class TranscriptRecorder:
-    """Collects the messages of one round and enforces the one-shot rule."""
-
-    def __init__(self, m: int):
-        self._m = m
-        self._downlink: dict = {}
-        self._uplinks: dict[int, float] = {}
-
-    def downlink(self, params: dict) -> None:
-        self._downlink.update(params)
-
-    def uplink(self, agent: int, payload: float) -> None:
-        if not 0 <= agent < self._m:
-            raise ProtocolViolationError(f"unknown agent id {agent}")
-        if agent in self._uplinks:
-            raise ProtocolViolationError(
-                f"agent {agent} attempted a second uplink; one message per round"
-            )
-        payload = float(payload)
-        if math.isnan(payload):
-            raise ProtocolViolationError(f"agent {agent} sent a non-numeric payload")
-        self._uplinks[agent] = payload
-
-    def finish(self) -> Transcript:
-        missing = [j for j in range(self._m) if j not in self._uplinks]
-        if missing:
-            raise ProtocolViolationError(f"agents {missing} never sent their message")
-        return Transcript(dict(self._downlink), tuple(sorted(self._uplinks.items())))
-
-
 def _one_shot_round(
     agents: np.ndarray,
     downlink: dict,
-    local: Callable[[np.ndarray], np.ndarray],
+    local: Callable[[np.ndarray], Sequence[float]],
     reduce: Callable[[np.ndarray], float],
-    recorder: TranscriptRecorder | None,
-) -> float:
+) -> tuple[float, Transcript]:
     """Broadcast ``downlink``, take one message per agent, reduce them.
 
     ``local`` maps the (m, n) score matrix to the m messages, agent j's
     message computed from row j alone; ``reduce`` is the server's aggregate
-    of the recorded messages. A fresh recorder is used when none is given.
+    of the messages as a float64 array. Returns the aggregate and the
+    round's transcript.
+
+    Raises
+    ------
+    ProtocolViolationError
+        Unless every agent sent exactly one message and every message is
+        a number (not NaN).
     """
-    if recorder is None:
-        recorder = TranscriptRecorder(len(agents))
-    recorder.downlink(downlink)
-    for j, message in enumerate(local(agents)):
-        recorder.uplink(j, message)
-    return reduce(recorder.finish().payloads)
+    m = len(agents)
+    payloads = np.array(local(agents), dtype=float)  # contiguous, whatever local returns
+    if payloads.shape != (m,):
+        raise ProtocolViolationError(
+            f"{m} agents sent {payloads.size} messages; one message per agent per round"
+        )
+    silent = np.flatnonzero(np.isnan(payloads))
+    if silent.size:
+        raise ProtocolViolationError(f"agents {silent.tolist()} sent a non-numeric payload")
+    return reduce(payloads), Transcript(dict(downlink), tuple(enumerate(payloads.tolist())))
 
 
 def _local_order_statistics(rank: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -188,9 +174,7 @@ def _server_order_statistic(rank: int) -> Callable[[np.ndarray], float]:
     return lambda sent: float(np.partition(sent, rank - 1)[rank - 1])
 
 
-def split_cp_calibrate(
-    scores: Sequence[float], alpha: float, *, score_kind: str | None = None
-) -> CalibrationResult:
+def split_cp_calibrate(scores: Sequence[float], alpha: float) -> CalibrationResult:
     """Centralized split calibration on one pooled score sample.
 
     The threshold is the ceil((n+1)(1-alpha))-th smallest score, or ``inf``
@@ -204,7 +188,7 @@ def split_cp_calibrate(
         q_hat=q_hat,
         method="centralized",
         guaranteed_coverage=1.0 - alpha,
-        params=_with_kind({"n": sample.size, "rank": rank, "alpha": alpha}, score_kind),
+        params={"n": sample.size, "rank": rank, "alpha": alpha},
     )
 
 
@@ -213,8 +197,6 @@ def fedcp_qq_calibrate(
     alpha: float,
     *,
     table: CoverageTable | None = None,
-    score_kind: str | None = None,
-    recorder: TranscriptRecorder | None = None,
 ) -> CalibrationResult:
     """One-shot federated calibration through the quantile-of-quantiles.
 
@@ -229,27 +211,19 @@ def fedcp_qq_calibrate(
     m, n = agents.shape
     ranks, coverage = select_ranks(TableKey(m, n), alpha, table=table)
     l, k = ranks.local_rank, ranks.server_rank
-    q_hat = _one_shot_round(
-        agents, {"local_rank": l}, _local_order_statistics(l), _server_order_statistic(k), recorder
+    q_hat, transcript = _one_shot_round(
+        agents, {"local_rank": l}, _local_order_statistics(l), _server_order_statistic(k)
     )
     return CalibrationResult(
         q_hat=q_hat,
         method="fedcp_qq",
         guaranteed_coverage=coverage,
-        params=_with_kind(
-            dict(m=m, n=n, alpha=alpha, local_rank=l, server_rank=k),
-            score_kind,
-        ),
+        params=dict(m=m, n=n, alpha=alpha, local_rank=l, server_rank=k),
+        transcript=transcript,
     )
 
 
-def fedcp_avg_calibrate(
-    scores: Sequence[Sequence[float]],
-    alpha: float,
-    *,
-    score_kind: str | None = None,
-    recorder: TranscriptRecorder | None = None,
-) -> CalibrationResult:
+def fedcp_avg_calibrate(scores: Sequence[Sequence[float]], alpha: float) -> CalibrationResult:
     """Baseline that averages the agents' split-rank order statistics.
 
     Carries no coverage guarantee (``guaranteed_coverage`` is None) and
@@ -265,34 +239,23 @@ def fedcp_avg_calibrate(
             f"averaging baseline needs rank {rank} <= n = {n}; with so few scores "
             f"per agent the local quantile it averages does not exist"
         )
-    q_hat = _one_shot_round(
+    q_hat, transcript = _one_shot_round(
         agents,
         {"local_rank": rank},
         _local_order_statistics(rank),
         lambda sent: float(np.mean(sent)),
-        recorder,
     )
     return CalibrationResult(
         q_hat=q_hat,
         method="fedcp_avg",
         guaranteed_coverage=None,
-        params=_with_kind({"m": m, "n": n, "alpha": alpha, "local_rank": rank}, score_kind),
+        params={"m": m, "n": n, "alpha": alpha, "local_rank": rank},
+        transcript=transcript,
     )
-
-
-def _with_kind(params: dict, score_kind: str | None) -> dict:
-    if score_kind is not None:
-        params["score_kind"] = score_kind
-    return params
 
 
 def predict_interval(x, result: CalibrationResult, sf: ScoreFunction) -> PredictionInterval:
     """Interval of responses whose score at x stays within the threshold."""
-    recorded = result.params.get("score_kind")
-    if recorded is not None and recorded != sf.kind:
-        raise InvalidArgumentError(
-            f"calibration used score kind {recorded!r} but prediction uses {sf.kind!r}"
-        )
     q = result.q_hat
     if math.isinf(q):
         return PredictionInterval(-math.inf, math.inf)

@@ -523,17 +523,29 @@ def select_ranks(
     one when none is given). An entry within ``LEVEL_MARGIN`` of 1 - alpha
     is settled exactly and stored at its exact value, so every decision is
     the exact one and the search may probe in any order. Ties are broken
-    toward the smallest local rank, then the smallest server rank.
+    toward the smallest local rank, then the smallest server rank. The
+    chosen entry, on which the guarantee rests, is recomputed and must
+    match the stored value (see :func:`_check_stored`); the stored value is
+    the one returned.
 
     Raises
     ------
     InfeasibleError
         If even the all-maximum entry (n, m) sits below 1 - alpha, which
         happens exactly when alpha < 1 / (m*n + 1).
+    InvalidArgumentError
+        If the chosen entry of ``table`` differs from its recomputed value.
     """
     check_alpha(alpha)
-    m, n = key.m, key.n
-    table = _table_for(table, m, n)
+    table = _table_for(table, key.m, key.n)
+    ranks, value = _search_ranks(table, alpha)
+    _check_stored(table, ranks)
+    return ranks, value
+
+
+def _search_ranks(table: CoverageTable, alpha: float) -> tuple[RankPair, float]:
+    """The frontier walk of :func:`select_ranks`, trusting ``table``."""
+    m, n = table.key.m, table.key.n
     if not _reaches(table, n, m, alpha):
         raise InfeasibleError(
             f"coverage {table.entries[(n, m)]:.6f} at ranks ({n}, {m}) is below "
@@ -552,6 +564,27 @@ def select_ranks(
     assert best is not None  # the (n, m) probe above guarantees feasibility
     value, l, k = best
     return RankPair(l, k), value
+
+
+def _check_stored(table: CoverageTable, ranks: RankPair) -> None:
+    """Reject a stored entry that recomputing it does not confirm.
+
+    A loaded cache passes :meth:`CoverageTable.validate`, which cannot
+    catch a forged value that stays monotone. Quadrature and settled values
+    agree to about 5e-16, so an accepted value lies within
+    ``LEVEL_MARGIN / 2`` of the exact coverage. The search compared with
+    the level by float only values more than ``LEVEL_MARGIN`` away from it
+    and settled the rest exactly, so its verdict on an accepted entry is
+    the exact one.
+    """
+    l, k = ranks.local_rank, ranks.server_rank
+    stored = table.entries[(l, k)]
+    computed = _entry_engine(table.key.m, table.key.n, l, k)
+    if abs(stored - computed) > LEVEL_MARGIN / 2:
+        raise InvalidArgumentError(
+            f"coverage-table entry ({l}, {k}) holds {stored!r}, but recomputing it "
+            f"gives {computed!r}; the table was altered"
+        )
 
 
 def _first_reaching(table: CoverageTable, local_rank: int, low: int, alpha: float) -> int:
@@ -688,7 +721,8 @@ def load_table(path) -> CoverageTable:
         with open(path, "r", encoding="ascii") as handle:
             table = _parse_table(handle)
         table.validate()
-    except (ValueError, InternalError) as exc:  # UnicodeDecodeError is a ValueError
+    # UnicodeDecodeError is a ValueError; an m*n over the cap a ResourceLimitError
+    except (ValueError, InternalError, ResourceLimitError) as exc:
         raise InvalidArgumentError(f"coverage-table file {path}: {exc}") from None
     return table
 

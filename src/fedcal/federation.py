@@ -2,12 +2,12 @@
 
 ``METHODS`` is the one registry of calibration methods, keyed by their
 command-line names; the CLI and :func:`run_one_shot` both dispatch through
-it. Every calibration records its round in a transcript, so the
-single-round property (exactly one uplink message per agent) is asserted
-rather than assumed; :func:`run_one_shot` returns that transcript. All
-randomness derives from a master seed via counter-style spawn keys, one
-stream per (replication, agent), so results are reproducible under any
-execution order.
+it. Every federated calibration returns its round's transcript on the
+result, so the single-round property (exactly one uplink message per
+agent) is asserted rather than assumed; :func:`run_one_shot` returns that
+transcript alongside the result. All randomness derives from a master
+seed via counter-style spawn keys, one stream per (replication, agent), so
+results are reproducible under any execution order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from scipy.special import betainc, ndtr
 from .conformal import (
     CalibrationResult,
     Transcript,
-    TranscriptRecorder,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
     split_cp_calibrate,
@@ -45,7 +44,6 @@ __all__ = [
     "Method",
     "METHODS",
     "Transcript",
-    "TranscriptRecorder",
     "UniformScores",
     "ExponentialScores",
     "OutlierScores",
@@ -256,8 +254,9 @@ def synthetic_conditional_quantile(x, level: float, *, outliers: bool = True) ->
 class Method:
     """How the CLI and the simulator run one calibration method.
 
-    ``run(agents, alpha, *, table, dp_config, rng, recorder)`` calibrates;
-    ``table`` says whether it reads and extends a coverage table,
+    ``run(agents, alpha, *, table, dp_config, rng)`` calibrates; its
+    result carries the round's transcript, or None when the method runs no
+    round. ``table`` says whether it reads and extends a coverage table,
     ``private`` whether it needs a DpConfig and a generator, and
     ``one_shot`` whether it fits one uplink message per agent.
     """
@@ -274,17 +273,13 @@ METHODS: dict[str, Method] = {
         one_shot=False,
     ),
     "fedcp-qq": Method(
-        lambda agents, alpha, *, table, recorder, **_:
-            fedcp_qq_calibrate(agents, alpha, table=table, recorder=recorder),
+        lambda agents, alpha, *, table, **_: fedcp_qq_calibrate(agents, alpha, table=table),
         table=True,
     ),
-    "fedcp-avg": Method(
-        lambda agents, alpha, *, recorder, **_:
-            fedcp_avg_calibrate(agents, alpha, recorder=recorder),
-    ),
+    "fedcp-avg": Method(lambda agents, alpha, **_: fedcp_avg_calibrate(agents, alpha)),
     "fedcp2-qq": Method(
-        lambda agents, alpha, *, table, dp_config, rng, recorder:
-            fedcp2_qq_calibrate(agents, alpha, dp_config, rng, table=table, recorder=recorder),
+        lambda agents, alpha, *, table, dp_config, rng:
+            fedcp2_qq_calibrate(agents, alpha, dp_config, rng, table=table),
         table=True,
         private=True,
     ),
@@ -304,8 +299,8 @@ def run_one_shot(
 
     ``method`` is a ``METHODS`` name; underscores may stand for its hyphens.
     The returned result is bit-identical to calling the corresponding
-    calibrator directly (the recorder only observes messages). Methods that
-    cannot operate on one message per agent are rejected.
+    calibrator directly, and the transcript is its ``result.transcript``.
+    Methods that cannot operate on one message per agent are rejected.
     """
     if len(scores) != spec.m:
         raise InvalidArgumentError(f"expected {spec.m} agents of scores, got {len(scores)}")
@@ -320,11 +315,8 @@ def run_one_shot(
     if entry.private and dp_config is None:
         raise InvalidArgumentError("the private method needs a DpConfig")
     rng = np.random.default_rng(spec.seed) if rng is None else rng
-    recorder = TranscriptRecorder(spec.m)
-    result = entry.run(
-        scores, spec.alpha, table=table, dp_config=dp_config, rng=rng, recorder=recorder
-    )
-    return result, recorder.finish()
+    result = entry.run(scores, spec.alpha, table=table, dp_config=dp_config, rng=rng)
+    return result, result.transcript
 
 
 @dataclass

@@ -22,14 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .conformal import (
-    CalibrationResult,
-    TranscriptRecorder,
-    _one_shot_round,
-    _server_order_statistic,
-    _with_kind,
+from .conformal import CalibrationResult, _one_shot_round, _server_order_statistic
+from .coverage_table import (
+    CoverageTable,
+    RankPair,
+    TableKey,
+    _check_stored,
+    _entry,
+    _search_ranks,
+    _table_for,
 )
-from .coverage_table import CoverageTable, TableKey, _entry, _table_for, select_ranks
 from .errors import InfeasibleError, InvalidArgumentError, check_alpha
 from .order_stats import as_matrix
 
@@ -224,13 +226,17 @@ def select_gamma(
     coverage is smallest wins (that coverage measures how much the
     compensation overshoots); ties go to the smaller gamma. Every coverage
     is read through ``table`` (a fresh one when none is given), which stores
-    each corrected entry for the next search.
+    each corrected entry for the next search. The winner's rank pair, on
+    which the guarantee rests, is recomputed as in
+    :func:`fedcal.coverage_table.select_ranks`.
 
     Raises
     ------
     InfeasibleError
         If no candidate is feasible; the message names why the largest
         candidate failed.
+    InvalidArgumentError
+        If the winner's entry in ``table`` differs from its recomputed value.
     """
     check_alpha(alpha)
     if len(candidates) == 0:
@@ -246,7 +252,7 @@ def select_gamma(
             rejected[gamma] = "it leaves no attainable level"
             continue
         try:
-            ranks, _ = select_ranks(key, alpha_eff, table=table)
+            ranks, _ = _search_ranks(table, alpha_eff)
         except InfeasibleError as exc:
             rejected[gamma] = str(exc)
             continue
@@ -269,6 +275,7 @@ def select_gamma(
             f"no feasible gamma among {len(candidates)} candidate(s); "
             f"gamma = {gamma:g} fails because {rejected[gamma]}"
         )
+    _check_stored(table, RankPair(best.local_rank, best.server_rank))
     return best
 
 
@@ -279,8 +286,6 @@ def fedcp2_qq_calibrate(
     rng: np.random.Generator,
     *,
     table: CoverageTable | None = None,
-    score_kind: str | None = None,
-    recorder: TranscriptRecorder | None = None,
 ) -> CalibrationResult:
     """Private one-shot federated calibration.
 
@@ -308,25 +313,22 @@ def fedcp2_qq_calibrate(
             private_quantile(a, q, config.epsilon, config.grid, s) for a, s in zip(agents, streams)
         ]
 
-    q_hat = _one_shot_round(
+    q_hat, transcript = _one_shot_round(
         agents,
         dict(quantile=q, epsilon=config.epsilon, edges=config.grid.edges, server_rank=k),
         local,
         _server_order_statistic(k),
-        recorder,
     )
     return CalibrationResult(
         q_hat=q_hat,
         method="fedcp2_qq",
         guaranteed_coverage=1.0 - alpha,
-        params=_with_kind(
-            dict(
-                m=m, n=n, alpha=alpha, epsilon=config.epsilon,
-                bins=config.grid.bins, s_max=config.grid.s_max, gamma=selection.gamma,
-                local_rank=selection.local_rank, server_rank=selection.server_rank,
-                correction=selection.correction, quantile=q,
-                corrected_coverage=selection.corrected_coverage,
-            ),
-            score_kind,
+        params=dict(
+            m=m, n=n, alpha=alpha, epsilon=config.epsilon,
+            bins=config.grid.bins, s_max=config.grid.s_max, gamma=selection.gamma,
+            local_rank=selection.local_rank, server_rank=selection.server_rank,
+            correction=selection.correction, quantile=q,
+            corrected_coverage=selection.corrected_coverage,
         ),
+        transcript=transcript,
     )

@@ -14,6 +14,7 @@ from fedcal import (
     coverage_column,
     load_table,
     run_one_shot,
+    save_table,
 )
 from fedcal.cli import main
 from fedcal.federation import METHODS
@@ -165,6 +166,21 @@ class TestCalibrateCommand:
         assert code == 1
         assert str(cache) in err and "nondecreasing" in err
 
+    def test_forged_cache_rejected(self, tmp_path, capsys):
+        cache = tmp_path / "t.txt"
+        code, _, _ = _run(capsys, "table", "--m", "8", "--n", "60", "--alpha", "0.2",
+                          "--cache", str(cache))
+        assert code == 0
+        table = load_table(cache)
+        table.entries[(44, 8)] = 0.8000001  # true coverage 0.79879, still monotone
+        save_table(table, cache)
+        scores = np.random.default_rng(0).uniform(size=(8, 60)).round(6).tolist()
+        paths = _write_agent_files(tmp_path, scores)
+        code, _, err = _run(capsys, "calibrate", *paths, "--alpha", "0.2", "--method", "fedcp-qq",
+                            "--cache", str(cache))
+        assert code == 1
+        assert "(44, 8)" in err
+
     def test_no_cache_file_without_flag_or_env_var(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("FEDCAL_CACHE_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
@@ -194,6 +210,7 @@ class TestMethodRegistry:
             if not method.one_shot:
                 with pytest.raises(ProtocolViolationError):
                     run_one_shot(spec, agents, name)
+                assert method.run(agents, 0.2).transcript is None
                 continue
             result, transcript = run_one_shot(
                 spec, agents, name, dp_config=cfg, rng=np.random.default_rng(11)
@@ -206,6 +223,10 @@ class TestMethodRegistry:
             }
             assert json.loads(out.read_text()) == json.loads(json.dumps(expected, default=float))
             assert [agent for agent, _ in transcript.uplinks] == list(range(6))
+            direct = method.run(
+                agents, 0.2, table=None, dp_config=cfg, rng=np.random.default_rng(11)
+            )
+            assert transcript == direct.transcript
 
 
 class TestSimulateCommand:

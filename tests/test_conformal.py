@@ -126,14 +126,6 @@ class TestPredictInterval:
         interval = predict_interval(0.0, result, sf)
         assert (interval.lower, interval.upper) == (1.25, 3.75)
 
-    def test_mismatched_score_kind_rejected(self):
-        sf = ScoreFunction.absolute_residual(lambda x: 5.0)
-        result = CalibrationResult(
-            q_hat=1.0, method="centralized", guaranteed_coverage=0.9, params={"score_kind": "cqr"}
-        )
-        with pytest.raises(InvalidArgumentError):
-            predict_interval(0.0, result, sf)
-
     def test_cqr_scores_can_be_negative(self):
         sf = ScoreFunction.cqr(lambda x: np.zeros_like(x), lambda x: np.ones_like(x))
         scores = sf.score(np.zeros(3), np.array([0.5, 1.5, -0.5]))

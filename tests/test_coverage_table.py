@@ -406,9 +406,13 @@ class TestPersistence:
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "table.txt"
-        path.write_text("not a table\n")
-        with pytest.raises(InvalidArgumentError):
-            load_table(path)
+        for text in (
+            "not a table\n",
+            "fedcal-coverage-table 1\nm 2000\nn 2000\nentries 0\n",  # m*n over the cap
+        ):
+            path.write_text(text)
+            with pytest.raises(InvalidArgumentError, match="table.txt"):
+                load_table(path)
 
     def test_full_column_cache_from_the_oracle(self, tmp_path):
         key = TableKey(7, 13)
@@ -423,7 +427,19 @@ class TestPersistence:
         loaded = load_table(path)
         for alpha, ranks in expected.items():
             assert select_ranks(key, alpha, table=loaded)[0] == ranks
-        assert _entry_engine.cache_info().misses == 0
+        # the search reads only the table; each chosen entry is recomputed
+        assert _entry_engine.cache_info().misses == len(set(expected.values()))
+
+    def test_forged_monotone_entry_refused(self, tmp_path):
+        key = TableKey(8, 60)
+        table = CoverageTable(key=key)
+        assert select_ranks(key, 0.2, table=table)[0] == RankPair(46, 7)
+        # true coverage 0.79879; the forged value keeps the table monotone
+        table.entries[(44, 8)] = 0.8000001
+        path = tmp_path / "table.txt"
+        save_table(table, path)
+        with pytest.raises(InvalidArgumentError, match=r"\(44, 8\)"):
+            select_ranks(key, 0.2, table=load_table(path))
 
     @pytest.mark.parametrize(
         "entries",

@@ -15,7 +15,6 @@ from fedcal import (
     ProtocolViolationError,
     RankPair,
     TableKey,
-    TranscriptRecorder,
     UniformScores,
     conditional_coverage_experiment,
     conditional_miscoverage_bound,
@@ -34,6 +33,7 @@ from fedcal import (
     synthetic_dataset,
     write_rows_csv,
 )
+from fedcal.conformal import _one_shot_round
 from fedcal.federation import _synthetic_cdf
 
 
@@ -156,17 +156,19 @@ class TestRunOneShot:
         with pytest.raises(ProtocolViolationError):
             run_one_shot(spec, self._agents(2, 5), "centralized")
 
-    def test_double_uplink_rejected(self):
-        recorder = TranscriptRecorder(2)
-        recorder.uplink(0, 1.0)
+    @pytest.mark.parametrize(
+        "local",
+        [
+            lambda agents: np.append(agents[:, 0], 1.0),  # one agent sends twice
+            lambda agents: agents[1:, 0],  # one agent stays silent
+            lambda agents: np.where(np.arange(len(agents)) == 1, np.nan, agents[:, 0]),
+        ],
+        ids=["extra", "missing", "nan"],
+    )
+    def test_round_needs_one_number_per_agent(self, local):
+        agents = np.array(self._agents(4, 5))
         with pytest.raises(ProtocolViolationError):
-            recorder.uplink(0, 2.0)
-
-    def test_missing_uplink_rejected(self):
-        recorder = TranscriptRecorder(2)
-        recorder.uplink(0, 1.0)
-        with pytest.raises(ProtocolViolationError):
-            recorder.finish()
+            _one_shot_round(agents, {}, local, np.max)
 
 
 class TestCoverageExperiment:
