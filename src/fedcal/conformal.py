@@ -18,12 +18,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .coverage_table import CoverageTable, TableKey, select_ranks
-from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
+from .errors import InternalError, InvalidArgumentError, ProtocolViolationError, check_alpha
 from .order_stats import as_matrix, as_sample, order_statistic
 
 __all__ = [
@@ -299,85 +300,131 @@ def evaluate_intervals(
 
 
 def read_scores_csv(path) -> np.ndarray:
-    """Scores from a one-column CSV, optionally headed by a 'score' line."""
-    return _one_column_scores(path, _read_rows(path))
+    """Scores from a one-column CSV, optionally headed by a 'score' line.
 
-
-def _one_column_scores(path, rows) -> np.ndarray:
-    scores = []
-    for line_no, row in rows:
-        if len(row) != 1:
-            raise InvalidArgumentError(
-                f"{path}:{line_no}: expected one score per line, got {len(row)} fields"
-            )
-        scores.append(_parse_score(path, line_no, row[0]))
-    if not scores:
-        raise InvalidArgumentError(f"{path}: no scores found")
-    return np.array(scores)
+    The file rules are those of :func:`read_score_matrix_csv`.
+    """
+    return _read_score_file(path, agent_column=False)[0]
 
 
 def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
     """Per-agent scores from one file per agent, or one agent/score file.
 
-    A single path whose rows have two fields is treated as an
-    ``agent,score`` table (agent ids are nonnegative integers; every agent
-    id up to the maximum must appear). Otherwise each path contributes one
-    agent in order.
+    Files are UTF-8 CSV. Blank lines are skipped, cells may be quoted or
+    padded with whitespace, and the first non-blank line may be a header,
+    ``score`` or ``agent,score`` in any case. A single path whose first
+    data row has two fields is an ``agent,score`` table: the agent ids are
+    the integers 0..m-1, each present, and each agent's scores keep their
+    order in the file. Otherwise each path contributes one agent in order,
+    one score per line. Every score must be a finite number. A bad row is
+    reported as ``InvalidArgumentError`` naming ``path:line``.
     """
     paths = list(paths)
     if len(paths) == 1:
-        rows = _read_rows(paths[0])
-        if rows and len(rows[0][1]) == 2:
-            return _group_by_agent(paths[0], rows)
-        return [_one_column_scores(paths[0], rows)]
+        return _read_score_file(paths[0], agent_column=True)
     return [read_scores_csv(p) for p in paths]
 
 
-def _group_by_agent(path, rows) -> list[np.ndarray]:
-    by_agent: dict[int, list[float]] = {}
-    for line_no, row in rows:
-        if len(row) != 2:
-            raise InvalidArgumentError(
-                f"{path}:{line_no}: expected 'agent,score', got {len(row)} fields"
-            )
-        try:
-            agent = int(row[0])
-        except ValueError:
-            raise InvalidArgumentError(
-                f"{path}:{line_no}: agent id {row[0]!r} is not an integer"
-            ) from None
-        if agent < 0:
-            raise InvalidArgumentError(f"{path}:{line_no}: agent id must be >= 0")
-        by_agent.setdefault(agent, []).append(_parse_score(path, line_no, row[1]))
-    missing = set(range(max(by_agent) + 1)) - set(by_agent)
-    if missing:
-        raise InvalidArgumentError(f"{path}: no scores for agent(s) {sorted(missing)}")
-    return [np.array(by_agent[a]) for a in sorted(by_agent)]
-
-
 _HEADERS = {("score",), ("agent", "score")}
+# a missing-agent error lists at most this many ids, then their count
+_MISSING_SHOWN = 5
 
 
-def _read_rows(path) -> list[tuple[int, list[str]]]:
-    rows: list[tuple[int, list[str]]] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            cells = [cell.strip() for cell in row]
-            if line_no == 1 and tuple(c.lower() for c in cells) in _HEADERS:
-                continue
-            rows.append((line_no, cells))
-    return rows
+def _read_score_file(path, agent_column: bool) -> list[np.ndarray]:
+    """One file's scores, parsed and checked a column at a time.
 
-
-def _parse_score(path, line_no: int, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
+    Only when a check fails are the rows walked one by one, to name the
+    first bad line (:func:`_first_bad_row`).
+    """
+    rows = _csv_rows(path)
+    # a row is blank when all its cells are whitespace, i.e. when their join is
+    data = list(compress(rows, map(str.strip, map("".join, rows))))
+    header = bool(data) and tuple(cell.strip().lower() for cell in data[0]) in _HEADERS
+    if header:
+        del data[0]
+    if not data:
+        raise InvalidArgumentError(f"{path}: no scores found")
+    width = 2 if agent_column and len(data[0]) == 2 else 1
+    parsed = _parse_columns(data, width)
+    if parsed is None:
+        raise _first_bad_row(path, rows, header, width, len(data))
+    scores, ids = parsed
+    if ids is None:
+        return [scores]
+    counts = np.bincount(ids)
+    missing = np.flatnonzero(counts == 0)
+    if missing.size > _MISSING_SHOWN:
         raise InvalidArgumentError(
-            f"{path}:{line_no}: {text!r} is not a number"
-        ) from None
-    if not math.isfinite(value):
-        raise InvalidArgumentError(f"{path}:{line_no}: score {text!r} is not finite")
-    return value
+            f"{path}: no scores for {missing.size} agents, the first "
+            f"{missing[:_MISSING_SHOWN].tolist()}"
+        )
+    if missing.size:
+        raise InvalidArgumentError(f"{path}: no scores for agent(s) {missing.tolist()}")
+    return np.split(scores[np.argsort(ids, kind="stable")], np.cumsum(counts[:-1]))
+
+
+def _parse_columns(
+    data: list[list[str]], width: int
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``(scores, agent ids or None)`` of rows that all pass every check,
+    else None. Agent ids must lie in [0, number of rows), since every id
+    up to the largest needs a row."""
+    if set(map(len, data)) != {width}:
+        return None
+    # all rows have `width` fields, so zip truncates none of them
+    columns = [map(str.strip, column) for column in zip(*data)]
+    try:
+        scores = np.fromiter(map(float, columns[-1]), float, len(data))
+        ids = np.fromiter(map(int, columns[0]), np.int64, len(data)) if width == 2 else None
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(scores).all():
+        return None
+    if ids is not None and (ids.min() < 0 or ids.max() >= len(data)):
+        return None
+    return scores, ids
+
+
+def _first_bad_row(path, rows, header: bool, width: int, count: int) -> Exception:
+    """The error for the first data row that fails a check of
+    :func:`_parse_columns`; ``count`` is the number of data rows."""
+    lines = [(line_no, [cell.strip() for cell in row]) for line_no, row in enumerate(rows, 1)]
+    lines = [(line_no, cells) for line_no, cells in lines if any(cells)]
+    if header:
+        del lines[0]
+    for line_no, cells in lines:
+        where = f"{path}:{line_no}"
+        if len(cells) != width:
+            expected = "'agent,score'" if width == 2 else "one score per line"
+            return InvalidArgumentError(f"{where}: expected {expected}, got {len(cells)} fields")
+        if width == 2:
+            try:
+                agent = int(cells[0])
+            except ValueError:
+                return InvalidArgumentError(f"{where}: agent id {cells[0]!r} is not an integer")
+            if agent < 0:
+                return InvalidArgumentError(f"{where}: agent id must be >= 0")
+            if agent >= count:
+                return InvalidArgumentError(
+                    f"{where}: agent id {agent} is too large: {count} rows cannot cover "
+                    f"ids 0..{agent}"
+                )
+        text = cells[-1]
+        try:
+            value = float(text)
+        except ValueError:
+            return InvalidArgumentError(f"{where}: {text!r} is not a number")
+        if not math.isfinite(value):
+            return InvalidArgumentError(f"{where}: score {text!r} is not finite")
+    return InternalError(f"{path}: rejected by the column checks, but no row is bad")
+
+
+def _csv_rows(path) -> list[list[str]]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        try:
+            return list(reader)
+        except UnicodeDecodeError as exc:
+            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise InvalidArgumentError(f"{path}:{reader.line_num}: {exc}") from None

@@ -134,12 +134,16 @@ class CoverageTable:
     def validate(self) -> None:
         """Check every entry's ranks, its range [0, 1], and monotonicity in
         both ranks up to ``MONOTONE_TOL`` against its stored neighbours."""
-        for (l, k), value in self.entries.items():
-            RankPair(l, k).validate(self.key)
+        m, n, entries = self.key.m, self.key.n, self.entries
+        for (l, k), value in entries.items():
+            if not (1 <= l <= n and 1 <= k <= m):
+                RankPair(l, k).validate(self.key)
             if not 0.0 <= value <= 1.0:
                 raise InternalError(f"entry ({l}, {k}) = {value} outside [0, 1]")
+            floor = value - MONOTONE_TOL
             for nbr, other in (((l + 1, k), "local"), ((l, k + 1), "server")):
-                if nbr in self.entries and self.entries[nbr] < value - MONOTONE_TOL:
+                above = entries.get(nbr)
+                if above is not None and above < floor:
                     raise InternalError(
                         f"coverage not nondecreasing in {other} rank at ({l}, {k})"
                     )

@@ -1,22 +1,27 @@
-"""Independent oracles for the coverage engine and the private mechanism.
+"""Independent oracles for the coverage engine, the private mechanism and
+the score-file reader.
 
 Every function here recomputes a quantity along a route the library does
 not use: exact rationals over literal index tuples, truncated-binomial
-convolutions in log space, batched Monte-Carlo, and a straight
-transcription of the exponential-mechanism softmax. Gauss-Legendre
-quadrature of the order-statistic integrand is kept as the plain formula
-the library's engine evaluates. Expected values frozen in the tests were
-produced by these.
+convolutions in log space, batched Monte-Carlo, a straight transcription
+of the exponential-mechanism softmax, and the per-row score-file reader.
+Gauss-Legendre quadrature of the order-statistic integrand is kept as the
+plain formula the library's engine evaluates. Expected values frozen in
+the tests were produced by these.
 """
 
+import csv
 import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc, gammaln, logsumexp, roots_legendre
+
+from fedcal.errors import InvalidArgumentError
 
 
 def coverage_exact_fraction(m: int, n: int, l: int, k: int) -> Fraction:
@@ -219,3 +224,94 @@ def mechanism_softmax(scores, edges, q, epsilon):
     raw = [math.exp(-epsilon * w / (2.0 * sensitivity)) for w in weights]
     total = sum(raw)
     return np.array([r / total for r in raw])
+
+
+# ---------------------------------------------------------------------------
+# score files: the per-row reader the bulk parser in ``fedcal.conformal``
+# replaced, kept as its reference
+# ---------------------------------------------------------------------------
+
+
+def read_scores_csv_by_rows(path) -> np.ndarray:
+    """Scores from a one-column CSV, optionally headed by a 'score' line."""
+    return _one_column_scores(path, _read_rows(path))
+
+
+def _one_column_scores(path, rows) -> np.ndarray:
+    scores = []
+    for line_no, row in rows:
+        if len(row) != 1:
+            raise InvalidArgumentError(
+                f"{path}:{line_no}: expected one score per line, got {len(row)} fields"
+            )
+        scores.append(_parse_score(path, line_no, row[0]))
+    if not scores:
+        raise InvalidArgumentError(f"{path}: no scores found")
+    return np.array(scores)
+
+
+def read_score_matrix_csv_by_rows(paths: Sequence) -> list[np.ndarray]:
+    """Per-agent scores from one file per agent, or one agent/score file.
+
+    A single path whose rows have two fields is treated as an
+    ``agent,score`` table (agent ids are nonnegative integers; every agent
+    id up to the maximum must appear). Otherwise each path contributes one
+    agent in order.
+    """
+    paths = list(paths)
+    if len(paths) == 1:
+        rows = _read_rows(paths[0])
+        if rows and len(rows[0][1]) == 2:
+            return _group_by_agent(paths[0], rows)
+        return [_one_column_scores(paths[0], rows)]
+    return [read_scores_csv_by_rows(p) for p in paths]
+
+
+def _group_by_agent(path, rows) -> list[np.ndarray]:
+    by_agent: dict[int, list[float]] = {}
+    for line_no, row in rows:
+        if len(row) != 2:
+            raise InvalidArgumentError(
+                f"{path}:{line_no}: expected 'agent,score', got {len(row)} fields"
+            )
+        try:
+            agent = int(row[0])
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{path}:{line_no}: agent id {row[0]!r} is not an integer"
+            ) from None
+        if agent < 0:
+            raise InvalidArgumentError(f"{path}:{line_no}: agent id must be >= 0")
+        by_agent.setdefault(agent, []).append(_parse_score(path, line_no, row[1]))
+    missing = set(range(max(by_agent) + 1)) - set(by_agent)
+    if missing:
+        raise InvalidArgumentError(f"{path}: no scores for agent(s) {sorted(missing)}")
+    return [np.array(by_agent[a]) for a in sorted(by_agent)]
+
+
+_HEADERS = {("score",), ("agent", "score")}
+
+
+def _read_rows(path) -> list[tuple[int, list[str]]]:
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for line_no, row in enumerate(csv.reader(handle), start=1):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            cells = [cell.strip() for cell in row]
+            if line_no == 1 and tuple(c.lower() for c in cells) in _HEADERS:
+                continue
+            rows.append((line_no, cells))
+    return rows
+
+
+def _parse_score(path, line_no: int, text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{path}:{line_no}: {text!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise InvalidArgumentError(f"{path}:{line_no}: score {text!r} is not finite")
+    return value

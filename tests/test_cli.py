@@ -140,6 +140,22 @@ class TestCalibrateCommand:
         assert code == 1
         assert ":2" in err
 
+    def test_undecodable_score_file_reported(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0.5\n\xff\n")
+        code, _, err = _run(capsys, "calibrate", str(path), "--alpha", "0.1",
+                            "--method", "centralized")
+        assert code == 1
+        assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
+
+    def test_oversized_field_reported(self, tmp_path, capsys):
+        path = tmp_path / "long.csv"
+        path.write_text("0.5\n" + "1" * 131_073 + "\n")
+        code, _, err = _run(capsys, "calibrate", str(path), "--alpha", "0.1",
+                            "--method", "centralized")
+        assert code == 1
+        assert err.startswith("error: ") and f"{path}:2" in err
+
     def test_avg_rank_overflow_message(self, tmp_path, capsys):
         paths = _write_agent_files(tmp_path, [[1.0, 2.0], [3.0, 4.0]])
         code, _, err = _run(capsys, "calibrate", *paths, "--alpha", "0.1",

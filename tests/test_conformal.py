@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fedcal import (
     CalibrationResult,
@@ -18,6 +20,7 @@ from fedcal import (
     split_cp_calibrate,
     split_rank,
 )
+from oracles import read_score_matrix_csv_by_rows, read_scores_csv_by_rows
 
 
 class TestSplitCalibrate:
@@ -189,6 +192,15 @@ class TestCsvIngestion:
         np.testing.assert_array_equal(agents[0], [1.0, 3.0])
         np.testing.assert_array_equal(agents[1], [2.0, 4.0])
 
+    def test_header_on_first_non_blank_line(self, tmp_path):
+        path = tmp_path / "all.csv"
+        path.write_text("\n  \nAgent,Score\n0,1.0\n1,2.0\n0,3.0\n1,4.0\n")
+        agents = read_score_matrix_csv([path])
+        np.testing.assert_array_equal(agents[0], [1.0, 3.0])
+        np.testing.assert_array_equal(agents[1], [2.0, 4.0])
+        path.write_text("\nscore\n1.5\n")
+        np.testing.assert_array_equal(read_scores_csv(path), [1.5])
+
     def test_malformed_line_reported_with_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0\nnot-a-number\n")
@@ -215,3 +227,108 @@ class TestCsvIngestion:
         path.write_text("agent,score\n0,1.0\n2,2.0\n")
         with pytest.raises(InvalidArgumentError, match="agent"):
             read_score_matrix_csv([path])
+
+    @pytest.mark.parametrize("agent", [2, 3_000_000])  # two rows cover ids 0 and 1 only
+    def test_agent_id_beyond_row_count_named_by_line(self, tmp_path, agent):
+        path = tmp_path / "far.csv"
+        path.write_text(f"agent,score\n0,0.5\n{agent},0.7\n")
+        with pytest.raises(InvalidArgumentError, match=r"far\.csv:3: ") as excinfo:
+            read_score_matrix_csv([path])
+        assert len(str(excinfo.value)) < 500
+
+    def test_many_missing_agent_ids_counted_not_listed(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("agent,score\n" + "0,1.0\n" * 20 + "19,2.0\n")
+        with pytest.raises(InvalidArgumentError, match=r"no scores for 18 agents") as excinfo:
+            read_score_matrix_csv([path])
+        assert len(str(excinfo.value)) < 500
+
+
+_BLANK_ROWS = ["", "  ", "\t", " , ", ",", '""']
+_SCORE_HEADERS = ["score", "Score", "SCORE", " score ", '"score"']
+_AGENT_HEADERS = ["agent,score", "Agent,Score", "AGENT, SCORE", '"agent","score"']
+_BAD_ROW_KINDS = ["not_number", "not_finite", "wrong_width", "bad_id", "negative_id", "missing_id"]
+
+
+def _cell(draw, text):
+    """``text`` as a CSV cell: bare, padded, quoted, or quoted with padding.
+    U+001C pads too: it is whitespace to ``str.strip`` but not to ``float``
+    or ``int``."""
+    return draw(st.sampled_from(
+        [text, f" {text}", f"{text}\t ", f"\x1c{text}", f'"{text}"', f'" {text} "']
+    ))
+
+
+@st.composite
+def _score_files(draw):
+    """Score-file text of either format with varied layout and at most one bad
+    row of each kind; headers sit on line 1 and every agent id is below the
+    row count, the inputs on which both readers are meant to agree."""
+    agent_format = draw(st.booleans())
+    m = draw(st.integers(1, 4)) if agent_format else 1
+    sizes = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    kinds = draw(st.sets(st.sampled_from(
+        _BAD_ROW_KINDS if agent_format else ["not_number", "not_finite", "wrong_width"]
+    )))
+    owners = [a for a in range(m) for _ in range(sizes[a])]
+    if "missing_id" in kinds and m > 1:
+        gone = draw(st.integers(0, m - 2))
+        owners = [a for a in owners if a != gone]
+    owners = draw(st.permutations(owners))
+    score = st.one_of(
+        st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+        st.floats(0, 1).map(lambda x: f"{x:.4g}"),
+        st.sampled_from(["3", "+0.5", "-0.0", ".5", "5.", "1e-3", "1_0.5"]),
+    )
+    rows = []
+    for agent in owners:
+        cells = [_cell(draw, draw(score))]
+        if agent_format:
+            cells.insert(0, _cell(draw, str(agent)))
+        rows.append(",".join(cells))
+    bad = {
+        "not_number": [draw(st.sampled_from(["abc", "1.2.3", "--1", "0x10"]))],
+        "not_finite": [draw(st.sampled_from(["inf", "-Infinity", "nan", "NaN", "1e999"]))],
+        "wrong_width": ["1", "2", "3"] if not agent_format else draw(
+            st.sampled_from([["0.5"], ["0", "0.5", "1"]])
+        ),
+        "bad_id": [draw(st.sampled_from(["x", "1.5", ""])), "0.5"],
+        "negative_id": [str(draw(st.integers(-5, -1))), "0.5"],
+    }
+    for kind in sorted(kinds - {"missing_id"}):
+        cells = bad[kind]
+        if agent_format and kind in ("not_number", "not_finite"):
+            cells = [str(draw(st.integers(0, m - 1)))] + cells
+        rows.insert(draw(st.integers(0, len(rows))), ",".join(_cell(draw, c) for c in cells))
+    assume(not agent_format or m - 1 < len(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_BLANK_ROWS)))
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.sampled_from(_AGENT_HEADERS if agent_format else _SCORE_HEADERS)))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in rows]
+    if rows and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(row + end for row, end in zip(rows, ends))
+
+
+def _outcome(read):
+    try:
+        return [(scores.dtype.str, scores.tobytes()) for scores in read()]
+    except InvalidArgumentError as exc:
+        return str(exc)
+
+
+class TestCsvAgainstRowReader:
+    """The bulk reader against the per-row reader it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=_score_files())
+    def test_same_scores_or_same_error(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("ingest") / "scores.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert _outcome(lambda: read_score_matrix_csv([path])) == _outcome(
+            lambda: read_score_matrix_csv_by_rows([path])
+        )
+        assert _outcome(lambda: [read_scores_csv(path)]) == _outcome(
+            lambda: [read_scores_csv_by_rows(path)]
+        )

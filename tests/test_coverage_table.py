@@ -461,6 +461,24 @@ class TestPersistence:
         with pytest.raises(InternalError):
             table.validate()
 
+    @pytest.mark.parametrize(
+        "entries, error, message",
+        [
+            ({(1, 1): 0.5, (3, 1): 0.6}, InvalidArgumentError, r"local rank must be in \[1, 2\], got 3"),
+            ({(1, 0): 0.5}, InvalidArgumentError, r"server rank must be in \[1, 2\], got 0"),
+            ({(1, 1): 0.5, (2, 2): 1.5}, InternalError, r"entry \(2, 2\) = 1.5 outside \[0, 1\]"),
+            ({(1, 1): float("nan")}, InternalError, r"entry \(1, 1\) = nan outside"),
+            ({(1, 1): 0.5, (2, 1): 0.4}, InternalError, r"in local rank at \(1, 1\)"),
+            ({(1, 1): 0.5, (1, 2): 0.4}, InternalError, r"in server rank at \(1, 1\)"),
+            # the first bad entry in insertion order is the one reported
+            ({(2, 1): 0.4, (1, 2): 0.3, (1, 1): 0.5}, InternalError, r"in local rank at \(1, 1\)"),
+        ],
+    )
+    def test_validate_names_the_first_bad_entry(self, entries, error, message):
+        table = CoverageTable(key=TableKey(2, 2), entries=dict(entries))
+        with pytest.raises(error, match=message):
+            table.validate()
+
 
 class TestTableKey:
     def test_cell_cap(self):
