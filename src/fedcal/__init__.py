@@ -25,13 +25,10 @@ from .coverage_table import (
     CoverageTable,
     RankPair,
     TableKey,
-    conditional_miscoverage_bound,
-    coverage_bruteforce,
+    conditional_miscoverage_quantile,
     coverage_column,
     coverage_probability,
     load_table,
-    max_report_coverage,
-    rank_condition_holds,
     save_table,
     select_ranks,
     select_ranks_unbalanced,

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> dict:
     values: dict = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

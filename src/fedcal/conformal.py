@@ -310,9 +310,10 @@ def read_scores_csv(path) -> np.ndarray:
 def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
     """Per-agent scores from one file per agent, or one agent/score file.
 
-    Files are UTF-8 CSV. Blank lines are skipped, cells may be quoted or
-    padded with whitespace, and the first non-blank line may be a header,
-    ``score`` or ``agent,score`` in any case. A single path whose first
+    Files are UTF-8 CSV, with or without a byte-order mark. Blank lines
+    are skipped, cells may be quoted or padded with whitespace, and the
+    first non-blank line may be a header, ``score`` or ``agent,score`` in
+    any case. A single path whose first
     data row has two fields is an ``agent,score`` table: the agent ids are
     the integers 0..m-1, each present, and each agent's scores keep their
     order in the file. Otherwise each path contributes one agent in order,
@@ -420,7 +421,7 @@ def _first_bad_row(path, rows, header: bool, width: int, count: int) -> Exceptio
 
 
 def _csv_rows(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             return list(reader)

@@ -7,25 +7,27 @@ server_rank) only. This module evaluates that probability exactly, selects
 the rank pair whose coverage is the smallest one still above a requested
 level, and handles agents with unequal sample sizes.
 
-Two independent evaluation routes are provided. ``coverage_bruteforce``
-enumerates the defining nested sum literally and is the reference for small
-problems. ``coverage_probability`` evaluates the one-dimensional
-order-statistic integral
+``coverage_probability`` evaluates the one-dimensional order-statistic
+integral
 
     coverage(l, k) = 1 - integral over [0, 1] of I_{G(t)}(k, m - k + 1) dt,
     G(t) = I_t(l, n - l + 1),
 
 where I is the regularized incomplete beta function: G(t) is the chance
 that an agent's l-th smallest score falls below t, and the integrand the
-chance that at least k agents' do. The integrand is a polynomial of degree
-m*n in t, so Gauss-Legendre quadrature with m*n/2 + 2 nodes integrates it
-exactly up to rounding (a few units in the last place). Unequal sample sizes use the same
-integral with one G_j per agent and a Poisson-Binomial count of covered
-agents. Where a comparison with the level 1 - alpha is closer than that
-rounding can decide, the coverage, a rational number, is settled exactly.
-Coverage is nondecreasing in both ranks, which the rank search exploits so
-that only a thin frontier of (local_rank, server_rank) entries is ever
-evaluated.
+chance that at least k agents' do, i.e. that the threshold falls below t.
+The integrand is a polynomial of degree m*n in t, so Gauss-Legendre
+quadrature with m*n/2 + 2 nodes integrates it exactly up to rounding (a few
+units in the last place). Unequal sample sizes use the same integral with
+one G_j per agent and a Poisson-Binomial count of covered agents. Where a
+comparison with the level 1 - alpha is closer than that rounding can
+decide, the coverage, a rational number, is settled exactly. Coverage is
+nondecreasing in both ranks, which the rank search exploits so that only a
+thin frontier of (local_rank, server_rank) entries is ever evaluated.
+
+The same integrand is the exact law of the coverage given the calibration
+set; ``conditional_miscoverage_quantile`` inverts it for the
+training-conditional guarantee.
 
 Tables are distribution-free, so they are cached keyed by (m, n) alone and
 can be persisted to a small text file and reused across runs.
@@ -43,7 +45,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import betainc, betaincinv
 
 from .errors import (
     InfeasibleError,
@@ -57,17 +59,13 @@ __all__ = [
     "TableKey",
     "RankPair",
     "CoverageTable",
-    "coverage_bruteforce",
-    "coverage_bruteforce_column",
     "coverage_column",
     "coverage_probability",
     "unbalanced_coverage",
     "select_ranks",
     "select_ranks_unbalanced",
     "unbalanced_local_ranks",
-    "max_report_coverage",
-    "conditional_miscoverage_bound",
-    "rank_condition_holds",
+    "conditional_miscoverage_quantile",
     "save_table",
     "load_table",
 ]
@@ -147,70 +145,6 @@ class CoverageTable:
                     raise InternalError(
                         f"coverage not nondecreasing in {other} rank at ({l}, {k})"
                     )
-
-
-# ---------------------------------------------------------------------------
-# reference path: literal enumeration of the nested sum
-# ---------------------------------------------------------------------------
-
-
-# the literal enumeration grows exponentially with m; beyond these sizes it
-# would exhaust memory or time
-BRUTE_FORCE_CELLS = 64
-BRUTE_FORCE_TERMS = 20_000_000
-
-
-def _cartesian_sums_products(n: int, values: range, count: int):
-    """Sums and C(n, .)-products over all index tuples values^count.
-
-    Grown one coordinate at a time; int64 is safe because every product of
-    per-agent binomial coefficients is bounded by a single C(m*n, r).
-    """
-    sums = np.zeros(1, dtype=np.int64)
-    prods = np.ones(1, dtype=np.int64)
-    vals = np.fromiter(values, dtype=np.int64)
-    coeffs = np.array([math.comb(n, int(v)) for v in values], dtype=np.int64)
-    for _ in range(count):
-        if sums.size * vals.size > BRUTE_FORCE_TERMS:
-            raise ResourceLimitError("brute-force enumeration exceeds the term cap")
-        sums = (sums[:, None] + vals[None, :]).ravel()
-        prods = (prods[:, None] * coeffs[None, :]).ravel()
-    return sums, prods
-
-
-def coverage_bruteforce_column(key: TableKey, local_rank: int) -> np.ndarray:
-    """Coverage for every server rank by direct summation over index tuples.
-
-    Reference oracle for :func:`coverage_probability`; exact up to float
-    rounding (roughly 1e-13). Limited to m*n <= ``BRUTE_FORCE_CELLS`` and
-    ``BRUTE_FORCE_TERMS`` summed terms.
-    """
-    m, n = key.m, key.n
-    RankPair(local_rank, 1).validate(key)
-    if m * n > BRUTE_FORCE_CELLS:
-        raise ResourceLimitError(
-            f"brute force limited to m*n <= {BRUTE_FORCE_CELLS}, got {m * n}"
-        )
-    l = local_rank
-    denom = np.array([math.comb(m * n, s) for s in range(m * n + 1)], dtype=float)
-    per_j = np.zeros(m + 1)
-    for j in range(1, m + 1):
-        hi_sums, hi_prods = _cartesian_sums_products(n, range(l, n + 1), j)
-        lo_sums, lo_prods = _cartesian_sums_products(n, range(0, l), m - j)
-        if hi_sums.size * lo_sums.size > BRUTE_FORCE_TERMS:
-            raise ResourceLimitError("brute-force enumeration exceeds the term cap")
-        s = hi_sums[:, None] + lo_sums[None, :]
-        w = hi_prods[:, None].astype(float) * lo_prods[None, :]
-        per_j[j] = math.comb(m, j) * float(np.sum(w / denom[s]))
-    tails = np.cumsum(per_j[::-1])[::-1]  # tails[k] = sum_{j >= k}
-    return 1.0 - tails[1:] / (m * n + 1)
-
-
-def coverage_bruteforce(key: TableKey, ranks: RankPair) -> float:
-    """Single-entry wrapper around :func:`coverage_bruteforce_column`."""
-    ranks.validate(key)
-    column = coverage_bruteforce_column(key, ranks.local_rank)
-    return float(column[ranks.server_rank - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +262,8 @@ def _settled(
 
 
 def _max_report_exact(m: int, n: int, k: int) -> Fraction:
-    """Exact :func:`max_report_coverage`: prod_{i=k}^{m} n i / (n i + 1)."""
+    """Exact coverage when every agent reports its maximum (local rank n):
+    prod_{i=k}^{m} n i / (n i + 1)."""
     coverage = Fraction(1)
     for i in range(k, m + 1):
         coverage *= Fraction(n * i, n * i + 1)
@@ -440,8 +375,7 @@ def coverage_probability(key: TableKey, ranks: RankPair) -> float:
     """Coverage of the quantile-of-quantiles set at ``ranks``.
 
     The quadrature value, a few units in the last place from the exact
-    coverage; agrees with :func:`coverage_bruteforce` to 1e-10 wherever
-    both run. This function compares with no level, so it never settles:
+    coverage. This function compares with no level, so it never settles:
     where the rank search settled an entry against 1 - alpha it reports
     (and stores) the exact value correctly rounded, which can differ from
     this one in the last bits (0.9 against 0.8999999999999999 at
@@ -647,43 +581,28 @@ def select_ranks_unbalanced(
 
 
 # ---------------------------------------------------------------------------
-# closed forms and bounds
+# training-conditional guarantee
 # ---------------------------------------------------------------------------
 
 
-def max_report_coverage(m: int, n: int, k: int) -> float:
-    """Coverage when every agent reports its maximum (local rank n).
+def conditional_miscoverage_quantile(key: TableKey, ranks: RankPair, delta: float) -> float:
+    """Level that the miscoverage given the calibration set exceeds with
+    probability ``delta`` over calibration draws.
 
-    Evaluated in log-Gamma space so it stays finite for very large m:
-    Gamma(k + 1/n) / Gamma(k) * Gamma(m + 1) / Gamma(m + 1 + 1/n).
+    With continuous scores F(local order statistic) is Beta(l, n - l + 1),
+    independently across agents, so the threshold's F(q_hat) is their k-th
+    smallest and P(F(q_hat) <= x) = I_{G(x)}(k, m - k + 1), with the
+    engine's G(x) = I_x(l, n - l + 1); its mean is the table coverage.
+    Inverting it gives 1 - I^-1(l, n - l + 1; I^-1(k, m - k + 1; delta)),
+    exact at every rank pair. For other scores F(S) is stochastically at
+    least uniform, so the value is still a (conservative) bound.
     """
-    if m < 1 or n < 1:
-        raise InvalidArgumentError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    if not 1 <= k <= m:
-        raise InvalidArgumentError(f"server rank must be in [1, {m}], got {k}")
-    inv = 1.0 / n
-    return float(
-        math.exp(gammaln(k + inv) - gammaln(k) + gammaln(m + 1.0) - gammaln(m + 1.0 + inv))
-    )
-
-
-def conditional_miscoverage_bound(key: TableKey, alpha: float, delta: float) -> float:
-    """High-probability bound on the miscoverage given a fixed calibration set.
-
-    With probability at least 1 - delta over calibration draws, the
-    conditional miscoverage stays below alpha + sqrt(log(1/delta) / (2 m n)),
-    provided the rank pair satisfies :func:`rank_condition_holds`.
-    """
-    check_alpha(alpha)
-    if not 0.0 < delta <= 0.5:
-        raise InvalidArgumentError(f"delta must be in (0, 0.5], got {delta}")
-    return alpha + math.sqrt(math.log(1.0 / delta) / (2.0 * key.m * key.n))
-
-
-def rank_condition_holds(key: TableKey, ranks: RankPair, alpha: float) -> bool:
-    """Whether local_rank * server_rank >= (1 - alpha) * m * n."""
     ranks.validate(key)
-    return ranks.local_rank * ranks.server_rank >= (1.0 - alpha) * key.m * key.n
+    if not 0.0 < delta < 1.0:
+        raise InvalidArgumentError(f"delta must be in (0, 1), got {delta}")
+    l, k = ranks.local_rank, ranks.server_rank
+    g = betaincinv(k, key.m - k + 1, delta)
+    return float(1.0 - betaincinv(l, key.n - l + 1, g))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +651,8 @@ def load_table(path) -> CoverageTable:
 
 
 def _parse_table(handle: io.TextIOBase) -> CoverageTable:
-    """The table a cache file spells out, checked for syntax only."""
+    """The table a cache file spells out, checked for syntax only: exactly
+    the declared number of distinct entries and nothing after them."""
     header = handle.readline().split()
     if len(header) != 2 or header[0] != CACHE_FORMAT_NAME:
         raise InvalidArgumentError("missing format header")
@@ -741,16 +661,27 @@ def _parse_table(handle: io.TextIOBase) -> CoverageTable:
         raise InvalidArgumentError(
             f"file version {version} is newer than supported {CACHE_FORMAT_VERSION}"
         )
+    if version < 1:
+        raise InvalidArgumentError(f"file version {version} is not a valid version")
     fields: dict[str, int] = {}
     for name in ("m", "n", "entries"):
         parts = handle.readline().split()
         if len(parts) != 2 or parts[0] != name:
             raise InvalidArgumentError(f"expected '{name} <int>' line")
         fields[name] = int(parts[1])
+    count = fields["entries"]
+    if count < 0:
+        raise InvalidArgumentError(f"entry count {count} is negative")
     table = CoverageTable(key=TableKey(fields["m"], fields["n"]))
-    for index in range(fields["entries"]):
+    for index in range(count):
         parts = handle.readline().split()
         if len(parts) != 3:
             raise InvalidArgumentError(f"entry line {index + 1} malformed")
         table.entries[(int(parts[0]), int(parts[1]))] = float(parts[2])
+    if len(table.entries) != count:
+        raise InvalidArgumentError(
+            f"{count - len(table.entries)} of {count} entries repeat a rank pair"
+        )
+    if handle.read().strip():
+        raise InvalidArgumentError(f"text after the {count} declared entries")
     return table

@@ -424,14 +424,14 @@ def conditional_coverage_experiment(
     *,
     sampler,
     ranks: RankPair | None = None,
-    table: CoverageTable | None = None,
 ) -> ConditionalCoverageResult:
     """Distribution of the conditional miscoverage over calibration draws.
 
     Needs a sampler with a known c.d.f. so each replication's miscoverage
     1 - F(q_hat) is exact rather than estimated. Ranks default to the
-    selected pair for (m, n, alpha) but any pair can be forced, e.g. one
-    satisfying :func:`fedcal.coverage_table.rank_condition_holds`.
+    selected pair for (m, n, alpha) but any pair can be forced. For
+    continuous scores the exact quantiles of this distribution are
+    :func:`fedcal.coverage_table.conditional_miscoverage_quantile`.
     """
     if replications < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
@@ -443,7 +443,7 @@ def conditional_coverage_experiment(
     n = spec.n
     key = TableKey(spec.m, n)
     if ranks is None:
-        ranks, _ = select_ranks(key, spec.alpha, table=table)
+        ranks, _ = select_ranks(key, spec.alpha)
     else:
         ranks.validate(key)
     alpha_p = np.empty(replications)
@@ -462,14 +462,11 @@ def conditional_coverage_experiment(
 def poisson_binomial_diagnostic(p: Sequence[float]) -> dict:
     """Total-variation distance of a Poisson-Binomial to its mean binomial.
 
-    Returns the exact distance together with structural lower/upper factors
-    of the form (1 - pbar^(m+1) - (1-pbar)^(m+1)) * (1 - sum p(1-p) / (m
-    pbar (1-pbar))): the upper bound carries its sharp m/(m+1) constant and
-    always dominates the exact distance; the matching lower bound holds only
-    up to a universal constant that is not pinned down here, so
-    ``ehm_lower`` is reported with constant 1 and is not itself a certified
-    bound. Both factors degenerate to 0 when pbar is 0 or 1. The binomial
-    is the Poisson-Binomial with every probability equal to pbar.
+    Returns the exact distance ``exact_tv_to_binomial`` and the upper bound
+    ``ehm_upper`` = m/(m+1) * (1 - pbar^(m+1) - (1-pbar)^(m+1)) *
+    (1 - sum p(1-p) / (m pbar (1-pbar))), which always dominates it and is
+    0 when pbar is 0 or 1. The binomial is the Poisson-Binomial with every
+    probability equal to pbar.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -481,14 +478,10 @@ def poisson_binomial_diagnostic(p: Sequence[float]) -> dict:
     reference = _poisson_binomial_pmf(np.full(m, pbar))
     tv = 0.5 * float(np.sum(np.abs(_poisson_binomial_pmf(p) - reference)))
     if pbar in (0.0, 1.0):  # the spread factor below would divide by zero
-        return {"exact_tv_to_binomial": tv, "ehm_lower": 0.0, "ehm_upper": 0.0}
+        return {"exact_tv_to_binomial": tv, "ehm_upper": 0.0}
     spread = 1.0 - float(np.sum(p * (1.0 - p))) / (m * pbar * (1.0 - pbar))
     mass = 1.0 - pbar ** (m + 1) - (1.0 - pbar) ** (m + 1)
-    return {
-        "exact_tv_to_binomial": tv,
-        "ehm_lower": mass * spread,
-        "ehm_upper": (m / (m + 1.0)) * mass * spread,
-    }
+    return {"exact_tv_to_binomial": tv, "ehm_upper": (m / (m + 1.0)) * mass * spread}
 
 
 def heterogeneity_tv_penalty(

@@ -2,9 +2,11 @@
 the score-file reader.
 
 Every function here recomputes a quantity along a route the library does
-not use: exact rationals over literal index tuples, truncated-binomial
-convolutions in log space, batched Monte-Carlo, a straight transcription
-of the exponential-mechanism softmax, and the per-row score-file reader.
+not use: exact rationals over literal index tuples, the same enumeration
+in floats, the log-Gamma closed form at local rank n, the threshold's law
+as a rational polynomial, truncated-binomial convolutions in log space,
+batched Monte-Carlo, a straight transcription of the
+exponential-mechanism softmax, and the per-row score-file reader.
 Gauss-Legendre quadrature of the order-statistic integrand is kept as the
 plain formula the library's engine evaluates. Expected values frozen in
 the tests were produced by these.
@@ -21,7 +23,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc, gammaln, logsumexp, roots_legendre
 
-from fedcal.errors import InvalidArgumentError
+from fedcal.coverage_table import RankPair, TableKey
+from fedcal.errors import InvalidArgumentError, ResourceLimitError
 
 
 def coverage_exact_fraction(m: int, n: int, l: int, k: int) -> Fraction:
@@ -58,6 +61,93 @@ def inid_coverage_exact_fraction(sizes, local_ranks, k: int) -> Fraction:
                     numerator *= math.comb(sizes[a], i)
                 total += Fraction(numerator, math.comb(total_n, sum(tup)))
     return 1 - total / (total_n + 1)
+
+
+# the literal enumeration grows exponentially with m; beyond these sizes it
+# would exhaust memory or time
+BRUTE_FORCE_CELLS = 64
+BRUTE_FORCE_TERMS = 20_000_000
+
+
+def _cartesian_sums_products(n: int, values: range, count: int):
+    """Sums and C(n, .)-products over all index tuples values^count.
+
+    Grown one coordinate at a time; int64 is safe because every product of
+    per-agent binomial coefficients is bounded by a single C(m*n, r).
+    """
+    sums = np.zeros(1, dtype=np.int64)
+    prods = np.ones(1, dtype=np.int64)
+    vals = np.fromiter(values, dtype=np.int64)
+    coeffs = np.array([math.comb(n, int(v)) for v in values], dtype=np.int64)
+    for _ in range(count):
+        if sums.size * vals.size > BRUTE_FORCE_TERMS:
+            raise ResourceLimitError("brute-force enumeration exceeds the term cap")
+        sums = (sums[:, None] + vals[None, :]).ravel()
+        prods = (prods[:, None] * coeffs[None, :]).ravel()
+    return sums, prods
+
+
+def coverage_bruteforce_column(key: TableKey, local_rank: int) -> np.ndarray:
+    """Coverage for every server rank by direct summation over index tuples.
+
+    Reference oracle for :func:`coverage_probability`; exact up to float
+    rounding (roughly 1e-13). Limited to m*n <= ``BRUTE_FORCE_CELLS`` and
+    ``BRUTE_FORCE_TERMS`` summed terms.
+    """
+    m, n = key.m, key.n
+    RankPair(local_rank, 1).validate(key)
+    if m * n > BRUTE_FORCE_CELLS:
+        raise ResourceLimitError(
+            f"brute force limited to m*n <= {BRUTE_FORCE_CELLS}, got {m * n}"
+        )
+    l = local_rank
+    denom = np.array([math.comb(m * n, s) for s in range(m * n + 1)], dtype=float)
+    per_j = np.zeros(m + 1)
+    for j in range(1, m + 1):
+        hi_sums, hi_prods = _cartesian_sums_products(n, range(l, n + 1), j)
+        lo_sums, lo_prods = _cartesian_sums_products(n, range(0, l), m - j)
+        if hi_sums.size * lo_sums.size > BRUTE_FORCE_TERMS:
+            raise ResourceLimitError("brute-force enumeration exceeds the term cap")
+        s = hi_sums[:, None] + lo_sums[None, :]
+        w = hi_prods[:, None].astype(float) * lo_prods[None, :]
+        per_j[j] = math.comb(m, j) * float(np.sum(w / denom[s]))
+    tails = np.cumsum(per_j[::-1])[::-1]  # tails[k] = sum_{j >= k}
+    return 1.0 - tails[1:] / (m * n + 1)
+
+
+def coverage_bruteforce(key: TableKey, ranks: RankPair) -> float:
+    """Single-entry wrapper around :func:`coverage_bruteforce_column`."""
+    ranks.validate(key)
+    column = coverage_bruteforce_column(key, ranks.local_rank)
+    return float(column[ranks.server_rank - 1])
+
+
+def max_report_coverage(m: int, n: int, k: int) -> float:
+    """Coverage when every agent reports its maximum (local rank n).
+
+    Evaluated in log-Gamma space so it stays finite for very large m:
+    Gamma(k + 1/n) / Gamma(k) * Gamma(m + 1) / Gamma(m + 1 + 1/n).
+    """
+    if m < 1 or n < 1:
+        raise InvalidArgumentError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if not 1 <= k <= m:
+        raise InvalidArgumentError(f"server rank must be in [1, {m}], got {k}")
+    inv = 1.0 / n
+    return float(
+        math.exp(gammaln(k + inv) - gammaln(k) + gammaln(m + 1.0) - gammaln(m + 1.0 + inv))
+    )
+
+
+
+def conditional_coverage_cdf_fraction(m: int, n: int, l: int, k: int, x: Fraction) -> Fraction:
+    """P(F(q_hat) <= x) for uniform scores, in exact rationals.
+
+    Each agent's l-th smallest of n uniforms is <= x with probability
+    G = sum_{i >= l} C(n, i) x^i (1-x)^(n-i), and the threshold, the k-th
+    smallest report, is <= x when at least k of the m agents' are.
+    """
+    g = sum(math.comb(n, i) * x**i * (1 - x) ** (n - i) for i in range(l, n + 1))
+    return sum(math.comb(m, j) * g**j * (1 - g) ** (m - j) for j in range(k, m + 1))
 
 
 def coverage_by_quadrature(m: int, n: int, l: int, k: int) -> float:

@@ -22,17 +22,15 @@ from fedcal import (
     RankPair,
     TableKey,
     conditional_coverage_experiment,
-    conditional_miscoverage_bound,
+    conditional_miscoverage_quantile,
     coverage_column,
     coverage_probability,
     fedcp2_qq_calibrate,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
-    max_report_coverage,
     poisson_binomial_diagnostic,
     private_quantile,
     private_quantile_distribution,
-    rank_condition_holds,
     rank_correction,
     run_one_shot,
     select_ranks,
@@ -42,7 +40,7 @@ from fedcal import (
     synthetic_conditional_quantile,
     synthetic_dataset,
 )
-from fedcal.coverage_table import coverage_bruteforce_column
+from oracles import coverage_bruteforce_column, max_report_coverage
 
 EXACT_MATCH = 1e-10
 COLLAPSE_MATCH = 1e-12
@@ -303,24 +301,30 @@ def test_c09_rank_correction_fixtures_exact():
 
 
 def test_c10_conditional_miscoverage_bound_holds():
-    """The high-probability conditional bound verified over 10^4 draws."""
+    """The exact conditional quantile is attained, two-sided, over 10^4 draws."""
     start = time.time()
     m, n, alpha, delta, reps = 10, 20, 0.1, 0.1, 10_000
     key = TableKey(m, n)
-    bound = conditional_miscoverage_bound(key, alpha, delta)
+    selected, _ = select_ranks(key, alpha)
+    band = 3 * math.sqrt(delta * (1 - delta) / reps)
     details = []
-    for ranks in (RankPair(19, 10), RankPair(20, 9)):
-        assert rank_condition_holds(key, ranks, alpha)
-        spec = FederationSpec(m=m, n=n, alpha=alpha, seed=MASTER_SEED + ranks.local_rank)
+    for ranks in (RankPair(19, 10), RankPair(20, 9), selected):
+        quantile = conditional_miscoverage_quantile(key, ranks, delta)
+        seed = MASTER_SEED + 100 * ranks.local_rank + ranks.server_rank
+        spec = FederationSpec(m=m, n=n, alpha=alpha, seed=seed)
         result = conditional_coverage_experiment(
             spec, reps, sampler=_Uniform01(), ranks=ranks
         )
-        fraction = float(np.mean(result.alpha_p <= bound))
-        floor = 1 - delta - 3 * math.sqrt(delta * (1 - delta) / reps)
-        assert fraction >= floor, f"{ranks}: fraction {fraction} < {floor}"
-        details.append(f"{(ranks.local_rank, ranks.server_rank)}: {fraction:.4f} >= {floor:.4f}")
+        fraction = float(np.mean(result.alpha_p <= quantile))
+        assert abs(fraction - (1 - delta)) <= band, (
+            f"{ranks}: fraction {fraction} outside {1 - delta} +- {band}"
+        )
+        details.append(
+            f"{(ranks.local_rank, ranks.server_rank)}: P(alpha_p <= {quantile:.4f}) = "
+            f"{fraction:.4f}"
+        )
     elapsed = time.time() - start
-    _report(10, "; ".join(details) + f" in {elapsed:.1f}s")
+    _report(10, "; ".join(details) + f", each within {band:.4f} of {1 - delta} in {elapsed:.1f}s")
 
 
 class _Uniform01:

@@ -148,6 +148,23 @@ class TestCalibrateCommand:
         assert code == 1
         assert err.startswith("error: ") and str(path) in err and "UTF-8" in err
 
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        # spreadsheet programs start a "CSV UTF-8" file with U+FEFF
+        scores = np.random.default_rng(2).uniform(size=(3, 25)).round(6)
+        text = "agent,score\n" + "".join(
+            f"{agent},{value}\n" for agent, row in enumerate(scores) for value in row
+        )
+        outputs = []
+        for name, encoding in (("plain.csv", "utf-8"), ("bom.csv", "utf-8-sig")):
+            path = tmp_path / name
+            path.write_text(text, encoding=encoding)
+            code, out, err = _run(capsys, "calibrate", str(path), "--alpha", "0.1",
+                                  "--method", "fedcp-qq")
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert outputs[0] == outputs[1]
+
     def test_oversized_field_reported(self, tmp_path, capsys):
         path = tmp_path / "long.csv"
         path.write_text("0.5\n" + "1" * 131_073 + "\n")
@@ -294,6 +311,15 @@ class TestConfigFile:
                             "--alpha", "0.1", "--cache", str(cache))
         assert code == 0
         assert "l*=18 k*=1" in out  # alpha flag beat the config value
+
+    def test_byte_order_mark_ignored(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("m = 1\nn = 19\nalpha = 0.1\n", encoding="utf-8-sig")
+        assert config.read_bytes().startswith(b"\xef\xbb\xbf")
+        code, out, err = _run(capsys, "table", "--config", str(config),
+                              "--cache", str(tmp_path / "t.txt"))
+        assert (code, err) == (0, "")
+        assert "l*=18 k*=1" in out
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from fedcal import (
@@ -15,13 +16,10 @@ from fedcal import (
     RankPair,
     ResourceLimitError,
     TableKey,
-    conditional_miscoverage_bound,
-    coverage_bruteforce,
+    conditional_miscoverage_quantile,
     coverage_column,
     coverage_probability,
     load_table,
-    max_report_coverage,
-    rank_condition_holds,
     save_table,
     select_ranks,
     select_ranks_unbalanced,
@@ -34,15 +32,18 @@ from fedcal.coverage_table import (
     _legendre_rule,
     _meets_level,
     _settled,
-    coverage_bruteforce_column,
     unbalanced_local_ranks,
 )
 
 from oracles import (
+    conditional_coverage_cdf_fraction,
+    coverage_bruteforce,
+    coverage_bruteforce_column,
     coverage_by_quadrature,
     coverage_column_by_convolution,
     coverage_exact_fraction,
     inid_coverage_exact_fraction,
+    max_report_coverage,
     mc_qq_coverage,
     select_ranks_by_convolution,
     unbalanced_coverage_by_convolution,
@@ -345,26 +346,57 @@ class TestUnbalanced:
 
 
 class TestConditionalBound:
+    """The exact training-conditional quantile, the inverse of the law
+    P(F(q_hat) <= x) = I_{G(x)}(k, m - k + 1)."""
+
     def test_direct_evaluation(self):
-        bound = conditional_miscoverage_bound(TableKey(10, 20), 0.1, 0.5)
-        assert bound == pytest.approx(0.1 + math.sqrt(math.log(2.0) / 400.0), abs=1e-15)
-        assert bound == pytest.approx(0.141627, abs=1e-6)
+        key = TableKey(20, 30)
+        ranks, _ = select_ranks(key, 0.1)
+        assert ranks == RankPair(28, 9)
+        assert round(conditional_miscoverage_quantile(key, ranks, 0.1), 4) == 0.1185
+
+    def test_matches_rational_law_on_random_shapes(self):
+        rng = np.random.default_rng(2302)
+        for _ in range(200):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(1, 12))
+            l, k = int(rng.integers(1, n + 1)), int(rng.integers(1, m + 1))
+            delta = float(10 ** rng.uniform(-6, math.log10(0.9)))
+            level = conditional_miscoverage_quantile(TableKey(m, n), RankPair(l, k), delta)
+            law = conditional_coverage_cdf_fraction(m, n, l, k, 1 - Fraction(level))
+            assert float(law) == pytest.approx(delta, rel=1e-9, abs=0), (m, n, l, k, delta)
+
+    def test_mean_is_the_table_miscoverage(self):
+        # the quantile function integrates over delta to the mean miscoverage
+        for (m, n, l, k) in [(1, 1, 1, 1), (3, 5, 4, 2), (7, 3, 1, 7), (10, 20, 19, 5)]:
+            key, ranks = TableKey(m, n), RankPair(l, k)
+            mean, _ = quad(
+                lambda d: conditional_miscoverage_quantile(key, ranks, d),
+                0, 1, epsabs=1e-12, epsrel=1e-12, limit=200,
+            )
+            assert mean == pytest.approx(1 - coverage_probability(key, ranks), abs=1e-10)
 
     def test_monotone_in_delta(self):
-        key = TableKey(10, 20)
-        assert conditional_miscoverage_bound(key, 0.1, 0.01) > conditional_miscoverage_bound(key, 0.1, 0.5)
+        key, ranks = TableKey(10, 20), RankPair(19, 5)
+        levels = [conditional_miscoverage_quantile(key, ranks, d) for d in (0.01, 0.1, 0.5, 0.9)]
+        assert all(a > b for a, b in zip(levels, levels[1:]))
 
     def test_vanishes_with_data(self):
-        assert conditional_miscoverage_bound(TableKey(1000, 1000), 0.1, 0.1) == pytest.approx(0.1, abs=2e-3)
+        # the law concentrates: at (1000, 1000) its 10% and 90% points nearly meet
+        key, ranks = TableKey(1000, 1000), RankPair(900, 500)
+        high = conditional_miscoverage_quantile(key, ranks, 0.1)
+        low = conditional_miscoverage_quantile(key, ranks, 0.9)
+        assert 0 < high - low < 2e-3
+        assert low == pytest.approx(0.1, abs=5e-3)
 
     def test_delta_range(self):
-        with pytest.raises(InvalidArgumentError):
-            conditional_miscoverage_bound(TableKey(2, 2), 0.1, 0.7)
+        for delta in (0.0, 1.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(InvalidArgumentError, match="delta"):
+                conditional_miscoverage_quantile(TableKey(2, 2), RankPair(1, 1), delta)
 
-    def test_rank_condition(self):
-        key = TableKey(10, 20)
-        assert rank_condition_holds(key, RankPair(19, 10), 0.1)
-        assert not rank_condition_holds(key, RankPair(10, 10), 0.1)
+    def test_out_of_range_ranks_rejected(self):
+        for ranks in (RankPair(21, 1), RankPair(0, 1), RankPair(1, 11)):
+            with pytest.raises(InvalidArgumentError, match="rank must be in"):
+                conditional_miscoverage_quantile(TableKey(10, 20), ranks, 0.1)
 
 
 class TestPersistence:
@@ -403,6 +435,27 @@ class TestPersistence:
         path.write_text("fedcal-coverage-table 99\nm 2\nn 2\nentries 0\n")
         with pytest.raises(InvalidArgumentError):
             load_table(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("fedcal-coverage-table 1\nm 2\nn 2\nentries -1\n", "negative"),
+            ("fedcal-coverage-table -3\nm 2\nn 2\nentries 0\n", "not a valid version"),
+            ("fedcal-coverage-table 1\nm 2\nn 2\nentries 2\n1 1 0.5\n1 1 0.6\n", "repeat"),
+            ("fedcal-coverage-table 1\nm 2\nn 2\nentries 1\n1 1 0.5\n1 2 0.6\n", "after"),
+        ],
+        ids=["negative_count", "version_below_one", "duplicate_pair", "trailing_text"],
+    )
+    def test_malformed_header_or_layout_refused(self, tmp_path, text, message):
+        path = tmp_path / "table.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidArgumentError, match=f"table.txt: .*{message}"):
+            load_table(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_text("fedcal-coverage-table 1\nm 2\nn 2\nentries 1\n1 1 0.5\n\n \n")
+        assert load_table(path).entries == {(1, 1): 0.5}
 
     def test_garbage_rejected(self, tmp_path):
         path = tmp_path / "table.txt"
