@@ -47,7 +47,6 @@ from .federation import (
     ExperimentResult,
     ExponentialScores,
     FederationSpec,
-    HeterogeneityModel,
     OutlierScores,
     Transcript,
     UniformScores,

@@ -27,7 +27,8 @@ from .privacy import BinGrid, DpConfig
 
 CACHE_DIR_ENV = "FEDCAL_CACHE_DIR"
 
-# dest -> (converter, default); a config file may set any of these
+# dest -> converter; a config file may set any of these, and _DEFAULTS
+# holds the defaults of those that have one
 _OPTION_TYPES = {
     "m": int,
     "n": int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,11 +32,9 @@ from .coverage_table import (
     RankPair,
     TableKey,
     _poisson_binomial_pmf,
-    _table_for,
     select_ranks,
 )
 from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
-from .order_stats import quantile_of_quantiles
 from .privacy import DpConfig, fedcp2_qq_calibrate
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "ExponentialScores",
     "OutlierScores",
     "SAMPLERS",
-    "HeterogeneityModel",
     "substream",
     "synthetic_dataset",
     "synthetic_conditional_quantile",
@@ -87,48 +84,47 @@ class FederationSpec:
 
 @dataclass(frozen=True)
 class UniformScores:
-    low: float = 0.0
-    high: float = 1.0
+    """Scores uniform on [0, 1]."""
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size)
+        return rng.uniform(0.0, 1.0, size)
 
     def cdf(self, x) -> np.ndarray:
-        with np.errstate(invalid="ignore"):
-            return np.clip((np.asarray(x, dtype=float) - self.low) / (self.high - self.low), 0.0, 1.0)
+        return np.clip(np.asarray(x, dtype=float), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class ExponentialScores:
-    rate: float = 1.0
+    """Scores exponential with rate 1."""
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.exponential(1.0 / self.rate, size)
+        return rng.exponential(1.0, size)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return np.where(x <= 0.0, 0.0, -np.expm1(-self.rate * np.minimum(x, 1e308)))
+        return np.where(x <= 0.0, 0.0, -np.expm1(-np.minimum(x, 1e308)))
+
+
+_TAIL_PROB = 0.01
+_TAIL_SCALE = 50.0
 
 
 @dataclass(frozen=True)
 class OutlierScores:
-    """Uniform scores with a rare heavy right tail; the mean is not robust to it."""
-
-    outlier_prob: float = 0.01
-    outlier_scale: float = 50.0
+    """Uniform scores on [0, 1], each replaced with probability 1% by one
+    uniform on [0, 50]: a rare heavy right tail the mean is not robust to."""
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         base = rng.uniform(0.0, 1.0, size)
-        tail = rng.uniform(0.0, self.outlier_scale, size)
-        is_tail = rng.uniform(0.0, 1.0, size) < self.outlier_prob
+        tail = rng.uniform(0.0, _TAIL_SCALE, size)
+        is_tail = rng.uniform(0.0, 1.0, size) < _TAIL_PROB
         return np.where(is_tail, tail, base)
 
     def cdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        with np.errstate(invalid="ignore"):
-            return (1.0 - self.outlier_prob) * np.clip(x, 0.0, 1.0) + self.outlier_prob * np.clip(
-                x / self.outlier_scale, 0.0, 1.0
-            )
+        return (1.0 - _TAIL_PROB) * np.clip(x, 0.0, 1.0) + _TAIL_PROB * np.clip(
+            x / _TAIL_SCALE, 0.0, 1.0
+        )
 
 
 SAMPLERS: dict[str, Callable[[], object]] = {
@@ -138,43 +134,30 @@ SAMPLERS: dict[str, Callable[[], object]] = {
 }
 
 
-@dataclass(frozen=True)
-class HeterogeneityModel:
-    """Per-agent affine distortion of a base score distribution.
-
-    Agent j draws ``shift[j] + scale[j] * base``; the identity model keeps
-    agents i.i.d. with the test distribution.
-    """
-
-    shifts: tuple[float, ...]
-    scales: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.shifts) != len(self.scales) or not self.shifts:
-            raise InvalidArgumentError("shifts and scales must be equal-length and nonempty")
-        if not all(math.isfinite(s) for s in self.shifts):
-            raise InvalidArgumentError("shifts must be finite")
-        if any(s <= 0.0 or not math.isfinite(s) for s in self.scales):
-            raise InvalidArgumentError("scales must be positive and finite")
-
-    @classmethod
-    def identity(cls, m: int) -> "HeterogeneityModel":
-        return cls(shifts=(0.0,) * m, scales=(1.0,) * m)
-
-    @classmethod
-    def location_shifts(cls, shifts: Sequence[float]) -> "HeterogeneityModel":
-        return cls(shifts=tuple(float(s) for s in shifts), scales=(1.0,) * len(shifts))
-
-    def agent_sample(self, base, agent: int, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.shifts[agent] + self.scales[agent] * base.sample(rng, size)
-
-    def agent_cdf(self, base, agent: int, x) -> np.ndarray:
-        return base.cdf((np.asarray(x, dtype=float) - self.shifts[agent]) / self.scales[agent])
-
-
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for a (replication, agent, ...) counter key."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key)))
+
+
+def _agent_shifts(shifts: Sequence[float] | None, m: int) -> np.ndarray:
+    """Per-agent location shifts as a length-m array; None means no shift."""
+    if shifts is None:
+        return np.zeros(m)
+    arr = np.asarray(shifts, dtype=float)
+    if arr.shape != (m,):
+        raise InvalidArgumentError(f"need one shift per agent ({m}), got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidArgumentError("shifts must be finite")
+    return arr
+
+
+def _replication(sampler, seed: int, rep: int, m: int, n: int) -> np.ndarray:
+    """Replication ``rep``'s (m, n) score block: row j is agent j's n draws
+    from ``substream(seed, rep, j)``."""
+    block = np.empty((m, n))
+    for j in range(m):
+        block[j] = sampler.sample(substream(seed, rep, j), n)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -335,33 +318,27 @@ def coverage_experiment(
     test_size: int,
     *,
     dp_config: DpConfig | None = None,
-    heterogeneity: HeterogeneityModel | None = None,
-    table: CoverageTable | None = None,
+    shifts: Sequence[float] | None = None,
 ) -> ExperimentResult:
     """Repeated sample -> calibrate -> evaluate on fresh test scores.
 
-    Coverage is the fraction of test scores at or below the threshold;
-    the reported length is 2 * q_hat, the width of an absolute-residual
-    interval with that threshold. One row per replication is kept for
-    export. Identical (spec, seed) inputs reproduce identical output.
+    Agent j's calibration scores are ``shifts[j]`` plus draws from
+    ``sampler`` (no shift when ``shifts`` is None); test scores are
+    unshifted draws. Coverage is the fraction of test scores at or below
+    the threshold; the reported length is 2 * q_hat, the width of an
+    absolute-residual interval with that threshold. One row per
+    replication is kept for export. Identical (spec, seed) inputs
+    reproduce identical output.
     """
     if replications < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
     if test_size < 1:
         raise InvalidArgumentError(f"test_size must be >= 1, got {test_size}")
-    n = spec.n
-    model = heterogeneity if heterogeneity is not None else HeterogeneityModel.identity(spec.m)
-    if len(model.shifts) != spec.m:
-        raise InvalidArgumentError(
-            f"heterogeneity model covers {len(model.shifts)} agents, spec has {spec.m}"
-        )
-    table = _table_for(table, spec.m, n)
+    offsets = _agent_shifts(shifts, spec.m)[:, None]
+    table = CoverageTable(key=TableKey(spec.m, spec.n))
     rows: list[dict] = []
     for rep in range(replications):
-        agents = [
-            model.agent_sample(sampler, j, substream(spec.seed, rep, j), n)
-            for j in range(spec.m)
-        ]
+        agents = _replication(sampler, spec.seed, rep, spec.m, spec.n) + offsets
         result, _ = run_one_shot(
             spec,
             agents,
@@ -440,17 +417,17 @@ def conditional_coverage_experiment(
         raise InvalidArgumentError(
             "conditional coverage needs a sampler with a known cdf"
         )
-    n = spec.n
-    key = TableKey(spec.m, n)
+    key = TableKey(spec.m, spec.n)
     if ranks is None:
         ranks, _ = select_ranks(key, spec.alpha)
     else:
         ranks.validate(key)
+    l, k = ranks.local_rank - 1, ranks.server_rank - 1  # 0-based positions
     alpha_p = np.empty(replications)
     for rep in range(replications):
-        agents = [sampler.sample(substream(spec.seed, rep, j), n) for j in range(spec.m)]
-        q_hat = quantile_of_quantiles(agents, ranks.local_rank, ranks.server_rank)
-        alpha_p[rep] = 1.0 - float(cdf(q_hat))
+        block = _replication(sampler, spec.seed, rep, spec.m, spec.n)
+        local = np.partition(block, l, axis=1)[:, l]
+        alpha_p[rep] = 1.0 - float(cdf(np.partition(local, k)[k]))
     return ConditionalCoverageResult(ranks=ranks, alpha_p=alpha_p)
 
 
@@ -475,8 +452,7 @@ def poisson_binomial_diagnostic(p: Sequence[float]) -> dict:
         raise InvalidArgumentError("all probabilities must lie in [0, 1]")
     m = p.size
     pbar = float(np.mean(p))
-    reference = _poisson_binomial_pmf(np.full(m, pbar))
-    tv = 0.5 * float(np.sum(np.abs(_poisson_binomial_pmf(p) - reference)))
+    tv = float(_tv_to_binomial(p))
     if pbar in (0.0, 1.0):  # the spread factor below would divide by zero
         return {"exact_tv_to_binomial": tv, "ehm_upper": 0.0}
     spread = 1.0 - float(np.sum(p * (1.0 - p))) / (m * pbar * (1.0 - pbar))
@@ -484,8 +460,16 @@ def poisson_binomial_diagnostic(p: Sequence[float]) -> dict:
     return {"exact_tv_to_binomial": tv, "ehm_upper": (m / (m + 1.0)) * mass * spread}
 
 
+def _tv_to_binomial(p: np.ndarray) -> np.ndarray:
+    """Exact total variation between the Poisson-Binomial of ``p`` and the
+    binomial with its mean probability, over the last axis of ``p``."""
+    pbar = np.mean(p, axis=-1, keepdims=True)
+    reference = _poisson_binomial_pmf(np.broadcast_to(pbar, p.shape))
+    return 0.5 * np.sum(np.abs(_poisson_binomial_pmf(p) - reference), axis=-1)
+
+
 def heterogeneity_tv_penalty(
-    model: HeterogeneityModel,
+    shifts: Sequence[float],
     base,
     key: TableKey,
     local_rank: int,
@@ -494,20 +478,18 @@ def heterogeneity_tv_penalty(
 ) -> float:
     """Monte-Carlo estimate of the coverage penalty under heterogeneity.
 
-    Averages, over test scores S from the base distribution, the total
-    variation between the Poisson-Binomial of the per-agent probabilities
-    P(agent j's local_rank-th order statistic <= S) and the binomial with
-    their mean. The i.i.d. coverage minus this penalty lower-bounds the
-    heterogeneous coverage.
+    Agent j's scores are ``shifts[j]`` plus draws from ``base``, as in
+    :func:`coverage_experiment`. Averages, over ``draws`` test scores S from
+    ``base``, the total variation between the Poisson-Binomial of the
+    per-agent probabilities P(agent j's local_rank-th order statistic <= S)
+    and the binomial with their mean. The i.i.d. coverage minus this
+    penalty lower-bounds the heterogeneous coverage.
     """
-    m, n = key.m, key.n
-    if len(model.shifts) != m:
-        raise InvalidArgumentError(f"model covers {len(model.shifts)} agents, key has {m}")
+    offsets = _agent_shifts(shifts, key.m)
     RankPair(local_rank, 1).validate(key)
+    if draws < 1:
+        raise InvalidArgumentError(f"draws must be >= 1, got {draws}")
     s = base.sample(rng, draws)
-    per_agent_cdf = np.stack([model.agent_cdf(base, j, s) for j in range(m)], axis=1)
-    p = betainc(local_rank, n - local_rank + 1, np.clip(per_agent_cdf, 0.0, 1.0))
-    pbar = np.mean(p, axis=1, keepdims=True)
-    reference = _poisson_binomial_pmf(np.broadcast_to(pbar, p.shape))
-    tv = 0.5 * np.sum(np.abs(_poisson_binomial_pmf(p) - reference), axis=1)
-    return float(np.mean(tv))
+    per_agent_cdf = base.cdf(s[:, None] - offsets)
+    p = betainc(local_rank, key.n - local_rank + 1, np.clip(per_agent_cdf, 0.0, 1.0))
+    return float(np.mean(_tv_to_binomial(p)))

@@ -76,8 +76,8 @@ class BinGrid:
 
     @classmethod
     def uniform(cls, s_max: float, bins: int = 100) -> "BinGrid":
-        if s_max <= 0.0:
-            raise InvalidArgumentError(f"s_max must be positive, got {s_max}")
+        if not (math.isfinite(s_max) and s_max > 0.0):
+            raise InvalidArgumentError(f"s_max must be positive and finite, got {s_max}")
         if bins < 1:
             raise InvalidArgumentError(f"need at least one bin, got {bins}")
         return cls(edges=tuple(np.linspace(0.0, s_max, bins + 1)))
@@ -105,6 +105,12 @@ class BinGrid:
         return np.asarray(self.edges)[self.bin_index(scores)]
 
 
+def _check_epsilon(epsilon: float) -> None:
+    # NaN fails every comparison, so test for the valid range rather than against it
+    if not (math.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidArgumentError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class DpConfig:
     """Parameters of the private calibrator.
@@ -120,8 +126,7 @@ class DpConfig:
     gamma: float | None = None
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise InvalidArgumentError(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise InvalidArgumentError(f"gamma must be in (0, 1), got {self.gamma}")
 
@@ -148,8 +153,7 @@ def _edge_weights(scores, q: float, grid: BinGrid) -> np.ndarray:
 
 def _logits(scores, q: float, epsilon: float, grid: BinGrid) -> np.ndarray:
     """Log-weights exp(-epsilon * utility / (2 * sensitivity)) of the B edges."""
-    if epsilon <= 0.0:
-        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     return -0.5 * epsilon * _edge_weights(scores, q, grid)
 
 
@@ -189,8 +193,7 @@ def rank_correction(epsilon: float, bins: int, agents: int, gamma_alpha: float) 
     at least 1 for finite inputs, decreasing in epsilon and increasing in the
     bin count.
     """
-    if epsilon <= 0.0:
-        raise InvalidArgumentError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     if bins < 1 or agents < 1:
         raise InvalidArgumentError("bins and agents must both be >= 1")
     if not 0.0 < gamma_alpha < 1.0:

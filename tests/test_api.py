@@ -14,7 +14,6 @@ PUBLIC_API = [
     "FedcalError",
     "FederationSpec",
     "GammaSelection",
-    "HeterogeneityModel",
     "InfeasibleError",
     "InternalError",
     "InvalidArgumentError",
@@ -63,7 +62,7 @@ PUBLIC_API = [
 
 
 def test_all_is_the_pinned_api():
-    assert len(PUBLIC_API) == 55
+    assert len(PUBLIC_API) == 54
     assert sorted(fedcal.__all__) == PUBLIC_API
 
 

@@ -173,6 +173,16 @@ class TestCalibrateCommand:
         assert code == 1
         assert err.startswith("error: ") and f"{path}:2" in err
 
+    @pytest.mark.parametrize(("flag", "name"), [("--epsilon", "epsilon"), ("--smax", "s_max")])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_private_options_must_be_finite_and_positive(self, tmp_path, capsys, flag, name, value):
+        paths = _write_agent_files(tmp_path, [[0.2, 0.4, 0.6, 0.8]] * 3)
+        options = {"--epsilon": "5", "--smax": "1", flag: value}
+        code, out, err = _run(capsys, "calibrate", *paths, "--alpha", "0.1",
+                              "--method", "fedcp2-qq", *(x for kv in options.items() for x in kv))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and name in err
+
     def test_avg_rank_overflow_message(self, tmp_path, capsys):
         paths = _write_agent_files(tmp_path, [[1.0, 2.0], [3.0, 4.0]])
         code, _, err = _run(capsys, "calibrate", *paths, "--alpha", "0.1",

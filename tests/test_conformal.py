@@ -82,6 +82,19 @@ class TestFedcpQQCalibrate:
         with pytest.raises(InvalidArgumentError):
             fedcp_qq_calibrate([[1.0, 2.0], [3.0]], 0.1)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.integers(2, 8), n=st.integers(5, 20),
+           alpha=st.sampled_from([0.1, 0.2, 0.3]))
+    def test_invariant_under_agent_order(self, data, m, n, alpha):
+        # every (m >= 2, n >= 5) shape reaches 0.9 at its largest ranks
+        values = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m * n, max_size=m * n))
+        agents = np.reshape(values, (m, n))
+        order = data.draw(st.permutations(range(m)))
+        base = fedcp_qq_calibrate(agents, alpha)
+        permuted = fedcp_qq_calibrate(agents[order], alpha)
+        assert permuted.q_hat == base.q_hat
+        assert sorted(permuted.transcript.payloads) == sorted(base.transcript.payloads)
+
 
 class TestFedcpAvgCalibrate:
     def test_identical_agents(self):

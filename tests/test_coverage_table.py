@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
@@ -28,6 +30,7 @@ from fedcal import (
 
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
+    MONOTONE_TOL,
     _entry_engine,
     _legendre_rule,
     _meets_level,
@@ -114,6 +117,18 @@ class TestFastPath:
         grid = np.array([coverage_column(key, l) for l in range(1, 9)])
         assert np.all(np.diff(grid, axis=0) >= -1e-12)
         assert np.all(np.diff(grid, axis=1) >= -1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.integers(1, 12), n=st.integers(1, 30))
+    def test_probability_nondecreasing_in_both_ranks(self, data, m, n):
+        key = TableKey(m, n)
+        l = data.draw(st.integers(1, n))
+        k = data.draw(st.integers(1, m))
+        here = coverage_probability(key, RankPair(l, k))
+        if l < n:
+            assert coverage_probability(key, RankPair(l + 1, k)) >= here - MONOTONE_TOL
+        if k < m:
+            assert coverage_probability(key, RankPair(l, k + 1)) >= here - MONOTONE_TOL
 
     def test_boundary_collapses(self):
         for n in (1, 7, 70):

@@ -9,7 +9,6 @@ from fedcal import (
     BinGrid,
     DpConfig,
     FederationSpec,
-    HeterogeneityModel,
     InvalidArgumentError,
     OutlierScores,
     ProtocolViolationError,
@@ -288,10 +287,26 @@ class TestHeterogeneity:
     def test_identity_model_has_no_penalty(self):
         key = TableKey(6, 15)
         penalty = heterogeneity_tv_penalty(
-            HeterogeneityModel.identity(6), UniformScores(), key, 13,
+            [0.0] * 6, UniformScores(), key, 13,
             np.random.default_rng(0), draws=500,
         )
         assert penalty == pytest.approx(0.0, abs=1e-12)
+
+    def test_at_least_one_draw(self):
+        with pytest.raises(InvalidArgumentError, match="draws"):
+            heterogeneity_tv_penalty(
+                [0.0] * 6, UniformScores(), TableKey(6, 15), 13, np.random.default_rng(0), draws=0
+            )
+
+    @pytest.mark.parametrize("shifts", [[0.0] * 5, [0.0] * 5 + [math.nan], [[0.0] * 6]])
+    def test_one_finite_shift_per_agent(self, shifts):
+        with pytest.raises(InvalidArgumentError, match="shift"):
+            heterogeneity_tv_penalty(
+                shifts, UniformScores(), TableKey(6, 15), 13, np.random.default_rng(0)
+            )
+        spec = FederationSpec(m=6, n=15, alpha=0.1, seed=0)
+        with pytest.raises(InvalidArgumentError, match="shift"):
+            coverage_experiment(spec, 2, "fedcp_qq", UniformScores(), 10, shifts=shifts)
 
     def test_penalty_grows_with_location_shifts(self):
         key = TableKey(6, 15)
@@ -301,7 +316,7 @@ class TestHeterogeneity:
             shifts = [magnitude * (-1) ** j for j in range(6)]
             penalties.append(
                 heterogeneity_tv_penalty(
-                    HeterogeneityModel.location_shifts(shifts), UniformScores(),
+                    shifts, UniformScores(),
                     key, 13, np.random.default_rng(rng_seed), draws=2000,
                 )
             )
@@ -310,16 +325,15 @@ class TestHeterogeneity:
     def test_empirical_coverage_respects_the_penalty_bound(self):
         m, n, alpha = 10, 20, 0.1
         shifts = [0.12 * (-1) ** j for j in range(m)]
-        model = HeterogeneityModel.location_shifts(shifts)
         key = TableKey(m, n)
         ranks, _ = select_ranks(key, alpha)
         penalty = heterogeneity_tv_penalty(
-            model, UniformScores(), key, ranks.local_rank,
+            shifts, UniformScores(), key, ranks.local_rank,
             np.random.default_rng(123), draws=6000,
         )
         spec = FederationSpec(m=m, n=n, alpha=alpha, seed=55)
         summary = coverage_experiment(
-            spec, 600, "fedcp_qq", UniformScores(), 400, heterogeneity=model
+            spec, 600, "fedcp_qq", UniformScores(), 400, shifts=shifts
         )
         assert summary.mean_coverage >= 1.0 - alpha - penalty - 3 * summary.coverage_se
         # and the shifts do measurably hurt a nonzero penalty

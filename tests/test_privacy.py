@@ -51,6 +51,11 @@ class TestBinGrid:
         with pytest.raises(InvalidArgumentError):
             BinGrid(edges=(0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize("s_max", [math.nan, math.inf, 0.0, -1.0])
+    def test_uniform_needs_finite_positive_s_max(self, s_max):
+        with pytest.raises(InvalidArgumentError, match="s_max"):
+            BinGrid.uniform(s_max, 10)
+
 
 class TestPrivateQuantileDistribution:
     def test_balanced_two_bin_fixture_is_uniform(self):
@@ -88,6 +93,20 @@ class TestPrivateQuantileDistribution:
             private_quantile_distribution([0.5], 0.0, 1.0, grid)
         with pytest.raises(InvalidArgumentError):
             private_quantile_distribution([0.5], 1.1, 1.0, grid)
+
+
+@pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_epsilon_must_be_finite_and_positive(epsilon):
+    grid = BinGrid.uniform(1.0, 4)
+    calls = [
+        lambda: DpConfig(epsilon=epsilon, grid=grid),
+        lambda: rank_correction(epsilon, 100, 10, 0.05),
+        lambda: private_quantile_distribution([0.2, 0.7], 0.5, epsilon, grid),
+        lambda: private_quantile([0.2, 0.7], 0.5, epsilon, grid, np.random.default_rng(0)),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgumentError, match="epsilon"):
+            call()
 
 
 class TestPrivateQuantileSampling:
