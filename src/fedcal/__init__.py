@@ -19,7 +19,6 @@ from .conformal import (
     read_score_matrix_csv,
     read_scores_csv,
     split_cp_calibrate,
-    split_rank,
 )
 from .coverage_table import (
     CoverageTable,
@@ -60,7 +59,7 @@ from .federation import (
     synthetic_dataset,
     write_rows_csv,
 )
-from .order_stats import order_statistic, quantile_of_quantiles
+from .order_stats import order_statistic, quantile_of_quantiles, split_rank
 from .privacy import (
     BinGrid,
     DpConfig,

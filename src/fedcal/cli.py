@@ -126,6 +126,8 @@ def _resolve(args: argparse.Namespace) -> dict:
                 resolved[name] = _OPTION_TYPES[name](raw)
             except ValueError:
                 raise InvalidArgumentError(f"bad value {raw!r} for --{name}") from None
+    if resolved.get("seed", 0) < 0:  # numpy seeds only from non-negative integers
+        raise InvalidArgumentError(f"--seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 
@@ -266,10 +268,7 @@ def main(argv=None) -> int:
     commands = {"table": _cmd_table, "calibrate": _cmd_calibrate, "simulate": _cmd_simulate}
     try:
         return commands[args.command](args)
-    except FedcalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FedcalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

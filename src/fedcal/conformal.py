@@ -25,14 +25,13 @@ import numpy as np
 
 from .coverage_table import CoverageTable, TableKey, select_ranks
 from .errors import InternalError, InvalidArgumentError, ProtocolViolationError, check_alpha
-from .order_stats import as_matrix, as_sample, order_statistic
+from .order_stats import _kth_smallest, as_block, as_sample, split_rank
 
 __all__ = [
     "ScoreFunction",
     "CalibrationResult",
     "PredictionInterval",
     "Transcript",
-    "split_rank",
     "split_cp_calibrate",
     "fedcp_qq_calibrate",
     "fedcp_avg_calibrate",
@@ -129,23 +128,18 @@ class PredictionInterval:
         return self.lower <= y <= self.upper
 
 
-def split_rank(n: int, alpha: float) -> int:
-    """Order-statistic rank ceil((n + 1) * (1 - alpha)) used by split calibration."""
-    return math.ceil((n + 1) * (1.0 - alpha))
-
-
 def _one_shot_round(
     agents: np.ndarray,
     downlink: dict,
     local: Callable[[np.ndarray], Sequence[float]],
-    reduce: Callable[[np.ndarray], float],
+    reduce: Callable[[np.ndarray], float | np.floating],
 ) -> tuple[float, Transcript]:
     """Broadcast ``downlink``, take one message per agent, reduce them.
 
-    ``local`` maps the (m, n) score matrix to the m messages, agent j's
+    ``local`` maps the agents' (m, n) block to the m messages, agent j's
     message computed from row j alone; ``reduce`` is the server's aggregate
-    of the messages as a float64 array. Returns the aggregate and the
-    round's transcript.
+    of the messages as a float64 array. Returns the aggregate as a float and
+    the round's transcript.
 
     Raises
     ------
@@ -162,17 +156,7 @@ def _one_shot_round(
     silent = np.flatnonzero(np.isnan(payloads))
     if silent.size:
         raise ProtocolViolationError(f"agents {silent.tolist()} sent a non-numeric payload")
-    return reduce(payloads), Transcript(dict(downlink), tuple(enumerate(payloads.tolist())))
-
-
-def _local_order_statistics(rank: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Local function: each agent's ``rank``-th smallest score."""
-    return lambda agents: np.partition(agents, rank - 1, axis=1)[:, rank - 1]
-
-
-def _server_order_statistic(rank: int) -> Callable[[np.ndarray], float]:
-    """Reducer: the ``rank``-th smallest of the m messages."""
-    return lambda sent: float(np.partition(sent, rank - 1)[rank - 1])
+    return float(reduce(payloads)), Transcript(dict(downlink), tuple(enumerate(payloads.tolist())))
 
 
 def split_cp_calibrate(scores: Sequence[float], alpha: float) -> CalibrationResult:
@@ -184,9 +168,8 @@ def split_cp_calibrate(scores: Sequence[float], alpha: float) -> CalibrationResu
     check_alpha(alpha)
     sample = as_sample(scores, allow_empty=False)
     rank = split_rank(sample.size, alpha)
-    q_hat = order_statistic(sample, rank)
     return CalibrationResult(
-        q_hat=q_hat,
+        q_hat=float(_kth_smallest(sample, rank)),
         method="centralized",
         guaranteed_coverage=1.0 - alpha,
         params={"n": sample.size, "rank": rank, "alpha": alpha},
@@ -208,12 +191,12 @@ def fedcp_qq_calibrate(
     continuous scores is also the attained coverage.
     """
     check_alpha(alpha)
-    agents = np.array(as_matrix(scores, balanced=True))
+    agents = as_block(scores)
     m, n = agents.shape
     ranks, coverage = select_ranks(TableKey(m, n), alpha, table=table)
     l, k = ranks.local_rank, ranks.server_rank
     q_hat, transcript = _one_shot_round(
-        agents, {"local_rank": l}, _local_order_statistics(l), _server_order_statistic(k)
+        agents, {"local_rank": l}, lambda a: _kth_smallest(a, l), lambda s: _kth_smallest(s, k)
     )
     return CalibrationResult(
         q_hat=q_hat,
@@ -232,7 +215,7 @@ def fedcp_avg_calibrate(scores: Sequence[Sequence[float]], alpha: float) -> Cali
     it averages is undefined there.
     """
     check_alpha(alpha)
-    agents = np.array(as_matrix(scores, balanced=True))
+    agents = as_block(scores)
     m, n = agents.shape
     rank = split_rank(n, alpha)
     if rank > n:
@@ -241,10 +224,7 @@ def fedcp_avg_calibrate(scores: Sequence[Sequence[float]], alpha: float) -> Cali
             f"per agent the local quantile it averages does not exist"
         )
     q_hat, transcript = _one_shot_round(
-        agents,
-        {"local_rank": rank},
-        _local_order_statistics(rank),
-        lambda sent: float(np.mean(sent)),
+        agents, {"local_rank": rank}, lambda a: _kth_smallest(a, rank), np.mean
     )
     return CalibrationResult(
         q_hat=q_hat,

@@ -54,6 +54,7 @@ from .errors import (
     ResourceLimitError,
     check_alpha,
 )
+from .order_stats import split_rank
 
 __all__ = [
     "TableKey",
@@ -382,7 +383,7 @@ def coverage_probability(key: TableKey, ranks: RankPair) -> float:
     (m, n) = (1, 19)).
     """
     ranks.validate(key)
-    return _entry(CoverageTable(key=key), ranks.local_rank, ranks.server_rank)
+    return _entry_engine(key.m, key.n, ranks.local_rank, ranks.server_rank)
 
 
 def unbalanced_coverage(sizes: Sequence[int], local_ranks: Sequence[int]) -> np.ndarray:
@@ -553,7 +554,7 @@ def unbalanced_local_ranks(sizes: Sequence[int], alpha: float) -> list[int]:
     uncapped rank would be 2 for every reasonable alpha).
     """
     check_alpha(alpha)
-    return [min(int(n), math.ceil((1.0 - alpha) * (int(n) + 1))) for n in sizes]
+    return [min(int(n), split_rank(int(n), alpha)) for n in sizes]
 
 
 def select_ranks_unbalanced(

@@ -35,6 +35,7 @@ from .coverage_table import (
     select_ranks,
 )
 from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
+from .order_stats import _kth_smallest
 from .privacy import DpConfig, fedcp2_qq_calibrate
 
 __all__ = [
@@ -75,6 +76,8 @@ class FederationSpec:
         check_alpha(self.alpha)
         if self.n < 1:
             raise InvalidArgumentError(f"every local size must be >= 1, got n={self.n}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"the seed must be >= 0, got {self.seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +425,11 @@ def conditional_coverage_experiment(
         ranks, _ = select_ranks(key, spec.alpha)
     else:
         ranks.validate(key)
-    l, k = ranks.local_rank - 1, ranks.server_rank - 1  # 0-based positions
+    l, k = ranks.local_rank, ranks.server_rank
     alpha_p = np.empty(replications)
     for rep in range(replications):
-        block = _replication(sampler, spec.seed, rep, spec.m, spec.n)
-        local = np.partition(block, l, axis=1)[:, l]
-        alpha_p[rep] = 1.0 - float(cdf(np.partition(local, k)[k]))
+        local = _kth_smallest(_replication(sampler, spec.seed, rep, spec.m, spec.n), l)
+        alpha_p[rep] = 1.0 - float(cdf(_kth_smallest(local, k)))
     return ConditionalCoverageResult(ranks=ranks, alpha_p=alpha_p)
 
 

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.special import softmax
 
-from .conformal import CalibrationResult, _one_shot_round, _server_order_statistic
+from .conformal import CalibrationResult, _one_shot_round
 from .coverage_table import (
     CoverageTable,
     RankPair,
@@ -33,7 +34,7 @@ from .coverage_table import (
     _table_for,
 )
 from .errors import InfeasibleError, InvalidArgumentError, check_alpha
-from .order_stats import as_matrix
+from .order_stats import _kth_smallest, as_block, as_sample
 
 __all__ = [
     "BinGrid",
@@ -73,6 +74,7 @@ class BinGrid:
             raise InvalidArgumentError(f"the first edge must be 0, got {edges[0]}")
         if any(a >= b for a, b in zip(edges, edges[1:])):
             raise InvalidArgumentError("bin edges must be strictly increasing")
+        object.__setattr__(self, "_array", np.array(edges))  # edges for numpy lookups
 
     @classmethod
     def uniform(cls, s_max: float, bins: int = 100) -> "BinGrid":
@@ -91,18 +93,18 @@ class BinGrid:
         return self.edges[-1]
 
     def bin_index(self, scores) -> np.ndarray:
-        """1-based bin index of each score; rejects scores outside (0, s_max]."""
+        """1-based bin index of each score; rejects NaN and scores outside (0, s_max]."""
         arr = np.asarray(scores, dtype=float)
-        if arr.size and (np.min(arr) <= 0.0 or np.max(arr) > self.s_max):
+        if arr.size and not (arr.min() > 0.0 and arr.max() <= self.s_max):
             raise InvalidArgumentError(
                 f"scores must lie in (0, {self.s_max}]; clip before calling, "
                 f"got range [{np.min(arr)}, {np.max(arr)}]"
             )
-        return np.searchsorted(self.edges, arr, side="left")
+        return np.searchsorted(self._array, arr, side="left")
 
     def discretize(self, scores) -> np.ndarray:
         """Each score replaced by the upper edge of its bin."""
-        return np.asarray(self.edges)[self.bin_index(scores)]
+        return self._array[self.bin_index(scores)]
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -131,40 +133,47 @@ class DpConfig:
             raise InvalidArgumentError(f"gamma must be in (0, 1), got {self.gamma}")
 
 
-def _edge_weights(scores, q: float, grid: BinGrid) -> np.ndarray:
-    """Utility/sensitivity ratio per candidate edge (smaller is better).
+def _logits(index: np.ndarray, q: float, epsilon: float, bins: int) -> np.ndarray:
+    """Log-weights exp(-epsilon * utility / (2 * sensitivity)) of the B edges
+    for each row of the (m, n) bin indices ``index``, from that row alone.
 
     The raw utility is max(#below/q, #above/(1-q)) with sensitivity
     max(1/q, 1/(1-q)); dividing through first avoids the 1/(1-q) blow-up
     near q = 1.
     """
-    if not 0.0 < q <= 1.0:
-        raise InvalidArgumentError(f"quantile level must be in (0, 1], got {q}")
-    index = grid.bin_index(scores)
-    n = index.size
-    counts = np.bincount(index, minlength=grid.bins + 1)[1:]
-    at_or_below = np.cumsum(counts)
+    m, n = index.shape
+    # row j counts into slots j*(B+1) + 1 .. j*(B+1) + B, one per bin
+    slots = (index + np.arange(m)[:, None] * (bins + 1)).ravel()
+    counts = np.bincount(slots, minlength=m * (bins + 1)).reshape(m, bins + 1)[:, 1:]
+    at_or_below = np.cumsum(counts, axis=1)
     below = at_or_below - counts  # discretized scores strictly below each edge
     above = n - at_or_below  # strictly above each edge
+    scale = -0.5 * epsilon
     if q >= 0.5:
-        return np.maximum(below * ((1.0 - q) / q), above)
-    return np.maximum(below, above * (q / (1.0 - q)))
+        return scale * np.maximum(below * ((1.0 - q) / q), above)
+    return scale * np.maximum(below, above * (q / (1.0 - q)))
 
 
-def _logits(scores, q: float, epsilon: float, grid: BinGrid) -> np.ndarray:
-    """Log-weights exp(-epsilon * utility / (2 * sensitivity)) of the B edges."""
+def _release(index: np.ndarray, q: float, epsilon: float, grid: BinGrid, streams) -> np.ndarray:
+    """The edge drawn for each row of bin indices ``index``, row j's noise from ``streams[j]``."""
+    noise = np.array([stream.gumbel(size=grid.bins) for stream in streams])
+    choice = np.argmax(_logits(index, q, epsilon, grid.bins) + noise, axis=1)
+    return grid._array[choice + 1]
+
+
+def _one_agent(scores, q: float, epsilon: float, grid: BinGrid) -> np.ndarray:
+    """Checked inputs of the one-agent mechanism, as a (1, n) bin-index block."""
     _check_epsilon(epsilon)
-    return -0.5 * epsilon * _edge_weights(scores, q, grid)
+    if not 0.0 < q <= 1.0:
+        raise InvalidArgumentError(f"quantile level must be in (0, 1], got {q}")
+    return grid.bin_index(as_sample(scores))[None, :]
 
 
 def private_quantile_distribution(
     scores: Sequence[float], q: float, epsilon: float, grid: BinGrid
 ) -> np.ndarray:
     """Exact output distribution of :func:`private_quantile` over the B edges."""
-    logits = _logits(scores, q, epsilon, grid)
-    logits -= np.max(logits)
-    weights = np.exp(logits)
-    return weights / np.sum(weights)
+    return softmax(_logits(_one_agent(scores, q, epsilon, grid), q, epsilon, grid.bins)[0])
 
 
 def private_quantile(
@@ -181,9 +190,7 @@ def private_quantile(
     random generator the call is deterministic, so per-agent generator
     streams make federated runs reproducible.
     """
-    logits = _logits(scores, q, epsilon, grid)
-    choice = int(np.argmax(logits + rng.gumbel(size=logits.size)))
-    return float(grid.edges[choice + 1])
+    return float(_release(_one_agent(scores, q, epsilon, grid), q, epsilon, grid, [rng])[0])
 
 
 def rank_correction(epsilon: float, bins: int, agents: int, gamma_alpha: float) -> int:
@@ -300,27 +307,19 @@ def fedcp2_qq_calibrate(
     one-candidate grid. The reported guarantee is 1 - alpha.
     """
     check_alpha(alpha)
-    agents = np.array(as_matrix(scores, balanced=True))
-    m, n = agents.shape
-    config.grid.bin_index(agents)  # validate range before any sampling
+    binned = config.grid.bin_index(as_block(scores))  # checks the range before any search
+    m, n = binned.shape
     candidates = DEFAULT_GAMMA_GRID if config.gamma is None else (config.gamma,)
     selection = select_gamma(
         TableKey(m, n), alpha, config.epsilon, config.grid.bins, candidates, table=table
     )
     q = max((selection.local_rank + selection.correction) / n, 0.5)
     k = selection.server_rank
-
-    def local(agents: np.ndarray) -> list[float]:
-        streams = rng.spawn(m)
-        return [
-            private_quantile(a, q, config.epsilon, config.grid, s) for a, s in zip(agents, streams)
-        ]
-
     q_hat, transcript = _one_shot_round(
-        agents,
+        binned,
         dict(quantile=q, epsilon=config.epsilon, edges=config.grid.edges, server_rank=k),
-        local,
-        _server_order_statistic(k),
+        lambda binned: _release(binned, q, config.epsilon, config.grid, rng.spawn(m)),
+        lambda sent: _kth_smallest(sent, k),
     )
     return CalibrationResult(
         q_hat=q_hat,

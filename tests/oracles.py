@@ -6,7 +6,8 @@ not use: exact rationals over literal index tuples, the same enumeration
 in floats, the log-Gamma closed form at local rank n, the threshold's law
 as a rational polynomial, truncated-binomial convolutions in log space,
 batched Monte-Carlo, a straight transcription of the
-exponential-mechanism softmax, and the per-row score-file reader.
+exponential-mechanism softmax, the per-agent private release and the
+per-row score-file reader.
 Gauss-Legendre quadrature of the order-statistic integrand is kept as the
 plain formula the library's engine evaluates. Expected values frozen in
 the tests were produced by these.
@@ -314,6 +315,38 @@ def mechanism_softmax(scores, edges, q, epsilon):
     raw = [math.exp(-epsilon * w / (2.0 * sensitivity)) for w in weights]
     total = sum(raw)
     return np.array([r / total for r in raw])
+
+
+# ---------------------------------------------------------------------------
+# private release: the per-agent loop the block release in ``fedcal.privacy``
+# replaced, kept as its reference
+# ---------------------------------------------------------------------------
+
+
+def _edge_weights_one_agent(scores, q, grid) -> np.ndarray:
+    index = grid.bin_index(scores)
+    n = index.size
+    counts = np.bincount(index, minlength=grid.bins + 1)[1:]
+    at_or_below = np.cumsum(counts)
+    below = at_or_below - counts
+    above = n - at_or_below
+    if q >= 0.5:
+        return np.maximum(below * ((1.0 - q) / q), above)
+    return np.maximum(below, above * (q / (1.0 - q)))
+
+
+def private_quantile_one_agent(scores, q, epsilon, grid, rng) -> float:
+    """One agent's edge: Gumbel-max over its own B log-weights."""
+    logits = -0.5 * epsilon * _edge_weights_one_agent(scores, q, grid)
+    choice = int(np.argmax(logits + rng.gumbel(size=logits.size)))
+    return float(grid.edges[choice + 1])
+
+
+def private_release_by_agent(agents, q, epsilon, grid, rng) -> list[float]:
+    """Each agent's edge in turn, agent j drawing from the j-th stream of
+    ``rng.spawn(m)``."""
+    streams = rng.spawn(len(agents))
+    return [private_quantile_one_agent(a, q, epsilon, grid, s) for a, s in zip(agents, streams)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """The public API, pinned: adding, removing or renaming an export of
 ``fedcal`` shows up as a diff of this list."""
 
+import importlib
+import pkgutil
+
+import pytest
+
 import fedcal
 
 PUBLIC_API = [
@@ -70,3 +75,26 @@ def test_star_import_binds_every_name():
     namespace: dict = {}
     exec("from fedcal import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_API
+
+
+MODULES_WITH_ALL = [
+    info.name
+    for info in pkgutil.iter_modules(fedcal.__path__)
+    if hasattr(importlib.import_module(f"fedcal.{info.name}"), "__all__")
+]
+
+
+def test_the_package_modules_declare_their_exports():
+    assert {"order_stats", "conformal", "coverage_table", "privacy", "federation"} <= set(
+        MODULES_WITH_ALL
+    )
+
+
+@pytest.mark.parametrize("name", MODULES_WITH_ALL)
+def test_star_import_of_each_module_binds_its_all(name):
+    # a stale name in __all__ makes the star import itself raise
+    namespace: dict = {}
+    exec(f"from fedcal.{name} import *", namespace)
+    declared = importlib.import_module(f"fedcal.{name}").__all__
+    assert len(declared) == len(set(declared))
+    assert set(declared) <= set(namespace)

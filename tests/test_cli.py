@@ -183,6 +183,14 @@ class TestCalibrateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and name in err
 
+    @pytest.mark.parametrize("method", ["fedcp-qq", "fedcp2-qq"])
+    def test_negative_seed_refused(self, tmp_path, capsys, method):
+        paths = _write_agent_files(tmp_path, [[0.1, 0.5, 0.3]] * 2)
+        code, out, err = _run(capsys, "calibrate", *paths, "--alpha", "0.5", "--method", method,
+                              "--epsilon", "5", "--smax", "1", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "--seed" in err
+
     def test_avg_rank_overflow_message(self, tmp_path, capsys):
         paths = _write_agent_files(tmp_path, [[1.0, 2.0], [3.0, 4.0]])
         code, _, err = _run(capsys, "calibrate", *paths, "--alpha", "0.1",
@@ -303,6 +311,12 @@ class TestSimulateCommand:
         len_qq = float(out_qq.split("mean_length=")[1].split()[0])
         len_avg = float(out_avg.split("mean_length=")[1].split()[0])
         assert len_avg > len_qq
+
+    def test_negative_seed_refused(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--m", "3", "--n", "10", "--alpha", "0.2",
+                              "--method", "fedcp-qq", "--reps", "2", "--seed", "-1")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "--seed" in err
 
     def test_deterministic_under_seed(self, tmp_path, capsys):
         args = ("simulate", "--m", "4", "--n", "10", "--alpha", "0.1",

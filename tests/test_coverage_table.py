@@ -426,6 +426,22 @@ class TestPersistence:
         assert loaded.entries == table.entries
         loaded.validate()
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.integers(1, 8), n=st.integers(1, 12))
+    def test_engine_entries_round_trip_bit_identical(self, tmp_path_factory, data, m, n):
+        pairs = data.draw(st.sets(st.tuples(st.integers(1, n), st.integers(1, m)),
+                                  max_size=m * n))
+        table = CoverageTable(key=TableKey(m, n))
+        for l, k in pairs:
+            table.entries[(l, k)] = _entry_engine(m, n, l, k)
+        path = tmp_path_factory.mktemp("cache") / "table.txt"
+        save_table(table, path)
+        loaded = load_table(path)
+        assert loaded.key == table.key
+        assert {pair: value.hex() for pair, value in loaded.entries.items()} == {
+            pair: value.hex() for pair, value in table.entries.items()
+        }
+
     def test_failed_replace_keeps_previous_file(self, tmp_path, monkeypatch):
         key = TableKey(4, 6)
         table = CoverageTable(key=key)

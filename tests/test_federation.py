@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from fedcal import (
     BinGrid,
     DpConfig,
     FederationSpec,
+    InfeasibleError,
     InvalidArgumentError,
     OutlierScores,
     ProtocolViolationError,
@@ -26,6 +29,7 @@ from fedcal import (
     poisson_binomial_diagnostic,
     run_one_shot,
     select_ranks,
+    split_rank,
     substream,
     synthetic_conditional_quantile,
     synthetic_dataset,
@@ -169,6 +173,35 @@ class TestRunOneShot:
             _one_shot_round(agents, {}, local, np.max)
 
 
+class TestRoundProperties:
+    # large epsilon and few bins keep the rank correction at 1 or 2
+    _CONFIG = DpConfig(epsilon=50.0, grid=BinGrid.uniform(1.0, 10))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), method=st.sampled_from(["fedcp-qq", "fedcp-avg", "fedcp2-qq"]),
+           m=st.integers(1, 8), n=st.integers(1, 40))
+    def test_one_uplink_per_agent_computed_from_its_own_row(self, data, method, m, n):
+        # the smallest shapes that reach 0.8 at all: m*n >= 4 for the
+        # quantile of quantiles, split rank <= n for the average
+        assume(m * n >= 4 and (method != "fedcp-avg" or split_rank(n, 0.2) <= n))
+        scores = st.lists(st.floats(1e-6, 1.0), min_size=m * n, max_size=m * n)
+        block = np.reshape(data.draw(scores), (m, n))
+        j = data.draw(st.integers(0, m - 1))
+        redrawn = np.reshape(data.draw(scores), (m, n))
+        redrawn[j] = block[j]
+        spec = FederationSpec(m=m, n=n, alpha=0.2, seed=0)
+        transcripts = []
+        for agents in (block, redrawn):
+            try:
+                _, transcript = run_one_shot(spec, agents, method, dp_config=self._CONFIG,
+                                             rng=np.random.default_rng(7))
+            except InfeasibleError:  # n too small for the private rank correction
+                assume(False)
+            assert [agent for agent, _ in transcript.uplinks] == list(range(m))
+            transcripts.append(transcript)
+        assert transcripts[0].uplinks[j] == transcripts[1].uplinks[j]
+
+
 class TestCoverageExperiment:
     def test_deterministic_for_fixed_spec(self):
         spec = FederationSpec(m=5, n=12, alpha=0.1, seed=31)
@@ -210,6 +243,13 @@ class TestCoverageExperiment:
         assert len(rows) == 3
         assert rows[0]["method"] == "fedcp_qq"
         assert float(rows[1]["coverage"]) == summary.rows[1]["coverage"]
+
+
+class TestFederationSpec:
+    def test_negative_seed_refused(self):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            FederationSpec(m=2, n=3, alpha=0.1, seed=-1)
+        assert FederationSpec(m=2, n=3, alpha=0.1, seed=0).seed == 0
 
 
 class TestConditionalCoverage:

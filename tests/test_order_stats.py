@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedcal import InvalidArgumentError, order_statistic, quantile_of_quantiles
+from fedcal.order_stats import as_block
 
 
 class TestOrderStatistic:
@@ -41,6 +42,46 @@ class TestOrderStatistic:
                 assert order_statistic(sample, rank) == ordered[rank - 1]
 
 
+class TestAsBlock:
+    def test_rows_are_agents(self):
+        block = as_block([[3, 1], [2, 5]])
+        assert block.dtype == np.float64
+        np.testing.assert_array_equal(block, [[3.0, 1.0], [2.0, 5.0]])
+
+    def test_equal_length_arrays_and_a_block_agree(self):
+        rng = np.random.default_rng(4)
+        rows = [rng.normal(size=7) for _ in range(3)]
+        np.testing.assert_array_equal(as_block(rows), as_block(np.stack(rows)))
+
+    def test_float_block_is_not_copied_or_changed(self):
+        block = np.random.default_rng(1).normal(size=(4, 5))
+        before = block.copy()
+        assert as_block(block) is block
+        np.testing.assert_array_equal(block, before)
+
+    @pytest.mark.parametrize(
+        "agents, message",
+        [
+            ([], "at least one agent"),
+            (np.empty((0, 3)), "at least one agent"),
+            ([[1.0, 2.0], []], "must not be empty"),
+            (np.empty((2, 0)), "must not be empty"),
+            ([[1.0, 2.0], [[3.0, 4.0]]], r"one-dimensional, got shape \(1, 2\)"),
+            (np.ones((2, 2, 2)), r"one-dimensional, got shape \(2, 2\)"),
+            ([1.0, 2.0], r"one-dimensional, got shape \(\)"),
+            ([[1.0, math.nan]], "NaN or infinite"),
+            (np.array([[1.0, 2.0], [3.0, -math.inf]]), "NaN or infinite"),
+            ([[1.0, 2.0], [3.0]], r"balanced score matrix required, got local sizes \[1, 2\]"),
+            ([[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]], r"local sizes \[1, 2, 3\]"),
+            # a bad agent is reported before unequal sizes
+            ([[1.0, 2.0], [math.nan]], "NaN or infinite"),
+        ],
+    )
+    def test_refusals_name_the_problem(self, agents, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            as_block(agents)
+
+
 class TestQuantileOfQuantiles:
     def test_single_agent_reduces_to_local_order_statistic(self):
         assert quantile_of_quantiles([[1.0, 2.0, 3.0]], 2, 1) == 2.0
@@ -51,6 +92,14 @@ class TestQuantileOfQuantiles:
 
     def test_all_agents_overflow_to_inf(self):
         assert quantile_of_quantiles([[1.0], [2.0]], 2, 1) == math.inf
+
+    def test_unequal_sizes_match_per_agent_order_statistics(self):
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            agents = [rng.normal(size=rng.integers(1, 9)) for _ in range(rng.integers(1, 6))]
+            l, k = int(rng.integers(1, 10)), int(rng.integers(1, len(agents) + 1))
+            local = sorted(order_statistic(a, l) for a in agents)
+            assert quantile_of_quantiles(agents, l, k) == local[k - 1]
 
     def test_server_rank_above_m_rejected(self):
         with pytest.raises(InvalidArgumentError):

@@ -22,8 +22,9 @@ from fedcal import (
     select_ranks,
 )
 from fedcal.coverage_table import RankPair, _entry_engine
+from fedcal.privacy import _release
 
-from oracles import mechanism_softmax
+from oracles import mechanism_softmax, private_quantile_one_agent, private_release_by_agent
 
 
 class TestBinGrid:
@@ -143,6 +144,69 @@ class TestPrivateQuantileSampling:
             scores = rng.uniform(1e-6, 2.0, size=9)
             value = private_quantile(scores, 0.6, 0.5, grid, rng)
             assert value in grid.edges[1:]
+
+
+class TestBlockReleaseMatchesPerAgentLoop:
+    """The one-pass release draws, edge for edge, what releasing each agent
+    in turn from the j-th spawned stream draws (``oracles``)."""
+
+    def test_calibrator_uplinks(self):
+        rng = np.random.default_rng(2302)
+        released = 0
+        for _ in range(40):
+            m, n = int(rng.integers(1, 12)), int(rng.integers(30, 120))
+            cfg = DpConfig(epsilon=float(rng.uniform(2.0, 20.0)),
+                           grid=BinGrid.uniform(1.0, int(rng.integers(1, 60))))
+            scores = 1.0 - rng.uniform(size=(m, n))
+            seed = int(rng.integers(2**32))
+            try:
+                result = fedcp2_qq_calibrate(scores, 0.2, cfg, np.random.default_rng(seed))
+            except InfeasibleError:
+                continue
+            expected = private_release_by_agent(
+                scores, result.params["quantile"], cfg.epsilon, cfg.grid,
+                np.random.default_rng(seed),
+            )
+            assert result.transcript.payloads.tolist() == expected
+            released += 1
+        assert released >= 20
+
+    def test_blocks_at_every_level(self):
+        rng = np.random.default_rng(75)
+        for _ in range(100):
+            m, n = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            grid = BinGrid.uniform(2.0, int(rng.integers(1, 30)))
+            scores = 2.0 - 2.0 * rng.uniform(size=(m, n))
+            q = float(rng.choice([rng.uniform(0.01, 0.5), rng.uniform(0.5, 1.0), 1.0]))
+            epsilon = float(rng.uniform(0.1, 10.0))
+            seed = int(rng.integers(2**32))
+            streams = np.random.default_rng(seed).spawn(m)
+            got = _release(grid.bin_index(scores), q, epsilon, grid, streams).tolist()
+            expected = private_release_by_agent(
+                scores, q, epsilon, grid, np.random.default_rng(seed)
+            )
+            assert got == expected
+
+    def test_private_quantile_below_and_above_one_half(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            grid = BinGrid.uniform(1.0, int(rng.integers(1, 25)))
+            scores = 1.0 - rng.uniform(size=int(rng.integers(1, 50)))
+            q = float(rng.uniform(0.01, 1.0))
+            epsilon = float(rng.uniform(0.1, 10.0))
+            seed = int(rng.integers(2**32))
+            got = private_quantile(scores, q, epsilon, grid, np.random.default_rng(seed))
+            expected = private_quantile_one_agent(
+                scores, q, epsilon, grid, np.random.default_rng(seed)
+            )
+            assert got == expected
+
+    def test_nan_score_refused(self):
+        grid = BinGrid.uniform(1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="clip"):
+            grid.bin_index([0.5, math.nan])
+        with pytest.raises(InvalidArgumentError):
+            private_quantile([0.5, math.nan], 0.5, 1.0, grid, np.random.default_rng(0))
 
 
 class TestRankCorrection:
