@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -124,11 +124,14 @@ class CoverageTable:
     """Lazily filled map (local_rank, server_rank) -> coverage for one (m, n).
 
     Holds only the entries a search has read (about n + m of the m*n);
-    they are level-independent, so one table serves every alpha.
+    they are level-independent, so one table serves every alpha. The rank
+    and gamma searches keep their answers on the table (see
+    :func:`_memoised`); those are neither compared nor saved.
     """
 
     key: TableKey
     entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         """Check every entry's ranks, its range [0, 1], and monotonicity in
@@ -206,8 +209,9 @@ def _local_cdf(n: int, local_rank: int, count: int) -> np.ndarray:
     return g
 
 
-def _quadrature(m: int, n: int, local_rank: int, server_rank) -> np.ndarray:
-    """Coverage at one local rank for a server rank or a column of them.
+def _quadrature(m: int, n: int, local_rank: int, server_rank):
+    """Coverage at one local rank for a server rank (a float) or a column of
+    them (an array).
 
     Each server rank reduces its own row of nodes, so an entry evaluated
     alone is bit-identical to the same entry of a column.
@@ -216,6 +220,11 @@ def _quadrature(m: int, n: int, local_rank: int, server_rank) -> np.ndarray:
     g = _local_cdf(n, local_rank, t.size)
     k = server_rank
     coverage = 1.0 - (betainc(k, m - k + 1, g) * w).sum(axis=-1)
+    if np.ndim(coverage) == 0:  # one entry: check and clip it as a float
+        coverage = float(coverage)
+        if coverage < -1e-9 or coverage > 1.0 + 1e-9:
+            raise InternalError(f"coverage left [0, 1] for m={m}, n={n}, l={local_rank}")
+        return min(max(coverage, 0.0), 1.0)
     if np.any(coverage < -1e-9) or np.any(coverage > 1.0 + 1e-9):
         raise InternalError(f"coverage left [0, 1] for m={m}, n={n}, l={local_rank}")
     return np.clip(coverage, 0.0, 1.0)
@@ -224,7 +233,7 @@ def _quadrature(m: int, n: int, local_rank: int, server_rank) -> np.ndarray:
 @lru_cache(maxsize=4096)
 def _entry_engine(m: int, n: int, local_rank: int, server_rank: int) -> float:
     """One coverage entry, memoised for the process."""
-    return float(_quadrature(m, n, local_rank, server_rank))
+    return _quadrature(m, n, local_rank, server_rank)
 
 
 @lru_cache(maxsize=256)
@@ -482,8 +491,35 @@ def select_ranks(
     return ranks, value
 
 
+def _memoised(table: CoverageTable, key: tuple, search: Callable):
+    """``search()``, or its answer kept from an earlier call on ``table``.
+
+    An answer is kept only when the search left the table's entries exactly
+    as it found them, and reused only while the table still holds exactly
+    those entries. A search reads nothing but the entries, so a reused
+    answer is the one the search would give now. ``table._memo["entries"]``
+    is the copy of the entries that the kept answers were found on.
+    """
+    memo, entries = table._memo, table.entries
+    if memo and memo["entries"] != entries:
+        memo.clear()
+    if key in memo:
+        return memo[key]
+    before = dict(entries)
+    answer = search()
+    if entries == before:
+        memo.setdefault("entries", before)
+        memo[key] = answer
+    return answer
+
+
 def _search_ranks(table: CoverageTable, alpha: float) -> tuple[RankPair, float]:
-    """The frontier walk of :func:`select_ranks`, trusting ``table``."""
+    """The frontier walk of :func:`select_ranks`, trusting ``table``;
+    memoised per level."""
+    return _memoised(table, ("ranks", alpha), lambda: _walk_frontier(table, alpha))
+
+
+def _walk_frontier(table: CoverageTable, alpha: float) -> tuple[RankPair, float]:
     m, n = table.key.m, table.key.n
     if not _reaches(table, n, m, alpha):
         raise InfeasibleError(

@@ -7,17 +7,21 @@ result, so the single-round property (exactly one uplink message per
 agent) is asserted rather than assumed; :func:`run_one_shot` returns that
 transcript alongside the result. All randomness derives from a master
 seed via counter-style spawn keys, one stream per (replication, agent), so
-results are reproducible under any execution order.
+results are reproducible under any execution order. The simulator seeds
+those streams in one vectorised pass, and each is still exactly
+``substream(seed, replication, agent)``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import betainc, ndtr
 
 from .conformal import (
@@ -34,7 +38,7 @@ from .coverage_table import (
     _poisson_binomial_pmf,
     select_ranks,
 )
-from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
+from .errors import InternalError, InvalidArgumentError, ProtocolViolationError, check_alpha
 from .order_stats import _kth_smallest
 from .privacy import DpConfig, fedcp2_qq_calibrate
 
@@ -76,7 +80,11 @@ class FederationSpec:
         check_alpha(self.alpha)
         if self.n < 1:
             raise InvalidArgumentError(f"every local size must be >= 1, got n={self.n}")
-        if self.seed < 0:
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise InvalidArgumentError(f"the seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
             raise InvalidArgumentError(f"the seed must be >= 0, got {self.seed}")
 
 
@@ -154,13 +162,112 @@ def _agent_shifts(shifts: Sequence[float] | None, m: int) -> np.ndarray:
     return arr
 
 
-def _replication(sampler, seed: int, rep: int, m: int, n: int) -> np.ndarray:
-    """Replication ``rep``'s (m, n) score block: row j is agent j's n draws
-    from ``substream(seed, rep, j)``."""
-    block = np.empty((m, n))
-    for j in range(m):
-        block[j] = sampler.sample(substream(seed, rep, j), n)
+def _replication(sampler, streams: Sequence[np.random.Generator], n: int) -> np.ndarray:
+    """The (m, n) score block whose row j is n draws from ``streams[j]``."""
+    block = np.empty((len(streams), n))
+    for j, stream in enumerate(streams):
+        block[j] = sampler.sample(stream, n)
     return block
+
+
+# numpy.random.SeedSequence's hash constants, and its word mask
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# keys seeded per pass: bounds the pass's temporaries to a few MiB
+_KEYS_PER_PASS = 1 << 16
+
+
+def _hash(value, const: int, mult: int):
+    """SeedSequence's multiply-xorshift step on 32-bit words (a Python int or
+    a uint32 array), with the next hash constant."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> 16, const_next
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words (Python ints or uint32 arrays)."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """Row i is ``SeedSequence(seed, spawn_key=keys[i]).generate_state(4,
+    np.uint64)``, the state ``substream`` seeds PCG64 with.
+
+    ``keys`` is a (count, d) array of non-negative integers. numpy's
+    entropy mixing and ``generate_state`` run once over all keys whose
+    elements are below 2^32, one word each; any other key, whose elements
+    take several words, goes through ``SeedSequence`` itself.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise InvalidArgumentError(f"the seed must be >= 0, got {seed}")
+    states = np.empty((len(keys), 4), dtype=np.uint64)
+    fits = np.all((keys >= 0) & (keys <= _MASK32), axis=1)
+    for i in np.flatnonzero(~fits):
+        key = tuple(int(k) for k in keys[i])
+        states[i] = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+    # the seed's 32-bit words, low first, zero-padded to the pool size of 4
+    # because a spawn key follows
+    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy += [0] * (4 - len(entropy))
+    pool, const = [], _INIT_A
+    for word in entropy[:4]:
+        word, const = _hash(word, const, _MULT_A)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                word, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], word)
+    # the seed's words beyond the pool, then the key's, each mixed into every pool word
+    words = keys[fits].astype(np.uint32).T
+    pool = [np.full(words.shape[1], word, dtype=np.uint32) for word in pool]
+    for extra in [*entropy[4:], *words]:
+        for dst in range(4):
+            word, const = _hash(extra, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], word)
+    const, halves = _INIT_B, []
+    for i in range(8):
+        word, const = _hash(pool[i % 4], const, _MULT_B)
+        halves.append(word.astype(np.uint64))
+    for j in range(4):  # 64-bit word j is 32-bit words 2j (low) and 2j + 1 (high)
+        states[fits, j] = halves[2 * j] | halves[2 * j + 1] << 32
+    return states
+
+
+class _Preseeded(ISeedSequence):
+    """A seed sequence that hands PCG64 one precomputed 4-word state."""
+
+    def __init__(self, state: np.ndarray) -> None:
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise InternalError(f"a preseeded stream holds 4 uint64 words, not {n_words} {dtype}")
+        return self.state
+
+
+def _replication_streams(
+    seed: int, replications: int, count: int
+) -> Iterator[list[np.random.Generator]]:
+    """For each replication r in turn, the generators equal to
+    ``substream(seed, r, j)`` for j < ``count``.
+
+    States are computed in bulk, for as many replications as
+    ``_KEYS_PER_PASS`` keys hold; a replication's generators are built
+    only when it is reached.
+    """
+    reps_per_pass = max(1, _KEYS_PER_PASS // count)
+    for start in range(0, replications, reps_per_pass):
+        reps = np.arange(start, min(start + reps_per_pass, replications))
+        keys = np.stack(np.meshgrid(reps, np.arange(count), indexing="ij"), axis=-1)
+        states = _stream_states(seed, keys.reshape(-1, 2)).reshape(reps.size, count, 4)
+        for rep_states in states:
+            yield [np.random.Generator(np.random.PCG64(_Preseeded(row))) for row in rep_states]
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +379,14 @@ METHODS: dict[str, Method] = {
 }
 
 
+def _method_entry(method: str) -> Method:
+    """The ``METHODS`` entry for ``method``, whose underscores may stand for hyphens."""
+    entry = METHODS.get(method.replace("_", "-"))
+    if entry is None:
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    return entry
+
+
 def run_one_shot(
     spec: FederationSpec,
     scores: Sequence[Sequence[float]],
@@ -290,9 +405,7 @@ def run_one_shot(
     """
     if len(scores) != spec.m:
         raise InvalidArgumentError(f"expected {spec.m} agents of scores, got {len(scores)}")
-    entry = METHODS.get(method.replace("_", "-"))
-    if entry is None:
-        raise InvalidArgumentError(f"unknown method {method!r}")
+    entry = _method_entry(method)
     if not entry.one_shot:
         raise ProtocolViolationError(
             f"{method} calibration needs every local score, which exceeds "
@@ -300,7 +413,8 @@ def run_one_shot(
         )
     if entry.private and dp_config is None:
         raise InvalidArgumentError("the private method needs a DpConfig")
-    rng = np.random.default_rng(spec.seed) if rng is None else rng
+    if entry.private and rng is None:
+        rng = np.random.default_rng(spec.seed)
     result = entry.run(scores, spec.alpha, table=table, dp_config=dp_config, rng=rng)
     return result, result.transcript
 
@@ -337,20 +451,23 @@ def coverage_experiment(
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
     if test_size < 1:
         raise InvalidArgumentError(f"test_size must be >= 1, got {test_size}")
-    offsets = _agent_shifts(shifts, spec.m)[:, None]
-    table = CoverageTable(key=TableKey(spec.m, spec.n))
+    m = spec.m
+    offsets = _agent_shifts(shifts, m)[:, None]
+    private = _method_entry(method).private
+    table = CoverageTable(key=TableKey(m, spec.n))
     rows: list[dict] = []
-    for rep in range(replications):
-        agents = _replication(sampler, spec.seed, rep, spec.m, spec.n) + offsets
+    # streams 0..m-1 are the agents', m the test scores', m + 1 the private round's
+    for rep, streams in enumerate(_replication_streams(spec.seed, replications, m + 1)):
+        agents = _replication(sampler, streams[:m], spec.n) + offsets
         result, _ = run_one_shot(
             spec,
             agents,
             method,
             table=table,
             dp_config=dp_config,
-            rng=substream(spec.seed, rep, spec.m + 1),
+            rng=substream(spec.seed, rep, m + 1) if private else None,
         )
-        test = sampler.sample(substream(spec.seed, rep, spec.m), test_size)
+        test = sampler.sample(streams[m], test_size)
         coverage = float(np.mean(test <= result.q_hat))
         rows.append(
             {
@@ -427,8 +544,8 @@ def conditional_coverage_experiment(
         ranks.validate(key)
     l, k = ranks.local_rank, ranks.server_rank
     alpha_p = np.empty(replications)
-    for rep in range(replications):
-        local = _kth_smallest(_replication(sampler, spec.seed, rep, spec.m, spec.n), l)
+    for rep, streams in enumerate(_replication_streams(spec.seed, replications, spec.m)):
+        local = _kth_smallest(_replication(sampler, streams, spec.n), l)
         alpha_p[rep] = 1.0 - float(cdf(_kth_smallest(local, k)))
     return ConditionalCoverageResult(ranks=ranks, alpha_p=alpha_p)
 

@@ -30,6 +30,7 @@ from .coverage_table import (
     TableKey,
     _check_stored,
     _entry,
+    _memoised,
     _search_ranks,
     _table_for,
 )
@@ -236,9 +237,10 @@ def select_gamma(
     coverage is smallest wins (that coverage measures how much the
     compensation overshoots); ties go to the smaller gamma. Every coverage
     is read through ``table`` (a fresh one when none is given), which stores
-    each corrected entry for the next search. The winner's rank pair, on
-    which the guarantee rests, is recomputed as in
-    :func:`fedcal.coverage_table.select_ranks`.
+    each corrected entry for the next search and keeps the selection while
+    its entries stand. The winner's rank pair, on which the guarantee
+    rests, is recomputed as in :func:`fedcal.coverage_table.select_ranks`,
+    on every call.
 
     Raises
     ------
@@ -252,6 +254,20 @@ def select_gamma(
     if len(candidates) == 0:
         raise InvalidArgumentError("gamma grid must be nonempty")
     table = _table_for(table, key.m, key.n)
+    best = _memoised(
+        table,
+        ("gamma", alpha, epsilon, bins, tuple(candidates)),
+        lambda: _search_gamma(table, alpha, epsilon, bins, candidates),
+    )
+    _check_stored(table, RankPair(best.local_rank, best.server_rank))
+    return best
+
+
+def _search_gamma(
+    table: CoverageTable, alpha: float, epsilon: float, bins: int, candidates: Sequence[float]
+) -> GammaSelection:
+    """The grid search of :func:`select_gamma`, trusting ``table``."""
+    key = table.key
     best: GammaSelection | None = None
     rejected: dict[float, str] = {}
     for gamma in candidates:
@@ -285,7 +301,6 @@ def select_gamma(
             f"no feasible gamma among {len(candidates)} candidate(s); "
             f"gamma = {gamma:g} fails because {rejected[gamma]}"
         )
-    _check_stored(table, RankPair(best.local_rank, best.server_rank))
     return best
 
 

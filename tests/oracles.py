@@ -6,8 +6,9 @@ not use: exact rationals over literal index tuples, the same enumeration
 in floats, the log-Gamma closed form at local rank n, the threshold's law
 as a rational polynomial, truncated-binomial convolutions in log space,
 batched Monte-Carlo, a straight transcription of the
-exponential-mechanism softmax, the per-agent private release and the
-per-row score-file reader.
+exponential-mechanism softmax, the per-agent private release, the
+per-row score-file reader and the simulator loop that seeds every stream
+through ``substream``.
 Gauss-Legendre quadrature of the order-statistic integrand is kept as the
 plain formula the library's engine evaluates. Expected values frozen in
 the tests were produced by these.
@@ -24,8 +25,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc, gammaln, logsumexp, roots_legendre
 
-from fedcal.coverage_table import RankPair, TableKey
+from fedcal.coverage_table import CoverageTable, RankPair, TableKey
 from fedcal.errors import InvalidArgumentError, ResourceLimitError
+from fedcal.federation import _agent_shifts, run_one_shot, substream
+from fedcal.order_stats import _kth_smallest
 
 
 def coverage_exact_fraction(m: int, n: int, l: int, k: int) -> Fraction:
@@ -438,3 +441,61 @@ def _parse_score(path, line_no: int, text: str) -> float:
     if not math.isfinite(value):
         raise InvalidArgumentError(f"{path}:{line_no}: score {text!r} is not finite")
     return value
+
+
+# ---------------------------------------------------------------------------
+# simulator: the per-replication loops that seed every stream through
+# ``substream``, kept as the reference of the bulk-seeded ones
+# ---------------------------------------------------------------------------
+
+
+def _replication_by_substream(sampler, seed: int, rep: int, m: int, n: int) -> np.ndarray:
+    """Replication ``rep``'s (m, n) score block: row j is agent j's n draws
+    from ``substream(seed, rep, j)``."""
+    block = np.empty((m, n))
+    for j in range(m):
+        block[j] = sampler.sample(substream(seed, rep, j), n)
+    return block
+
+
+def coverage_rows_by_substream(
+    spec, replications, method, sampler, test_size, *, dp_config=None, shifts=None
+) -> list[dict]:
+    """``coverage_experiment``'s rows, each stream built by ``substream``."""
+    offsets = _agent_shifts(shifts, spec.m)[:, None]
+    table = CoverageTable(key=TableKey(spec.m, spec.n))
+    rows: list[dict] = []
+    for rep in range(replications):
+        agents = _replication_by_substream(sampler, spec.seed, rep, spec.m, spec.n) + offsets
+        result, _ = run_one_shot(
+            spec,
+            agents,
+            method,
+            table=table,
+            dp_config=dp_config,
+            rng=substream(spec.seed, rep, spec.m + 1),
+        )
+        test = sampler.sample(substream(spec.seed, rep, spec.m), test_size)
+        coverage = float(np.mean(test <= result.q_hat))
+        rows.append(
+            {
+                "method": result.method,
+                "replication": rep,
+                "coverage": coverage,
+                "mean_length": 2.0 * result.q_hat,
+                "q_hat": result.q_hat,
+                "seed": spec.seed,
+            }
+        )
+    return rows
+
+
+def conditional_alpha_p_by_substream(spec, replications, sampler, ranks) -> np.ndarray:
+    """``conditional_coverage_experiment``'s ``alpha_p`` at ``ranks``, each
+    stream built by ``substream``."""
+    l, k = ranks.local_rank, ranks.server_rank
+    alpha_p = np.empty(replications)
+    for rep in range(replications):
+        local = _kth_smallest(_replication_by_substream(sampler, spec.seed, rep, spec.m, spec.n), l)
+        alpha_p[rep] = 1.0 - float(sampler.cdf(_kth_smallest(local, k)))
+    return alpha_p

@@ -28,6 +28,7 @@ from fedcal import (
     unbalanced_coverage,
 )
 
+from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
@@ -94,6 +95,13 @@ class TestFastPath:
         for (m, n, l, k) in [(10, 20, 18, 9), (20, 15, 14, 17), (7, 40, 36, 4), (50, 20, 18, 35)]:
             got = coverage_probability(TableKey(m, n), RankPair(l, k))
             assert got == pytest.approx(coverage_by_quadrature(m, n, l, k), abs=1e-11)
+
+    def test_entry_equals_its_column_element_bit_for_bit(self):
+        for m, n in [(1, 19), (10, 20), (40, 25), (7, 40)]:
+            key = TableKey(m, n)
+            for l in sorted({1, n // 2 + 1, n}):
+                entries = [coverage_probability(key, RankPair(l, k)) for k in range(1, m + 1)]
+                assert entries == coverage_column(key, l).tolist()
 
     def test_legendre_rule(self):
         for count in (2, 3, 7, 64):
@@ -321,6 +329,51 @@ class TestSelectRanks:
         second = select_ranks(key, 0.1, table=table)
         assert first == second
         assert table.entries == entries
+
+    def test_memoised_search_reads_no_new_entry(self, monkeypatch):
+        key = TableKey(8, 60)
+        table = CoverageTable(key=key)
+        walks = []
+        walk = coverage_table._walk_frontier
+        monkeypatch.setattr(
+            coverage_table, "_walk_frontier", lambda t, a: walks.append(a) or walk(t, a)
+        )
+        first = select_ranks(key, 0.2, table=table)
+        misses = _entry_engine.cache_info().misses
+        assert [select_ranks(key, 0.2, table=table) for _ in range(3)] == [first] * 3
+        assert _entry_engine.cache_info().misses == misses
+        # the first walk fills the table; the second leaves it as it was and is kept
+        assert walks == [0.2, 0.2]
+        select_ranks(key, 0.1, table=table)  # another level is another walk
+        assert walks == [0.2, 0.2, 0.1]
+        # the memo is neither compared nor shown
+        assert table == CoverageTable(key=key, entries=dict(table.entries))
+        assert "memo" not in repr(table)
+
+    def test_forged_chosen_entry_refused_after_memoised_search(self):
+        key = TableKey(8, 60)
+        table = CoverageTable(key=key)
+        for _ in range(2):
+            ranks, coverage = select_ranks(key, 0.2, table=table)
+        assert ranks == RankPair(46, 7)
+        table.entries[(46, 7)] = coverage - 1e-9  # still feasible, and still the smallest
+        with pytest.raises(InvalidArgumentError, match=r"\(46, 7\)"):
+            select_ranks(key, 0.2, table=table)
+
+    def test_memoised_search_sees_a_forged_frontier_entry(self):
+        key = TableKey(8, 60)
+        table = CoverageTable(key=key)
+        for _ in range(2):
+            ranks, coverage = select_ranks(key, 0.2, table=table)
+        # another column's first feasible entry, whose server-rank neighbour failed
+        l, k = next(
+            (l, k)
+            for (l, k), value in sorted(table.entries.items())
+            if l != ranks.local_rank and value >= 0.8 and table.entries.get((l, k - 1), 1.0) < 0.8
+        )
+        table.entries[(l, k)] = coverage - 1e-9  # now the smallest feasible entry
+        with pytest.raises(InvalidArgumentError, match=rf"\({l}, {k}\)"):
+            select_ranks(key, 0.2, table=table)
 
 
 class TestUnbalanced:

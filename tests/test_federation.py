@@ -10,8 +10,10 @@ from scipy.special import ndtr
 from fedcal import (
     BinGrid,
     DpConfig,
+    ExponentialScores,
     FederationSpec,
     InfeasibleError,
+    InternalError,
     InvalidArgumentError,
     OutlierScores,
     ProtocolViolationError,
@@ -35,8 +37,11 @@ from fedcal import (
     synthetic_dataset,
     write_rows_csv,
 )
+from fedcal import federation
 from fedcal.conformal import _one_shot_round
-from fedcal.federation import _synthetic_cdf
+from fedcal.federation import _Preseeded, _replication_streams, _stream_states, _synthetic_cdf
+
+from oracles import conditional_alpha_p_by_substream, coverage_rows_by_substream
 
 
 class TestSyntheticData:
@@ -244,12 +249,87 @@ class TestCoverageExperiment:
         assert rows[0]["method"] == "fedcp_qq"
         assert float(rows[1]["coverage"]) == summary.rows[1]["coverage"]
 
+    @pytest.mark.parametrize("method", ["fedcp-qq", "fedcp-avg", "fedcp2-qq"])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 1])
+    def test_rows_equal_the_per_replication_loop(self, method, seed):
+        spec = FederationSpec(m=6, n=44, alpha=0.2, seed=seed)
+        dp = DpConfig(epsilon=5.0, grid=BinGrid.uniform(60.0, 100))
+        shifts = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+        args = (spec, 9, method, OutlierScores(), 50)
+        got = coverage_experiment(*args, dp_config=dp, shifts=shifts).rows
+        assert got == coverage_rows_by_substream(*args, dp_config=dp, shifts=shifts)
+
+
+SAMPLER_CLASSES = (UniformScores, ExponentialScores, OutlierScores)
+# the boundary seeds of numpy's 32-bit entropy words, and random ones
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**64]),
+    st.integers(2**128, 2**200),
+    st.integers(0, 2**64),
+)
+# key elements of one 32-bit word, and past it (which take several words)
+KEY_ELEMENTS = st.one_of(
+    st.integers(0, 2**32 - 1), st.sampled_from([2**32 - 1, 2**32, 2**40, 2**64 + 3])
+)
+KEYS = st.integers(0, 3).flatmap(
+    lambda d: st.lists(st.tuples(*[KEY_ELEMENTS] * d), min_size=1, max_size=6)
+)
+
+
+def _preseeded(state):
+    return np.random.Generator(np.random.PCG64(_Preseeded(state)))
+
+
+class TestStreamSeeding:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(seed=SEEDS, keys=KEYS)
+    def test_bulk_states_equal_substream(self, seed, keys):
+        states = _stream_states(seed, np.array(keys, dtype=object).reshape(len(keys), -1))
+        for key, state in zip(keys, states):
+            expected = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
+            assert np.array_equal(state, expected)
+            for sampler in SAMPLER_CLASSES:
+                draws = sampler().sample(_preseeded(state), 9)
+                assert np.array_equal(draws, sampler().sample(substream(seed, *key), 9))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 5])
+    def test_replication_streams_equal_substream_across_passes(self, monkeypatch, seed):
+        monkeypatch.setattr(federation, "_KEYS_PER_PASS", 7)  # 2 replications of 3 per pass
+        reps = list(_replication_streams(seed, 5, 3))
+        assert len(reps) == 5
+        for rep, streams in enumerate(reps):
+            assert len(streams) == 3
+            for j, stream in enumerate(streams):
+                expected = substream(seed, rep, j).uniform(size=4)
+                assert np.array_equal(stream.uniform(size=4), expected)
+
+    def test_preseeded_state_serves_only_pcg64(self):
+        state = _stream_states(3, np.array([[0, 1]]))[0]
+        with pytest.raises(InternalError, match="4 uint64 words"):
+            _Preseeded(state).generate_state(4)
+        with pytest.raises(InternalError, match="4 uint64 words"):
+            _Preseeded(state).generate_state(8, np.uint64)
+
 
 class TestFederationSpec:
     def test_negative_seed_refused(self):
         with pytest.raises(InvalidArgumentError, match="seed"):
             FederationSpec(m=2, n=3, alpha=0.1, seed=-1)
         assert FederationSpec(m=2, n=3, alpha=0.1, seed=0).seed == 0
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+    def test_non_integer_seed_refused(self, seed):
+        with pytest.raises(InvalidArgumentError, match="the seed must be an integer"):
+            FederationSpec(m=3, n=10, alpha=0.2, seed=seed)
+
+    def test_numpy_integer_seed_draws_like_its_int(self):
+        rows = [
+            coverage_experiment(
+                FederationSpec(m=3, n=10, alpha=0.2, seed=seed), 3, "fedcp-qq", UniformScores(), 20
+            ).rows
+            for seed in (np.uint64(2**40), 2**40)
+        ]
+        assert rows[0] == rows[1]
 
 
 class TestConditionalCoverage:
@@ -282,6 +362,14 @@ class TestConditionalCoverage:
         bound = conditional_miscoverage_quantile(key, ranks, 0.1)
         fraction = float(np.mean(result.alpha_p <= bound))
         assert abs(fraction - 0.9) <= 3 * math.sqrt(0.9 * 0.1 / 3000)
+
+    @pytest.mark.parametrize("sampler", SAMPLER_CLASSES)
+    @pytest.mark.parametrize("seed", [0, 2**40])
+    def test_alpha_p_equals_the_per_replication_loop(self, sampler, seed):
+        spec = FederationSpec(m=7, n=13, alpha=0.1, seed=seed)
+        result = conditional_coverage_experiment(spec, 40, sampler=sampler())
+        expected = conditional_alpha_p_by_substream(spec, 40, sampler(), result.ranks)
+        assert np.array_equal(result.alpha_p, expected)
 
     def test_sampler_without_cdf_rejected(self):
         class OpaqueSampler:
