@@ -205,8 +205,9 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         key = TableKey(len(agents), agents[0].size)
         path = _cache_path(options, key.m, key.n)
         table, loaded = _load_or_new_table(path, key)
-    dp = _dp_config(options) if method.private else None
-    rng = np.random.default_rng(options["seed"])
+    dp, rng = None, None
+    if method.private:
+        dp, rng = _dp_config(options), np.random.default_rng(options["seed"])
     result = method.run(agents, options["alpha"], table=table, dp_config=dp, rng=rng)
     if path is not None:
         _save_if_grown(table, path, loaded)

@@ -125,13 +125,15 @@ class CoverageTable:
 
     Holds only the entries a search has read (about n + m of the m*n);
     they are level-independent, so one table serves every alpha. The rank
-    and gamma searches keep their answers on the table (see
-    :func:`_memoised`); those are neither compared nor saved.
+    and gamma searches keep their answers on the table, and count the
+    stored entries a search changed (see :func:`_memoised`); those are
+    neither compared nor saved.
     """
 
     key: TableKey
     entries: dict[tuple[int, int], float] = field(default_factory=dict)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _overwrites: int = field(default=0, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         """Check every entry's ranks, its range [0, 1], and monotonicity in
@@ -352,14 +354,22 @@ def _entry(table: CoverageTable, local_rank: int, server_rank: int) -> float:
 
 
 def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: float) -> bool:
-    """Whether the entry reaches 1 - alpha; a settled entry is stored exact."""
+    """Whether the entry reaches 1 - alpha; a settled entry is stored exact.
+
+    Settling an entry that was stored before this probe changes a value
+    another reader may have seen, and counts in ``table._overwrites``.
+    """
     m, n = table.key.m, table.key.n
+    pair = (local_rank, server_rank)
+    stored = table.entries.get(pair)
     reached, value = _meets_level(
-        _entry(table, local_rank, server_rank),
+        _entry(table, *pair),
         alpha,
         lambda: _settled((n,) * m, (local_rank,) * m, server_rank),
     )
-    table.entries[(local_rank, server_rank)] = value
+    if stored is not None and value != stored:
+        table._overwrites += 1
+    table.entries[pair] = value
     return reached
 
 
@@ -494,21 +504,34 @@ def select_ranks(
 def _memoised(table: CoverageTable, key: tuple, search: Callable):
     """``search()``, or its answer kept from an earlier call on ``table``.
 
-    An answer is kept only when the search left the table's entries exactly
-    as it found them, and reused only while the table still holds exactly
-    those entries. A search reads nothing but the entries, so a reused
-    answer is the one the search would give now. ``table._memo["entries"]``
-    is the copy of the entries that the kept answers were found on.
+    An answer is kept against the entries as the search left them
+    (``table._memo["entries"]``) and reused only while the table holds
+    exactly those entries. A search run again on them gives the same
+    answer: it reads the table only through ``_entry`` and ``_reaches``
+    (and re-reads what they stored), its course depends only on the values
+    read, and each read leaves the entry at the value the search acted on.
+    ``_entry`` stores what it computes; ``_reaches`` stores the value it
+    decided on, and a settled value is decided the same way again (it is
+    either settled again or more than ``LEVEL_MARGIN`` from the level). The
+    only later change is a ``_reaches`` settling an entry stored before it,
+    such as one entry probed at two levels; that counts in
+    ``table._overwrites``, and an answer found while it grew is not kept.
+
+    Searches nest: the gamma search runs rank searches, whose answers are
+    kept against the entries each left. When the outer search stores more
+    after them, its answer replaces the memo and theirs go with it.
     """
     memo, entries = table._memo, table.entries
     if memo and memo["entries"] != entries:
         memo.clear()
     if key in memo:
         return memo[key]
-    before = dict(entries)
+    overwrites = table._overwrites
     answer = search()
-    if entries == before:
-        memo.setdefault("entries", before)
+    if table._overwrites == overwrites:
+        if memo.get("entries") != entries:
+            memo.clear()
+            memo["entries"] = dict(entries)
         memo[key] = answer
     return answer
 

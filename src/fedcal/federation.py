@@ -8,8 +8,8 @@ agent) is asserted rather than assumed; :func:`run_one_shot` returns that
 transcript alongside the result. All randomness derives from a master
 seed via counter-style spawn keys, one stream per (replication, agent), so
 results are reproducible under any execution order. The simulator seeds
-those streams in one vectorised pass, and each is still exactly
-``substream(seed, replication, agent)``.
+those streams, and the private round's agent streams, in one vectorised
+pass; each is still exactly the ``substream`` of its key.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .coverage_table import (
 )
 from .errors import InternalError, InvalidArgumentError, ProtocolViolationError, check_alpha
 from .order_stats import _kth_smallest
-from .privacy import DpConfig, fedcp2_qq_calibrate
+from .privacy import DpConfig, _private_round, fedcp2_qq_calibrate
 
 __all__ = [
     "FederationSpec",
@@ -252,22 +252,33 @@ class _Preseeded(ISeedSequence):
 
 
 def _replication_streams(
-    seed: int, replications: int, count: int
+    seed: int, replications: int, count: int, children: int = 0
 ) -> Iterator[list[np.random.Generator]]:
     """For each replication r in turn, the generators equal to
-    ``substream(seed, r, j)`` for j < ``count``.
+    ``substream(seed, r, j)`` for j < ``count``, then to
+    ``substream(seed, r, count, i)`` for i < ``children``: the streams
+    ``substream(seed, r, count).spawn(children)`` would give.
 
     States are computed in bulk, for as many replications as
     ``_KEYS_PER_PASS`` keys hold; a replication's generators are built
     only when it is reached.
     """
-    reps_per_pass = max(1, _KEYS_PER_PASS // count)
+    reps_per_pass = max(1, _KEYS_PER_PASS // (count + children))
     for start in range(0, replications, reps_per_pass):
         reps = np.arange(start, min(start + reps_per_pass, replications))
-        keys = np.stack(np.meshgrid(reps, np.arange(count), indexing="ij"), axis=-1)
-        states = _stream_states(seed, keys.reshape(-1, 2)).reshape(reps.size, count, 4)
+        states = _key_states(seed, reps, np.arange(count))
+        if children:
+            spawned = _key_states(seed, reps, [count], np.arange(children))
+            states = np.concatenate([states, spawned], axis=1)
         for rep_states in states:
             yield [np.random.Generator(np.random.PCG64(_Preseeded(row))) for row in rep_states]
+
+
+def _key_states(seed: int, reps: np.ndarray, *suffixes) -> np.ndarray:
+    """``_stream_states`` of every key (r, *suffix) with r in ``reps`` and
+    the suffix's elements drawn from ``suffixes``, as (len(reps), keys, 4)."""
+    keys = np.stack(np.meshgrid(reps, *suffixes, indexing="ij"), axis=-1)
+    return _stream_states(seed, keys.reshape(-1, keys.shape[-1])).reshape(reps.size, -1, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +362,9 @@ class Method:
     result carries the round's transcript, or None when the method runs no
     round. ``table`` says whether it reads and extends a coverage table,
     ``private`` whether it needs a DpConfig and a generator, and
-    ``one_shot`` whether it fits one uplink message per agent.
+    ``one_shot`` whether it fits one uplink message per agent. The private
+    method also takes ``streams``, the m agent streams to use in place of
+    ``rng.spawn(m)``; the simulator passes the ones it seeded in bulk.
     """
 
     run: Callable[..., CalibrationResult]
@@ -371,19 +384,29 @@ METHODS: dict[str, Method] = {
     ),
     "fedcp-avg": Method(lambda agents, alpha, **_: fedcp_avg_calibrate(agents, alpha)),
     "fedcp2-qq": Method(
-        lambda agents, alpha, *, table, dp_config, rng:
-            fedcp2_qq_calibrate(agents, alpha, dp_config, rng, table=table),
+        lambda agents, alpha, *, table, dp_config, rng=None, streams=None:
+            fedcp2_qq_calibrate(agents, alpha, dp_config, rng, table=table)
+            if streams is None
+            else _private_round(agents, alpha, dp_config, lambda m: streams, table),
         table=True,
         private=True,
     ),
 }
 
 
-def _method_entry(method: str) -> Method:
-    """The ``METHODS`` entry for ``method``, whose underscores may stand for hyphens."""
+def _one_shot_entry(method: str, dp_config: DpConfig | None) -> Method:
+    """The ``METHODS`` entry for ``method``, whose underscores may stand for
+    hyphens, once checked to run one round with what it needs."""
     entry = METHODS.get(method.replace("_", "-"))
     if entry is None:
         raise InvalidArgumentError(f"unknown method {method!r}")
+    if not entry.one_shot:
+        raise ProtocolViolationError(
+            f"{method} calibration needs every local score, which exceeds "
+            "one uplink message per agent"
+        )
+    if entry.private and dp_config is None:
+        raise InvalidArgumentError("the private method needs a DpConfig")
     return entry
 
 
@@ -405,14 +428,7 @@ def run_one_shot(
     """
     if len(scores) != spec.m:
         raise InvalidArgumentError(f"expected {spec.m} agents of scores, got {len(scores)}")
-    entry = _method_entry(method)
-    if not entry.one_shot:
-        raise ProtocolViolationError(
-            f"{method} calibration needs every local score, which exceeds "
-            "one uplink message per agent"
-        )
-    if entry.private and dp_config is None:
-        raise InvalidArgumentError("the private method needs a DpConfig")
+    entry = _one_shot_entry(method, dp_config)
     if entry.private and rng is None:
         rng = np.random.default_rng(spec.seed)
     result = entry.run(scores, spec.alpha, table=table, dp_config=dp_config, rng=rng)
@@ -453,19 +469,17 @@ def coverage_experiment(
         raise InvalidArgumentError(f"test_size must be >= 1, got {test_size}")
     m = spec.m
     offsets = _agent_shifts(shifts, m)[:, None]
-    private = _method_entry(method).private
+    entry = _one_shot_entry(method, dp_config)
     table = CoverageTable(key=TableKey(m, spec.n))
     rows: list[dict] = []
-    # streams 0..m-1 are the agents', m the test scores', m + 1 the private round's
-    for rep, streams in enumerate(_replication_streams(spec.seed, replications, m + 1)):
+    # in replication r, stream (r, j) holds agent j's scores for j < m and
+    # (r, m) the test scores; the private round's agent j draws its noise
+    # from (r, m + 1, j), the j-th child of substream(seed, r, m + 1)
+    children = m if entry.private else 0
+    for rep, streams in enumerate(_replication_streams(spec.seed, replications, m + 1, children)):
         agents = _replication(sampler, streams[:m], spec.n) + offsets
-        result, _ = run_one_shot(
-            spec,
-            agents,
-            method,
-            table=table,
-            dp_config=dp_config,
-            rng=substream(spec.seed, rep, m + 1) if private else None,
+        result = entry.run(
+            agents, spec.alpha, table=table, dp_config=dp_config, streams=streams[m + 1 :]
         )
         test = sampler.sample(streams[m], test_size)
         coverage = float(np.mean(test <= result.q_hat))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import softmax
@@ -157,9 +157,12 @@ def _logits(index: np.ndarray, q: float, epsilon: float, bins: int) -> np.ndarra
 
 def _release(index: np.ndarray, q: float, epsilon: float, grid: BinGrid, streams) -> np.ndarray:
     """The edge drawn for each row of bin indices ``index``, row j's noise from ``streams[j]``."""
-    noise = np.array([stream.gumbel(size=grid.bins) for stream in streams])
-    choice = np.argmax(_logits(index, q, epsilon, grid.bins) + noise, axis=1)
-    return grid._array[choice + 1]
+    bins = grid.bins
+    noise = np.empty((len(streams), bins))
+    for j, stream in enumerate(streams):
+        noise[j] = stream.gumbel(size=bins)
+    noise += _logits(index, q, epsilon, bins)
+    return grid._array[np.argmax(noise, axis=1) + 1]
 
 
 def _one_agent(scores, q: float, epsilon: float, grid: BinGrid) -> np.ndarray:
@@ -317,10 +320,26 @@ def fedcp2_qq_calibrate(
     Every agent invokes the private quantile mechanism exactly once at level
     q = max((local_rank + correction) / n, 1/2) and sends the resulting bin
     edge; the server returns the server_rank-th smallest of the m edges.
-    Per-agent generators are spawned from ``rng``, so a seeded generator
-    reproduces the whole run. A fixed ``config.gamma`` is searched as a
+    Agent j's noise comes from the j-th generator of ``rng.spawn(m)``,
+    spawned once per call after the inputs are checked and gamma is chosen,
+    so a seeded generator reproduces the whole run. The simulator seeds the
+    same streams in bulk: in replication r, agent j's noise comes from
+    ``substream(seed, r, m + 1, j)``, the j-th child of
+    ``substream(seed, r, m + 1)``. A fixed ``config.gamma`` is searched as a
     one-candidate grid. The reported guarantee is 1 - alpha.
     """
+    return _private_round(scores, alpha, config, rng.spawn, table)
+
+
+def _private_round(
+    scores: Sequence[Sequence[float]],
+    alpha: float,
+    config: DpConfig,
+    spawn: Callable[[int], Sequence[np.random.Generator]],
+    table: CoverageTable | None,
+) -> CalibrationResult:
+    """:func:`fedcp2_qq_calibrate` with the agents' m streams from
+    ``spawn(m)``, called once, after the checks and the gamma search."""
     check_alpha(alpha)
     binned = config.grid.bin_index(as_block(scores))  # checks the range before any search
     m, n = binned.shape
@@ -330,10 +349,11 @@ def fedcp2_qq_calibrate(
     )
     q = max((selection.local_rank + selection.correction) / n, 0.5)
     k = selection.server_rank
+    streams = spawn(m)
     q_hat, transcript = _one_shot_round(
         binned,
         dict(quantile=q, epsilon=config.epsilon, edges=config.grid.edges, server_rank=k),
-        lambda binned: _release(binned, q, config.epsilon, config.grid, rng.spawn(m)),
+        lambda binned: _release(binned, q, config.epsilon, config.grid, streams),
         lambda sent: _kth_smallest(sent, k),
     )
     return CalibrationResult(

@@ -325,6 +325,27 @@ class TestSimulateCommand:
         _, out2, _ = _run(capsys, *args)
         assert out1 == out2
 
+    # sha256 of the rows file of seeded runs; a change to any stream or to
+    # the row format shows here
+    FROZEN_ROWS = {
+        ("fedcp-qq", 3): "09cb4f076d03102e433743b8f6f65ad69f3e24912c36552f41966be9970d83bf",
+        ("fedcp-qq", 11): "766965dcfd606caca2dccd5c811577a88f9fee04afbcbb5f78c9dde375092449",
+        ("fedcp-avg", 3): "a7cd325321ba55cbe32368867d5a084f63688efed98806d2d1ccccab9c6c36c5",
+        ("fedcp-avg", 11): "3a2424eb09cf61e0a960600960a3fcf72b5b0c06250cd38732257d1106caa862",
+        ("fedcp2-qq", 3): "8672ce85a29f0205eaf210dde1d8327f8d716bfd051b1e1dafd189e8ec03108a",
+        ("fedcp2-qq", 11): "67946f957fac2dd75ed0e25487dbcb6559d0b719290b28d004ab887e879c8665",
+    }
+
+    @pytest.mark.parametrize("method, seed", sorted(FROZEN_ROWS))
+    def test_rows_equal_frozen_digest(self, tmp_path, capsys, method, seed):
+        out = tmp_path / "rows.csv"
+        code, _, err = _run(capsys, "simulate", "--m", "8", "--n", "40", "--alpha", "0.1",
+                            "--method", method, "--reps", "20", "--seed", str(seed),
+                            "--test-size", "200", "--epsilon", "20", "--smax", "1",
+                            "--bins", "100", "--out", str(out))
+        assert (code, err) == (0, "")
+        assert _digest(out) == self.FROZEN_ROWS[(method, seed)]
+
 
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, tmp_path, capsys):

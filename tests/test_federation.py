@@ -37,9 +37,10 @@ from fedcal import (
     synthetic_dataset,
     write_rows_csv,
 )
-from fedcal import federation
+from fedcal import coverage_table, federation, privacy
 from fedcal.conformal import _one_shot_round
 from fedcal.federation import _Preseeded, _replication_streams, _stream_states, _synthetic_cdf
+from fedcal.privacy import DEFAULT_GAMMA_GRID
 
 from oracles import conditional_alpha_p_by_substream, coverage_rows_by_substream
 
@@ -259,6 +260,25 @@ class TestCoverageExperiment:
         got = coverage_experiment(*args, dp_config=dp, shifts=shifts).rows
         assert got == coverage_rows_by_substream(*args, dp_config=dp, shifts=shifts)
 
+    @pytest.mark.parametrize("method, gamma_searches", [("fedcp-qq", 0), ("fedcp2-qq", 1)])
+    def test_ranks_and_gamma_are_searched_once_per_experiment(
+        self, monkeypatch, method, gamma_searches
+    ):
+        walks, searches = [], []
+        walk, search = coverage_table._walk_frontier, privacy._search_gamma
+        monkeypatch.setattr(
+            coverage_table, "_walk_frontier", lambda *args: walks.append(args) or walk(*args)
+        )
+        monkeypatch.setattr(
+            privacy, "_search_gamma", lambda *args: searches.append(args) or search(*args)
+        )
+        spec = FederationSpec(m=30, n=30, alpha=0.1, seed=2)
+        dp = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))
+        coverage_experiment(spec, 20, method, UniformScores(), 100, dp_config=dp)
+        # the gamma search walks the frontier once per candidate
+        expected_walks = len(DEFAULT_GAMMA_GRID) if gamma_searches else 1
+        assert (len(walks), len(searches)) == (expected_walks, gamma_searches)
+
 
 SAMPLER_CLASSES = (UniformScores, ExponentialScores, OutlierScores)
 # the boundary seeds of numpy's 32-bit entropy words, and random ones
@@ -292,16 +312,28 @@ class TestStreamSeeding:
                 draws = sampler().sample(_preseeded(state), 9)
                 assert np.array_equal(draws, sampler().sample(substream(seed, *key), 9))
 
+    @pytest.mark.parametrize("children", [0, 2])
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 + 5])
-    def test_replication_streams_equal_substream_across_passes(self, monkeypatch, seed):
-        monkeypatch.setattr(federation, "_KEYS_PER_PASS", 7)  # 2 replications of 3 per pass
-        reps = list(_replication_streams(seed, 5, 3))
+    def test_replication_streams_equal_substream_across_passes(self, monkeypatch, seed, children):
+        # 2 replications per pass; with m = 2 agents, stream 2 holds the test
+        # scores and stream 3's children are the private round's agent streams
+        monkeypatch.setattr(federation, "_KEYS_PER_PASS", 2 * (3 + children) + 1)
+        reps = list(_replication_streams(seed, 5, 3, children))
         assert len(reps) == 5
         for rep, streams in enumerate(reps):
-            assert len(streams) == 3
-            for j, stream in enumerate(streams):
-                expected = substream(seed, rep, j).uniform(size=4)
-                assert np.array_equal(stream.uniform(size=4), expected)
+            expected = [substream(seed, rep, j) for j in range(3)]
+            expected += substream(seed, rep, 3).spawn(children)
+            assert len(streams) == len(expected)
+            for stream, reference in zip(streams, expected):
+                assert np.array_equal(stream.gumbel(size=7), reference.gumbel(size=7))
+
+    def test_public_private_calibrator_spawns_m_streams_per_call(self):
+        rng = np.random.default_rng(4)
+        scores = np.random.default_rng(5).uniform(0.01, 1.0, size=(6, 60))
+        config = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))
+        for call in range(1, 4):
+            fedcp2_qq_calibrate(scores, 0.2, config, rng)
+            assert rng.bit_generator.seed_seq.n_children_spawned == 6 * call
 
     def test_preseeded_state_serves_only_pcg64(self):
         state = _stream_states(3, np.array([[0, 1]]))[0]
