@@ -18,12 +18,13 @@ that an agent's l-th smallest score falls below t, and the integrand the
 chance that at least k agents' do, i.e. that the threshold falls below t.
 The integrand is a polynomial of degree m*n in t, so Gauss-Legendre
 quadrature with m*n/2 + 2 nodes integrates it exactly up to rounding (a few
-units in the last place). Unequal sample sizes use the same integral with
-one G_j per agent and a Poisson-Binomial count of covered agents. Where a
-comparison with the level 1 - alpha is closer than that rounding can
-decide, the coverage, a rational number, is settled exactly. Coverage is
-nondecreasing in both ranks, which the rank search exploits so that only a
-thin frontier of (local_rank, server_rank) entries is ever evaluated.
+units in the last place). Agents are described once, as groups sharing one
+(n, l), balanced agents one group, and the number covered is a sum of one
+binomial count per group. Where a comparison with the level 1 - alpha is
+closer than that rounding can decide, the coverage, a rational number, is
+settled exactly. Coverage is nondecreasing in both ranks, which the rank
+search exploits so that only a thin frontier of (local_rank, server_rank)
+entries is ever evaluated.
 
 The same integrand is the exact law of the coverage given the calibration
 set; ``conditional_miscoverage_quantile`` inverts it for the
@@ -38,9 +39,11 @@ from __future__ import annotations
 import io
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -53,6 +56,7 @@ from .errors import (
     InvalidArgumentError,
     ResourceLimitError,
     check_alpha,
+    check_integer,
 )
 from .order_stats import split_rank
 
@@ -93,7 +97,7 @@ class TableKey:
     n: int
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
+        if min(check_integer(self.m, "m"), check_integer(self.n, "n")) < 1:
             raise InvalidArgumentError(f"need m >= 1 and n >= 1, got m={self.m}, n={self.n}")
         if self.m * self.n > CELL_CAP:
             raise ResourceLimitError(
@@ -109,11 +113,11 @@ class RankPair:
     server_rank: int
 
     def validate(self, key: TableKey) -> None:
-        if not 1 <= self.local_rank <= key.n:
+        if not 1 <= check_integer(self.local_rank, "local rank") <= key.n:
             raise InvalidArgumentError(
                 f"local rank must be in [1, {key.n}], got {self.local_rank}"
             )
-        if not 1 <= self.server_rank <= key.m:
+        if not 1 <= check_integer(self.server_rank, "server rank") <= key.m:
             raise InvalidArgumentError(
                 f"server rank must be in [1, {key.m}], got {self.server_rank}"
             )
@@ -211,66 +215,111 @@ def _local_cdf(n: int, local_rank: int, count: int) -> np.ndarray:
     return g
 
 
-def _quadrature(m: int, n: int, local_rank: int, server_rank):
-    """Coverage at one local rank for a server rank (a float) or a column of
-    them (an array).
+def _agent_groups(sizes: Sequence[int], local_ranks: Sequence[int]) -> tuple[int, tuple]:
+    """The number of agents, and those that can be covered (local rank at
+    most size) as groups (count, n, l) sharing one (n, l), largest last."""
+    sizes = [check_integer(s, "a size") for s in sizes]
+    local_ranks = [check_integer(r, "a local rank") for r in local_ranks]
+    if len(sizes) != len(local_ranks) or not sizes or min(sizes + local_ranks) < 1:
+        raise InvalidArgumentError("sizes and local_ranks must be equal-length, nonempty, positive")
+    if sum(sizes) > CELL_CAP:
+        raise ResourceLimitError(f"total size {sum(sizes)} exceeds cap {CELL_CAP}")
+    counts = Counter((n, l) for n, l in zip(sizes, local_ranks) if l <= n)
+    return len(sizes), tuple(sorted((c, n, l) for (n, l), c in counts.items()))
 
-    Each server rank reduces its own row of nodes, so an entry evaluated
-    alone is bit-identical to the same entry of a column.
+
+def _tails(count: int, g: np.ndarray) -> np.ndarray:
+    """P(at least d of ``count`` agents covered), d = 1..count, per node."""
+    d = np.arange(1, count + 1)
+    return betainc(d, count - d + 1, g[:, None])
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row of ``a`` convolved with the same row of ``b``."""
+    return np.array([np.convolve(x, y) for x, y in zip(a, b)])
+
+
+def _quadrature(groups: tuple, server_rank):
+    """Coverage of the agents in ``groups`` (see :func:`_agent_groups`) at
+    one server rank (a float) or at a 1-D array of them (an array).
+
+    At each node the counts of all groups but the last (the largest) are
+    convolved into ``below``, and P(at least k covered) = sum_j below[j]
+    tail(k - j) with the last group's tails. One group reads its tail at k
+    alone, so an entry is bit-identical to the same entry of a column.
     """
-    t, w = _rule_for(m * n)
-    g = _local_cdf(n, local_rank, t.size)
-    k = server_rank
-    coverage = 1.0 - (betainc(k, m - k + 1, g) * w).sum(axis=-1)
+    t, w = _rule_for(sum(count * n for count, n, _ in groups))
+    *others, (m, n, l) = groups
+    g = _local_cdf(n, l, t.size)
+    if others:
+        tails = [_tails(c, _local_cdf(n_g, l_g, t.size)) for c, n_g, l_g in others]
+        below = reduce(_convolve_rows, [-np.diff(p, axis=1, prepend=1, append=0) for p in tails])
+        at_least = _convolve_rows(below, _tails(m, g))  # P(>= k) with the others at most k - 1
+        at_least[:, : below.shape[1] - 1] += np.cumsum(below[:, :0:-1], axis=1)[:, ::-1]
+        integrand = at_least.T[np.asarray(server_rank) - 1]
+    else:
+        k = server_rank[:, None] if isinstance(server_rank, np.ndarray) else server_rank
+        integrand = betainc(k, m - k + 1, g)
+    coverage = 1.0 - (integrand * w).sum(axis=-1)
     if np.ndim(coverage) == 0:  # one entry: check and clip it as a float
         coverage = float(coverage)
         if coverage < -1e-9 or coverage > 1.0 + 1e-9:
-            raise InternalError(f"coverage left [0, 1] for m={m}, n={n}, l={local_rank}")
+            raise InternalError(f"coverage left [0, 1] for the agent groups {groups}")
         return min(max(coverage, 0.0), 1.0)
     if np.any(coverage < -1e-9) or np.any(coverage > 1.0 + 1e-9):
-        raise InternalError(f"coverage left [0, 1] for m={m}, n={n}, l={local_rank}")
+        raise InternalError(f"coverage left [0, 1] for the agent groups {groups}")
     return np.clip(coverage, 0.0, 1.0)
+
+
+def _column(groups: tuple, m: int) -> np.ndarray:
+    """Coverage at server ranks 1..m when only the agents in ``groups`` can
+    be covered (1 past their number). One group's ranks go in blocks of at
+    most 2^22 ``betainc`` values (32 MiB), several groups' all at once."""
+    column, covered = np.ones(m), sum(count for count, _, _ in groups)
+    nodes = _rule_for(sum(count * n for count, n, _ in groups))[0].size
+    rows = max(1, (1 << 22) // nodes if len(groups) == 1 else covered)
+    for start in range(0, covered, rows):
+        stop = min(start + rows, covered)
+        column[start:stop] = _quadrature(groups, np.arange(start + 1, stop + 1))
+    return column
 
 
 @lru_cache(maxsize=4096)
 def _entry_engine(m: int, n: int, local_rank: int, server_rank: int) -> float:
     """One coverage entry, memoised for the process."""
-    return _quadrature(m, n, local_rank, server_rank)
+    return _quadrature(((m, n, local_rank),), server_rank)
 
 
 @lru_cache(maxsize=256)
-def _settled(
-    sizes: tuple[int, ...], local_ranks: tuple[int, ...], server_rank: int
-) -> Fraction:
-    """Exact coverage at ``server_rank``, as a rational.
+def _settled(groups: tuple, server_rank: int) -> Fraction:
+    """Exact coverage of the agents in ``groups`` at ``server_rank``.
 
-    Agents whose local rank exceeds their size are never covered and drop
-    out. When the remaining m agents share one (n, l), closed forms cover
-    the shapes where exact ties are systematic: l / (n + 1) for a single
-    agent, and :func:`_max_report_exact` for l = n (n = 1 included) and,
-    mirrored, for l = 1. Otherwise the miss integral is
-    sum_r Q[r] r! (T-r)! / (T+1)! over the integer coefficients Q of
-    :func:`_miss_polynomial`, summed in integers.
+    For one group, closed forms cover the shapes of systematic exact ties:
+    l / (n + 1) for one agent, :func:`_max_report_exact` for l = n and,
+    mirrored, l = 1. Otherwise it integrates P(at most k - 1 covered), or
+    1 - P(at most m - k uncovered) if that counts fewer: sum_r Q[r] r!
+    (T-r)! / (T+1)! over the coefficients Q of :func:`_count_polynomial`.
     """
-    agents = [(n, l) for n, l in zip(sizes, local_ranks) if l <= n]
-    m, k = len(agents), server_rank
+    m, k = sum(count for count, _, _ in groups), server_rank
     if k > m:
         return Fraction(1)
-    if len(set(agents)) == 1:
-        n, l = agents[0]
+    if len(groups) == 1:
+        _, n, l = groups[0]
         if m == 1:
             return Fraction(l, n + 1)
         if l == n:
             return _max_report_exact(m, n, k)
         if l == 1:
             return 1 - _max_report_exact(m, n, m - k + 1)
-    total = sum(n for n, _ in agents)
+    covered = k - 1 <= m - k
+    total = sum(count * n for count, n, _ in groups)
     weight, numerator = math.factorial(total), 0  # weight = r! (T-r)!
-    for r, coefficient in enumerate(_miss_polynomial(agents, k)):
+    for r, coefficient in enumerate(_count_polynomial(groups, min(k - 1, m - k), covered)):
         numerator += coefficient * weight
         if r < total:
             weight = weight * (r + 1) // (total - r)
-    return 1 - Fraction(numerator, math.factorial(total + 1))
+    integral = Fraction(numerator, math.factorial(total + 1))
+    return integral if covered else 1 - integral
 
 
 def _max_report_exact(m: int, n: int, k: int) -> Fraction:
@@ -282,37 +331,32 @@ def _max_report_exact(m: int, n: int, k: int) -> Fraction:
     return coverage
 
 
-def _miss_polynomial(agents: list[tuple[int, int]], k: int) -> list[int]:
-    """P(at least k agents covered) in the basis t^r (1-t)^(T-r), T = sum of sizes.
-
-    ``agents`` holds (n_j, l_j) pairs with l_j <= n_j. In that basis G_j
-    has the integer coefficients C(n_j, i) for i >= l_j and 1 - G_j those
-    for i < l_j, and polynomials multiply by convolving their
-    coefficients. Agents are added one at a time, tracking "j agents
-    covered so far" for j < k and "at least k" together; states from which
-    k is out of reach are dropped. The cost grows as
-    m * min(k, m - k + 1) * T * max(n_j) big-integer operations.
+def _count_polynomial(groups: tuple, limit: int, covered: bool) -> list[int]:
+    """P(at most ``limit`` agents covered, or uncovered if not ``covered``)
+    in the basis t^r (1-t)^(T-r), T the total size, where G has the integer
+    coefficients C(n, i) for i >= l, 1 - G those for i < l, and products
+    convolve them. With X the counted side, j of a group's c agents count
+    with C(c, j) X^j Y^(c-j); groups are convolved over the count so far.
     """
-    m = len(agents)
-    state = {0: np.array([1], dtype=object)}
-    for a, (n_a, l_a) in enumerate(agents):
-        coeffs = [1]  # C(n_a, i) by the ratio recurrence
-        for i in range(n_a):
-            coeffs.append(coeffs[-1] * (n_a - i) // (i + 1))
-        zeros = [0] * (n_a + 1)
-        branches = [
-            (0, np.array(coeffs[:l_a] + zeros[l_a:], dtype=object)),
-            (1, np.array(zeros[:l_a] + coeffs[l_a:], dtype=object)),
-        ]
-        new = {}
-        for j, poly in state.items():
-            for step, part in branches:
-                to = min(j + step, k)
-                if to + m - a - 1 >= k:
-                    product = np.convolve(poly, part)
-                    new[to] = new[to] + product if to in new else product
+    one = np.array([1], dtype=object)
+    state = [one]  # state[j]: exactly j agents counted so far
+    for count, n, l in groups:
+        binomials = np.array([math.comb(n, i) for i in range(n + 1)], dtype=object)
+        counted = (np.arange(n + 1) >= l) == covered
+        x, y = np.where(counted, binomials, 0), np.where(counted, 0, binomials)
+        top = min(count, limit)
+        x_powers = list(accumulate([x] * top, np.convolve, initial=one))
+        y_power = reduce(np.convolve, [y] * (count - top), one)
+        terms = []
+        for j in range(top, -1, -1):  # Y^(c-j) grows as j falls
+            terms.insert(0, math.comb(count, j) * np.convolve(x_powers[j], y_power))
+            y_power = np.convolve(y_power, y) if j else y_power
+        new = [0] * (min(limit, len(state) - 1 + top) + 1)
+        for i, part in enumerate(state):
+            for j, term in enumerate(terms[: len(new) - i]):
+                new[i + j] = new[i + j] + np.convolve(part, term)
         state = new
-    return state[k].tolist()
+    return sum(state).tolist()
 
 
 def _meets_level(value: float, alpha: float, settle) -> tuple[bool, float]:
@@ -359,13 +403,10 @@ def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: flo
     Settling an entry that was stored before this probe changes a value
     another reader may have seen, and counts in ``table._overwrites``.
     """
-    m, n = table.key.m, table.key.n
-    pair = (local_rank, server_rank)
+    pair, groups = (local_rank, server_rank), ((table.key.m, table.key.n, local_rank),)
     stored = table.entries.get(pair)
     reached, value = _meets_level(
-        _entry(table, *pair),
-        alpha,
-        lambda: _settled((n,) * m, (local_rank,) * m, server_rank),
+        _entry(table, *pair), alpha, lambda: _settled(groups, server_rank)
     )
     if stored is not None and value != stored:
         table._overwrites += 1
@@ -377,18 +418,9 @@ def coverage_column(key: TableKey, local_rank: int) -> np.ndarray:
     """Coverage at ``local_rank`` for every server rank 1..m.
 
     Quadrature values, never settled (see :func:`coverage_probability`).
-    Server ranks are evaluated in blocks of at most 2^22 ``betainc`` values
-    (32 MiB), so memory stays bounded at any shape.
     """
     RankPair(local_rank, 1).validate(key)
-    ranks = np.arange(1, key.m + 1)[:, None]
-    rows = max(1, (1 << 22) // _rule_for(key.m * key.n)[0].size)
-    return np.concatenate(
-        [
-            _quadrature(key.m, key.n, local_rank, ranks[start : start + rows])
-            for start in range(0, key.m, rows)
-        ]
-    )
+    return _column(((key.m, key.n, local_rank),), key.m)
 
 
 def coverage_probability(key: TableKey, ranks: RankPair) -> float:
@@ -406,60 +438,18 @@ def coverage_probability(key: TableKey, ranks: RankPair) -> float:
 
 
 def unbalanced_coverage(sizes: Sequence[int], local_ranks: Sequence[int]) -> np.ndarray:
-    """Coverage for every server rank when agents hold unequal sample sizes.
+    """Coverage for server ranks 1..m, nondecreasing, when agents hold
+    unequal sample sizes.
 
-    ``local_ranks[j]`` may exceed ``sizes[j]``; such an agent always reports
-    the out-of-range sentinel and can never count as covered (G_j = 0).
-    When the agents that can be covered share one (n, l), the column is the
-    balanced one, padded with full coverage. Otherwise, at each node, the
-    number of covered agents is Poisson-Binomial, built agent by agent in
-    O(m^2) operations.
-
-    Returns
-    -------
-    numpy.ndarray
-        Coverage for server ranks 1..m, nondecreasing.
+    An agent whose local rank exceeds its size always reports the
+    out-of-range sentinel and is never covered. The others are grouped by
+    (size, local rank), one group giving the balanced column padded with
+    full coverage (see :func:`_quadrature`). Each node costs one ``betainc``
+    per agent and about m * m_rest operations, m_rest the agents outside
+    the largest group.
     """
-    sizes = [int(s) for s in sizes]
-    local_ranks = [int(r) for r in local_ranks]
-    if len(sizes) != len(local_ranks) or not sizes:
-        raise InvalidArgumentError("sizes and local_ranks must be equal-length and nonempty")
-    if min(sizes) < 1 or min(local_ranks) < 1:
-        raise InvalidArgumentError("sizes and local ranks must be positive")
-    total = sum(sizes)
-    if total > CELL_CAP:
-        raise ResourceLimitError(f"total size {total} exceeds cap {CELL_CAP}")
-    agents = [(n, l) for n, l in zip(sizes, local_ranks) if l <= n]
-    if len(set(agents)) == 1:
-        column = np.ones(len(sizes))
-        column[: len(agents)] = coverage_column(TableKey(len(agents), agents[0][0]), agents[0][1])
-        return column
-    t, w = _rule_for(total)
-    g = np.stack(
-        [
-            betainc(l, n - l + 1, t) if l <= n else np.zeros_like(t)
-            for n, l in zip(sizes, local_ranks)
-        ],
-        axis=-1,
-    )
-    pmf = _poisson_binomial_pmf(g)  # pmf[i, j]: P(j agents covered) at node i
-    tails = np.cumsum(pmf[:, :0:-1], axis=-1)[:, ::-1]  # tails[:, k - 1] = P(>= k)
-    return np.clip(1.0 - w @ tails, 0.0, 1.0)
-
-
-def _poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
-    """Mass function of a sum of independent Bernoulli(p_j) by convolution.
-
-    The sum runs over the last axis of ``p``; leading axes are batches.
-    """
-    pmf = np.ones(p.shape[:-1] + (1,))
-    for j in range(p.shape[-1]):
-        prob = p[..., j : j + 1]
-        extended = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
-        extended[..., :-1] = pmf * (1.0 - prob)
-        extended[..., 1:] += pmf * prob
-        pmf = extended
-    return pmf
+    m, groups = _agent_groups(sizes, local_ranks)
+    return _column(groups, m)
 
 
 # ---------------------------------------------------------------------------
@@ -613,31 +603,22 @@ def unbalanced_local_ranks(sizes: Sequence[int], alpha: float) -> list[int]:
     uncapped rank would be 2 for every reasonable alpha).
     """
     check_alpha(alpha)
-    return [min(int(n), split_rank(int(n), alpha)) for n in sizes]
+    return [min(n, split_rank(n, alpha)) for n in (check_integer(s, "a size") for s in sizes)]
 
 
 def select_ranks_unbalanced(
     sizes: Sequence[int], alpha: float
 ) -> tuple[list[int], int, float]:
-    """Fixed local ranks plus the smallest feasible server rank.
-
-    Local ranks follow the split-calibration rule per agent; only the server
-    rank is searched, which keeps the unequal-size case tractable.
-
-    Returns
-    -------
-    (local_ranks, server_rank, coverage)
-    """
+    """(local_ranks, server_rank, coverage): the split-calibration local
+    rank of each agent (see :func:`unbalanced_local_ranks`) and the smallest
+    server rank whose coverage reaches 1 - alpha with them."""
     ranks = unbalanced_local_ranks(sizes, alpha)
-    column = unbalanced_coverage(sizes, ranks)
-    exact_key = (tuple(int(s) for s in sizes), tuple(ranks))
-    for k, value in enumerate(column.tolist(), start=1):
-        reached, value = _meets_level(value, alpha, lambda: _settled(*exact_key, k))
+    m, groups = _agent_groups(sizes, ranks)
+    for k, value in enumerate(_column(groups, m).tolist(), start=1):
+        reached, value = _meets_level(value, alpha, lambda: _settled(groups, k))
         if reached:
             return ranks, k, value
-    raise InfeasibleError(
-        f"no server rank reaches coverage {1.0 - alpha} for sizes {list(sizes)}"
-    )
+    raise InfeasibleError(f"no server rank reaches coverage {1.0 - alpha} for sizes {list(sizes)}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types and argument checks shared across the package.
 
 The CLI maps every one of these to a nonzero exit status; library callers
 can catch them individually.
 """
+
+import operator
 
 
 class FedcalError(Exception):
@@ -33,3 +35,11 @@ def check_alpha(alpha: float) -> None:
     """Reject a miscoverage level outside the open interval (0, 1)."""
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def check_integer(value, name: str) -> int:
+    """``value`` as an int; a float or any other non-integer is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None

@@ -35,10 +35,10 @@ from .coverage_table import (
     CoverageTable,
     RankPair,
     TableKey,
-    _poisson_binomial_pmf,
     select_ranks,
 )
-from .errors import InternalError, InvalidArgumentError, ProtocolViolationError, check_alpha
+from .errors import InternalError, InvalidArgumentError, ProtocolViolationError
+from .errors import check_alpha, check_integer
 from .order_stats import _kth_smallest
 from .privacy import DpConfig, _private_round, fedcp2_qq_calibrate
 
@@ -80,11 +80,7 @@ class FederationSpec:
         check_alpha(self.alpha)
         if self.n < 1:
             raise InvalidArgumentError(f"every local size must be >= 1, got n={self.n}")
-        try:
-            seed = operator.index(self.seed)
-        except TypeError:
-            raise InvalidArgumentError(f"the seed must be an integer, got {self.seed!r}") from None
-        if seed < 0:
+        if check_integer(self.seed, "the seed") < 0:
             raise InvalidArgumentError(f"the seed must be >= 0, got {self.seed}")
 
 
@@ -599,6 +595,19 @@ def _tv_to_binomial(p: np.ndarray) -> np.ndarray:
     pbar = np.mean(p, axis=-1, keepdims=True)
     reference = _poisson_binomial_pmf(np.broadcast_to(pbar, p.shape))
     return 0.5 * np.sum(np.abs(_poisson_binomial_pmf(p) - reference), axis=-1)
+
+
+def _poisson_binomial_pmf(p: np.ndarray) -> np.ndarray:
+    """Mass function of a sum of independent Bernoulli(p_j) by convolution,
+    over the last axis of ``p``; leading axes are batches."""
+    pmf = np.ones(p.shape[:-1] + (1,))
+    for j in range(p.shape[-1]):
+        prob = p[..., j : j + 1]
+        extended = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+        extended[..., :-1] = pmf * (1.0 - prob)
+        extended[..., 1:] += pmf * prob
+        pmf = extended
+    return pmf
 
 
 def heterogeneity_tv_penalty(

@@ -1,10 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedcal
 from fedcal import (
     BinGrid,
     DpConfig,
@@ -28,6 +33,19 @@ def _run(capsys, *argv):
 
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone takes longer to import than the whole CLI
+    src = str(Path(fedcal.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, fedcal.cli; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestTableCommand:

@@ -32,6 +32,7 @@ from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
+    _agent_groups,
     _entry_engine,
     _legendre_rule,
     _meets_level,
@@ -222,17 +223,19 @@ class TestCertifiedLevel:
 
     def test_settled_matches_exact_rationals(self):
         for (m, n, l, k) in [(3, 4, 2, 2), (2, 3, 2, 1), (4, 2, 2, 4), (1, 5, 3, 1)]:
-            assert _settled((n,) * m, (l,) * m, k) == coverage_exact_fraction(m, n, l, k)
+            assert _settled(((m, n, l),), k) == coverage_exact_fraction(m, n, l, k)
         for sizes, ranks, k in [((5, 3), (6, 2), 1), ((2, 3, 4), (2, 3, 4), 2), ((4, 2), (3, 1), 2)]:
-            assert _settled(sizes, ranks, k) == inid_coverage_exact_fraction(sizes, ranks, k)
+            groups = _agent_groups(sizes, ranks)[1]
+            assert _settled(groups, k) == inid_coverage_exact_fraction(sizes, ranks, k)
 
     def test_closed_forms_match_exact_rationals(self):
         # one agent, l = n, n = 1 and l = 1 take closed forms
         for (m, n, l, k) in [(1, 6, 4, 1), (3, 4, 4, 2), (4, 3, 3, 1), (5, 1, 1, 3), (3, 4, 1, 2), (4, 3, 1, 4)]:
-            assert _settled((n,) * m, (l,) * m, k) == coverage_exact_fraction(m, n, l, k)
+            assert _settled(((m, n, l),), k) == coverage_exact_fraction(m, n, l, k)
         # agents whose rank exceeds their size drop out before the closed form
         for sizes, ranks, k in [((4, 4, 2), (4, 4, 3), 1), ((4, 4, 2), (4, 4, 3), 3), ((1, 1, 2), (1, 1, 3), 2)]:
-            assert _settled(sizes, ranks, k) == inid_coverage_exact_fraction(sizes, ranks, k)
+            groups = _agent_groups(sizes, ranks)[1]
+            assert _settled(groups, k) == inid_coverage_exact_fraction(sizes, ranks, k)
 
     @pytest.mark.parametrize(
         "m, n, alpha, pair, value",
@@ -429,6 +432,52 @@ class TestUnbalanced:
     def test_infeasible_sizes_raise(self):
         with pytest.raises(InfeasibleError):
             select_ranks_unbalanced([1, 1], 0.1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        laws=st.lists(
+            st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 5)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_grouped_shapes_match_the_oracles(self, laws):
+        # each law is (count, size, local rank); a rank above the size is
+        # never covered
+        sizes = [n for count, n, _ in laws for _ in range(count)]
+        ranks = [l for count, _, l in laws for _ in range(count)]
+        np.testing.assert_allclose(
+            unbalanced_coverage(sizes, ranks),
+            unbalanced_coverage_by_convolution(sizes, ranks),
+            rtol=0.0,
+            atol=1e-12,
+        )
+        groups = _agent_groups(sizes, ranks)[1]
+        for k in range(1, len(sizes) + 1):
+            assert _settled(groups, k) == inid_coverage_exact_fraction(sizes, ranks, k)
+
+    def test_two_thousand_agents_of_two_sizes(self):
+        start = time.perf_counter()
+        ranks, k, coverage = select_ranks_unbalanced([1] * 1000 + [2] * 1000, 0.1)
+        assert time.perf_counter() - start < 30
+        assert ranks == [1] * 1000 + [2] * 1000
+        assert k == 1711
+        assert coverage == pytest.approx(0.9000452501721354, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: TableKey(10.5, 20),
+        lambda: coverage_probability(TableKey(3, 4), RankPair(2.5, 2)),
+        lambda: unbalanced_coverage([2.9, 3], [2, 3]),
+        lambda: select_ranks_unbalanced([9.7, 9, 9], 0.1),
+    ],
+    ids=["table-key", "rank-pair", "unbalanced-size", "unbalanced-search"],
+)
+def test_non_integer_sizes_and_ranks_refused(call):
+    with pytest.raises(InvalidArgumentError, match="must be an integer"):
+        call()
 
 
 class TestConditionalBound:
