@@ -16,15 +16,16 @@ on its result.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .coverage_table import CoverageTable, TableKey, select_ranks
-from .errors import InternalError, InvalidArgumentError, ProtocolViolationError, check_alpha
+from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
 from .order_stats import _kth_smallest, as_block, as_sample, split_rank
 
 __all__ = [
@@ -299,6 +300,12 @@ def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
     order in the file. Otherwise each path contributes one agent in order,
     one score per line. Every score must be a finite number. A bad row is
     reported as ``InvalidArgumentError`` naming ``path:line``.
+
+    A plain file (unquoted ASCII numbers, lines ending in LF or CRLF) is
+    parsed in one call to numpy's C parser. A file with quoted cells,
+    whitespace-only lines, lone CR line ends, non-ASCII digits or any
+    other text numpy refuses, or with a bad row, is walked row by row.
+    Both read the same syntax and raise the same errors.
     """
     paths = list(paths)
     if len(paths) == 1:
@@ -307,29 +314,45 @@ def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
 
 
 _HEADERS = {("score",), ("agent", "score")}
+# the fields of a data row, by its width
+_ROW_DTYPES = {
+    1: np.dtype([("score", np.float64)]),
+    2: np.dtype([("agent", np.int64), ("score", np.float64)]),
+}
+# Python's default int digit limit; csv's field limit is larger. The row
+# walk refuses a field past either and numpy does not, so a longer line
+# goes to the walk.
+_PLAIN_LINE = 4300
 # a missing-agent error lists at most this many ids, then their count
 _MISSING_SHOWN = 5
 
 
 def _read_score_file(path, agent_column: bool) -> list[np.ndarray]:
-    """One file's scores, parsed and checked a column at a time.
+    """One file's scores: one ``np.loadtxt`` call, or a walk of its rows.
 
-    Only when a check fails are the rows walked one by one, to name the
-    first bad line (:func:`_first_bad_row`).
+    The text is read once. ``csv`` reads it only up to the first data row,
+    to find the header and the width; numpy parses everything after the
+    header (:func:`_parse_plain`). When numpy refuses that text, or a value
+    fails a check, the ``csv`` pass goes on over the rest of the rows
+    (:func:`_walk_rows`), which gives the scores or names the first bad
+    line. For fields with no quote, no lone ``\\r`` and no line past
+    ``_PLAIN_LINE``, numpy either refuses a field or gives the value
+    ``float``/``int`` give it stripped: both call ``PyOS_string_to_double``,
+    and numpy strips no more whitespace than ``str.strip``.
     """
-    rows = _csv_rows(path)
-    # a row is blank when all its cells are whitespace, i.e. when their join is
-    data = list(compress(rows, map(str.strip, map("".join, rows))))
-    header = bool(data) and tuple(cell.strip().lower() for cell in data[0]) in _HEADERS
-    if header:
-        del data[0]
-    if not data:
+    text = _read_text(path)
+    lines = io.StringIO(text, newline="")
+    rows = _data_rows(path, lines)
+    first = next(rows, None)
+    start = 0
+    if first is not None and tuple(map(str.lower, first[1])) in _HEADERS:
+        start = lines.tell()
+        first = next(rows, None)
+    if first is None:
         raise InvalidArgumentError(f"{path}: no scores found")
-    width = 2 if agent_column and len(data[0]) == 2 else 1
-    parsed = _parse_columns(data, width)
-    if parsed is None:
-        raise _first_bad_row(path, rows, header, width, len(data))
-    scores, ids = parsed
+    width = 2 if agent_column and len(first[1]) == 2 else 1
+    parsed = _parse_plain(text[start:], width)
+    scores, ids = parsed or _walk_rows(path, [first, *rows], width)
     if ids is None:
         return [scores]
     counts = np.bincount(ids)
@@ -341,71 +364,92 @@ def _read_score_file(path, agent_column: bool) -> list[np.ndarray]:
         )
     if missing.size:
         raise InvalidArgumentError(f"{path}: no scores for agent(s) {missing.tolist()}")
-    return np.split(scores[np.argsort(ids, kind="stable")], np.cumsum(counts[:-1]))
+    ordered, ends = scores[np.argsort(ids, kind="stable")], np.cumsum(counts).tolist()
+    return [ordered[start:end] for start, end in zip([0, *ends], ends)]
 
 
-def _parse_columns(
-    data: list[list[str]], width: int
-) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """``(scores, agent ids or None)`` of rows that all pass every check,
-    else None. Agent ids must lie in [0, number of rows), since every id
+def _parse_plain(body: str, width: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """``(scores, agent ids or None)`` of ``body`` from one ``np.loadtxt``
+    call, or None if numpy refuses it (raises or warns) or a value fails a
+    check: scores finite, agent ids in [0, number of rows), since every id
     up to the largest needs a row."""
-    if set(map(len, data)) != {width}:
+    lines = body.split("\n")
+    if max(map(len, lines)) > _PLAIN_LINE:
         return None
-    # all rows have `width` fields, so zip truncates none of them
-    columns = [map(str.strip, column) for column in zip(*data)]
     try:
-        scores = np.fromiter(map(float, columns[-1]), float, len(data))
-        ids = np.fromiter(map(int, columns[0]), np.int64, len(data)) if width == 2 else None
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                lines, dtype=_ROW_DTYPES[width], delimiter=",",
+                comments=None, quotechar=None, ndmin=1,
+            )
+    except (ValueError, Warning):  # numpy refuses text by raising or warning
         return None
+    scores = table["score"]
+    ids = table["agent"] if width == 2 else None
     if not np.isfinite(scores).all():
         return None
-    if ids is not None and (ids.min() < 0 or ids.max() >= len(data)):
+    if ids is not None and (ids.min() < 0 or ids.max() >= ids.size):
         return None
     return scores, ids
 
 
-def _first_bad_row(path, rows, header: bool, width: int, count: int) -> Exception:
-    """The error for the first data row that fails a check of
-    :func:`_parse_columns`; ``count`` is the number of data rows."""
-    lines = [(line_no, [cell.strip() for cell in row]) for line_no, row in enumerate(rows, 1)]
-    lines = [(line_no, cells) for line_no, cells in lines if any(cells)]
-    if header:
-        del lines[0]
-    for line_no, cells in lines:
+def _walk_rows(
+    path, rows: list[tuple[int, list[str]]], width: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(scores, agent ids or None)`` of the data ``rows`` checked one at a
+    time, or the error for the first bad one."""
+    count = len(rows)
+    scores, ids = [], []
+    for line_no, cells in rows:
         where = f"{path}:{line_no}"
         if len(cells) != width:
             expected = "'agent,score'" if width == 2 else "one score per line"
-            return InvalidArgumentError(f"{where}: expected {expected}, got {len(cells)} fields")
+            raise InvalidArgumentError(f"{where}: expected {expected}, got {len(cells)} fields")
         if width == 2:
             try:
                 agent = int(cells[0])
             except ValueError:
-                return InvalidArgumentError(f"{where}: agent id {cells[0]!r} is not an integer")
+                raise InvalidArgumentError(
+                    f"{where}: agent id {cells[0]!r} is not an integer"
+                ) from None
             if agent < 0:
-                return InvalidArgumentError(f"{where}: agent id must be >= 0")
+                raise InvalidArgumentError(f"{where}: agent id must be >= 0")
             if agent >= count:
-                return InvalidArgumentError(
+                raise InvalidArgumentError(
                     f"{where}: agent id {agent} is too large: {count} rows cannot cover "
                     f"ids 0..{agent}"
                 )
+            ids.append(agent)
         text = cells[-1]
         try:
             value = float(text)
         except ValueError:
-            return InvalidArgumentError(f"{where}: {text!r} is not a number")
+            raise InvalidArgumentError(f"{where}: {text!r} is not a number") from None
         if not math.isfinite(value):
-            return InvalidArgumentError(f"{where}: score {text!r} is not finite")
-    return InternalError(f"{path}: rejected by the column checks, but no row is bad")
+            raise InvalidArgumentError(f"{where}: score {text!r} is not finite")
+        scores.append(value)
+    return np.array(scores, dtype=float), np.array(ids, dtype=np.int64) if width == 2 else None
 
 
-def _csv_rows(path) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        try:
-            return list(reader)
-        except UnicodeDecodeError as exc:
-            raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        except csv.Error as exc:
-            raise InvalidArgumentError(f"{path}:{reader.line_num}: {exc}") from None
+def _read_text(path) -> str:
+    """The file's text, a leading byte-order mark dropped, line ends kept."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _data_rows(path, lines: io.StringIO) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, stripped cells)`` of each non-blank ``csv`` row;
+    a row is blank when all its cells are whitespace."""
+    reader = csv.reader(lines)
+    try:
+        for line_no, row in enumerate(reader, 1):
+            cells = [cell.strip() for cell in row]
+            if any(cells):
+                yield line_no, cells
+    except csv.Error as exc:
+        raise InvalidArgumentError(f"{path}:{reader.line_num}: {exc}") from None

@@ -474,7 +474,9 @@ def select_ranks(
     toward the smallest local rank, then the smallest server rank. The
     chosen entry, on which the guarantee rests, is recomputed and must
     match the stored value (see :func:`_check_stored`); the stored value is
-    the one returned.
+    the one returned. A single agent (m = 1) covers with probability
+    l / (n + 1), so there the smallest l reaching the level is probed
+    directly, with no walk.
 
     Raises
     ------
@@ -539,6 +541,13 @@ def _walk_frontier(table: CoverageTable, alpha: float) -> tuple[RankPair, float]
             f"coverage {table.entries[(n, m)]:.6f} at ranks ({n}, {m}) is below "
             f"{1.0 - alpha}; no rank pair reaches the requested level for m={m}, n={n}"
         )
+    if m == 1:
+        # one agent covers with probability l / (n + 1), increasing in l, so
+        # the smallest l reaching the level is the answer
+        l = math.ceil((1 - Fraction(alpha)) * (n + 1))
+        reached = _reaches(table, l, 1, alpha)
+        assert reached  # the probe decides exactly, as the (n, 1) probe did
+        return RankPair(l, 1), table.entries[(l, 1)]
     best: tuple[float, int, int] | None = None
     k_floor = 1
     for l in range(n, 0, -1):

@@ -353,8 +353,8 @@ def private_release_by_agent(agents, q, epsilon, grid, rng) -> list[float]:
 
 
 # ---------------------------------------------------------------------------
-# score files: the per-row reader the bulk parser in ``fedcal.conformal``
-# replaced, kept as its reference
+# score files: a per-row reader, the reference of ``fedcal.conformal``'s
+# one-call parse and row walk
 # ---------------------------------------------------------------------------
 
 
@@ -408,6 +408,11 @@ def _group_by_agent(path, rows) -> list[np.ndarray]:
             ) from None
         if agent < 0:
             raise InvalidArgumentError(f"{path}:{line_no}: agent id must be >= 0")
+        if agent >= len(rows):
+            raise InvalidArgumentError(
+                f"{path}:{line_no}: agent id {agent} is too large: {len(rows)} rows cannot "
+                f"cover ids 0..{agent}"
+            )
         by_agent.setdefault(agent, []).append(_parse_score(path, line_no, row[1]))
     missing = set(range(max(by_agent) + 1)) - set(by_agent)
     if missing:
@@ -419,15 +424,20 @@ _HEADERS = {("score",), ("agent", "score")}
 
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:
+    """Non-blank rows with their line numbers, cells stripped; a header on
+    the first of them is dropped."""
     rows: list[tuple[int, list[str]]] = []
     with open(path, newline="", encoding="utf-8") as handle:
-        for line_no, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            cells = [cell.strip() for cell in row]
-            if line_no == 1 and tuple(c.lower() for c in cells) in _HEADERS:
-                continue
-            rows.append((line_no, cells))
+        reader = csv.reader(handle)
+        try:
+            for line_no, row in enumerate(reader, start=1):
+                cells = [cell.strip() for cell in row]
+                if any(cells):
+                    rows.append((line_no, cells))
+        except csv.Error as exc:
+            raise InvalidArgumentError(f"{path}:{reader.line_num}: {exc}") from None
+    if rows and tuple(c.lower() for c in rows[0][1]) in _HEADERS:
+        del rows[0]
     return rows
 
 

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from fedcal import (
     split_cp_calibrate,
     split_rank,
 )
+from fedcal import conformal
 from oracles import read_score_matrix_csv_by_rows, read_scores_csv_by_rows
 
 
@@ -256,27 +259,124 @@ class TestCsvIngestion:
             read_score_matrix_csv([path])
         assert len(str(excinfo.value)) < 500
 
+    @pytest.mark.parametrize("text", ["", "\n\n", " , \n", "score\n", "agent,score\n\n  \n"])
+    def test_empty_file_raises_no_warning(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match=r"empty\.csv: no scores found"):
+                read_score_matrix_csv([path])
+            with pytest.raises(InvalidArgumentError, match=r"empty\.csv: no scores found"):
+                read_scores_csv(path)
+
+    def test_plain_files_take_the_one_call_path(self, tmp_path, monkeypatch):
+        def walk(*args):
+            raise AssertionError("a plain file was walked row by row")
+
+        monkeypatch.setattr(conformal, "_walk_rows", walk)
+        scores = 1.0 - np.random.default_rng(5).random((4, 7))
+        # an agent,score file as perfbench's write_scores writes it
+        lines = ["agent,score"]
+        for agent, row in enumerate(scores.tolist()):
+            lines.extend(f"{agent},{value!r}" for value in row)
+        table = tmp_path / "all.csv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        agents = read_score_matrix_csv([table])
+        assert len(agents) == 4
+        for got, expected in zip(agents, scores):
+            assert got.tobytes() == expected.tobytes()
+        column = tmp_path / "one.csv"
+        column.write_text("\n".join(map(repr, scores[0].tolist())) + "\n", encoding="utf-8")
+        assert read_scores_csv(column).tobytes() == scores[0].tobytes()
+
+    def test_a_parse_that_warns_is_walked(self, tmp_path, monkeypatch):
+        # numpy 1.x reads the id '3.0' as 3 and only warns; a warning, even
+        # one the caller's filters would hide, sends the file to the row walk
+        loadtxt, walked = np.loadtxt, []
+
+        def warning_loadtxt(*args, **kwargs):
+            warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt(*args, **kwargs)
+
+        def walk(*args):
+            walked.append(args)
+            return walk_rows(*args)
+
+        walk_rows = conformal._walk_rows
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        monkeypatch.setattr(conformal, "_walk_rows", walk)
+        path = tmp_path / "all.csv"
+        path.write_text("agent,score\n0,0.5\n1,0.7\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            agents = read_score_matrix_csv([path])
+        assert [a.tolist() for a in agents] == [[0.5], [0.7]]
+        assert len(walked) == 1
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit"
+    )
+    def test_id_past_the_int_digit_limit_named_by_line(self, tmp_path):
+        # numpy reads a zero-padded int64 of any length; int() refuses one
+        # past sys.get_int_max_str_digits() (4300 by default)
+        path = tmp_path / "long.csv"
+        path.write_text("agent,score\n0,0.5\n" + "0" * 4301 + ",0.7\n")
+        with pytest.raises(InvalidArgumentError, match=r"long\.csv:3: agent id '0+' is not an"):
+            read_score_matrix_csv([path])
+
+    def test_field_past_the_csv_limit_named_by_line(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("score\n0.5\n" + " " * 140_000 + "0.7\n")
+        with pytest.raises(InvalidArgumentError, match=r"wide\.csv:3: field larger than field limit"):
+            read_scores_csv(path)
+
 
 _BLANK_ROWS = ["", "  ", "\t", " , ", ",", '""']
 _SCORE_HEADERS = ["score", "Score", "SCORE", " score ", '"score"']
 _AGENT_HEADERS = ["agent,score", "Agent,Score", "AGENT, SCORE", '"agent","score"']
 _BAD_ROW_KINDS = ["not_number", "not_finite", "wrong_width", "bad_id", "negative_id", "missing_id"]
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_FULL_WIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
 
 
-def _cell(draw, text):
-    """``text`` as a CSV cell: bare, padded, quoted, or quoted with padding.
-    U+001C pads too: it is whitespace to ``str.strip`` but not to ``float``
-    or ``int``."""
+def _cell(draw, text, plain=False):
+    """``text`` as a CSV cell: bare, padded, quoted, or quoted with padding;
+    bare if ``plain``. U+001C pads too: it is whitespace to ``str.strip``
+    but not to ``float`` or ``int``."""
+    if plain:
+        return text
     return draw(st.sampled_from(
         [text, f" {text}", f"{text}\t ", f"\x1c{text}", f'"{text}"', f'" {text} "']
+    ))
+
+
+def _agent_id(draw, agent, odd):
+    """``agent`` as text that ``int`` reads back: plain, or if ``odd`` also
+    signed, zero-padded, or in Arabic-Indic or full-width digits."""
+    text = str(agent)
+    if not odd:
+        return text
+    return draw(st.sampled_from(
+        [text, f"+{text}", f"0{text}", text.translate(_ARABIC_INDIC), text.translate(_FULL_WIDTH)]
     ))
 
 
 @st.composite
 def _score_files(draw):
     """Score-file text of either format with varied layout and at most one bad
-    row of each kind; headers sit on line 1 and every agent id is below the
-    row count, the inputs on which both readers are meant to agree."""
+    row of each kind; every agent id is below the row count, the inputs on
+    which both readers are meant to agree.
+
+    A third of the files are plain, with bare cells, as most real files
+    are. A third are odd, with text where numpy's parser and ``float`` or
+    ``int`` could part: lone ``\\r`` line ends, cells holding NUL,
+    Arabic-Indic and full-width digits, ids written ``+3``, ``03``, ``3.0``
+    or 2**63, and blank lines before the header. Plain and odd files may
+    hold a row starting with ``#``.
+    """
+    style = draw(st.sampled_from(["plain", "varied", "odd"]))
+    plain, odd = style == "plain", style == "odd"
     agent_format = draw(st.booleans())
     m = draw(st.integers(1, 4)) if agent_format else 1
     sizes = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
@@ -292,33 +392,40 @@ def _score_files(draw):
         st.floats(-1e6, 1e6, allow_nan=False).map(repr),
         st.floats(0, 1).map(lambda x: f"{x:.4g}"),
         st.sampled_from(["3", "+0.5", "-0.0", ".5", "5.", "1e-3", "1_0.5"]),
+        *([st.sampled_from(["\u0661\u0662", "\u0660.\u0665", "\uff13", "\uff11.5"])] if odd else []),
     )
     rows = []
     for agent in owners:
-        cells = [_cell(draw, draw(score))]
+        cells = [_cell(draw, draw(score), plain)]
         if agent_format:
-            cells.insert(0, _cell(draw, str(agent)))
+            cells.insert(0, _cell(draw, _agent_id(draw, agent, odd), plain))
         rows.append(",".join(cells))
+    odd_not_number = ["#1", "# 0.5", "1\x002", "\x00"] if odd else []
+    odd_bad_id = ["3.0", str(2**63), "#0", "0\x00"] if odd else []
     bad = {
-        "not_number": [draw(st.sampled_from(["abc", "1.2.3", "--1", "0x10"]))],
+        "not_number": [draw(st.sampled_from(["abc", "1.2.3", "--1", "0x10", *odd_not_number]))],
         "not_finite": [draw(st.sampled_from(["inf", "-Infinity", "nan", "NaN", "1e999"]))],
         "wrong_width": ["1", "2", "3"] if not agent_format else draw(
             st.sampled_from([["0.5"], ["0", "0.5", "1"]])
         ),
-        "bad_id": [draw(st.sampled_from(["x", "1.5", ""])), "0.5"],
+        "bad_id": [draw(st.sampled_from(["x", "1.5", "", *odd_bad_id])), "0.5"],
         "negative_id": [str(draw(st.integers(-5, -1))), "0.5"],
     }
     for kind in sorted(kinds - {"missing_id"}):
         cells = bad[kind]
         if agent_format and kind in ("not_number", "not_finite"):
             cells = [str(draw(st.integers(0, m - 1)))] + cells
-        rows.insert(draw(st.integers(0, len(rows))), ",".join(_cell(draw, c) for c in cells))
+        rows.insert(draw(st.integers(0, len(rows))), ",".join(_cell(draw, c, plain) for c in cells))
     assume(not agent_format or m - 1 < len(rows))
+    if style != "varied" and draw(st.booleans()):  # a bad row a comment character would hide
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["#", "#1", "# 0,0.5"])))
     for _ in range(draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_BLANK_ROWS)))
     if draw(st.booleans()):
         rows.insert(0, draw(st.sampled_from(_AGENT_HEADERS if agent_format else _SCORE_HEADERS)))
-    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in rows]
+    for _ in range(draw(st.integers(0, 2)) if odd else 0):
+        rows.insert(0, draw(st.sampled_from(_BLANK_ROWS)))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"] if odd else ["\n", "\r\n"])) for _ in rows]
     if rows and draw(st.booleans()):
         ends[-1] = ""
     return "".join(row + end for row, end in zip(rows, ends))

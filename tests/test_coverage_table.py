@@ -319,6 +319,30 @@ class TestSelectRanks:
         assert coverage == min(feasible)
         table.validate()
 
+    def test_single_agent_takes_smallest_reaching_rank(self):
+        # one agent covers with probability l / (n + 1), so the search reads
+        # only the feasibility entry (n, 1) and its answer; at the exact ties
+        # (n = 9, 19, 99 at alpha = 0.1) the answer is settled exactly
+        for n in range(1, 401):
+            for alpha in (0.01, 0.05, 0.1, 0.2, 1 / 3, 0.5):
+                level = 1 - Fraction(alpha)
+                table = CoverageTable(key=TableKey(1, n))
+                try:
+                    ranks, value = select_ranks(TableKey(1, n), alpha, table=table)
+                except InfeasibleError:
+                    assert Fraction(n, n + 1) < level
+                    continue
+                l = ranks.local_rank
+                assert ranks.server_rank == 1
+                assert Fraction(l, n + 1) >= level > Fraction(l - 1, n + 1)
+                assert abs(value - Fraction(l, n + 1)) <= LEVEL_MARGIN / 2
+                if abs(Fraction(l, n + 1) - level) <= LEVEL_MARGIN:
+                    assert value == float(Fraction(l, n + 1))
+                assert len(table.entries) <= 2
+        table = CoverageTable(key=TableKey(1, 9999))
+        assert select_ranks(TableKey(1, 9999), 0.1, table=table) == (RankPair(9000, 1), 0.9)
+        assert len(table.entries) <= 2
+
     def test_infeasible_alpha_raises(self):
         # the all-maximum entry has coverage mn/(mn+1); below that nothing works
         with pytest.raises(InfeasibleError):
