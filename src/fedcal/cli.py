@@ -187,7 +187,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _dp_config(options: dict) -> DpConfig:
     _require(options, "epsilon", "smax")
     gamma = options["gamma"]
-    gamma_value = None if str(gamma).lower() == "auto" else float(gamma)
+    try:
+        gamma_value = None if gamma.lower() == "auto" else float(gamma)
+    except ValueError:
+        raise InvalidArgumentError(f"bad value {gamma!r} for --gamma") from None
     return DpConfig(
         epsilon=options["epsilon"],
         grid=BinGrid.uniform(options["smax"], options["bins"]),
@@ -205,10 +208,10 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         key = TableKey(len(agents), agents[0].size)
         path = _cache_path(options, key.m, key.n)
         table, loaded = _load_or_new_table(path, key)
-    dp, rng = None, None
+    dp, spawn = None, None
     if method.private:
-        dp, rng = _dp_config(options), np.random.default_rng(options["seed"])
-    result = method.run(agents, options["alpha"], table=table, dp_config=dp, rng=rng)
+        dp, spawn = _dp_config(options), np.random.default_rng(options["seed"]).spawn
+    result = method.bind(options["alpha"], table=table, dp_config=dp)(agents, spawn)
     if path is not None:
         _save_if_grown(table, path, loaded)
     print(f"method={result.method}")

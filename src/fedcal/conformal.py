@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .coverage_table import CoverageTable, TableKey, select_ranks
+from .coverage_table import CoverageTable, RankPair, TableKey, select_ranks
 from .errors import InvalidArgumentError, ProtocolViolationError, check_alpha
 from .order_stats import _kth_smallest, as_block, as_sample, split_rank
 
@@ -191,21 +191,36 @@ def fedcp_qq_calibrate(
     m values. The guarantee reported is the exact table coverage, which for
     continuous scores is also the attained coverage.
     """
+    return _bind_qq(alpha, table)(scores)
+
+
+def _bind_qq(alpha: float, table: CoverageTable | None):
+    """:func:`fedcp_qq_calibrate` at ``alpha`` as ``calibrate(scores,
+    spawn=None)``; the round draws nothing, so ``spawn`` goes unused. The
+    ranks are selected at the first call of a shape and kept for later
+    calls of that shape."""
     check_alpha(alpha)
-    agents = as_block(scores)
-    m, n = agents.shape
-    ranks, coverage = select_ranks(TableKey(m, n), alpha, table=table)
-    l, k = ranks.local_rank, ranks.server_rank
-    q_hat, transcript = _one_shot_round(
-        agents, {"local_rank": l}, lambda a: _kth_smallest(a, l), lambda s: _kth_smallest(s, k)
-    )
-    return CalibrationResult(
-        q_hat=q_hat,
-        method="fedcp_qq",
-        guaranteed_coverage=coverage,
-        params=dict(m=m, n=n, alpha=alpha, local_rank=l, server_rank=k),
-        transcript=transcript,
-    )
+    chosen: dict[tuple[int, int], tuple[RankPair, float]] = {}
+
+    def calibrate(scores: Sequence[Sequence[float]], spawn=None) -> CalibrationResult:
+        agents = as_block(scores)
+        m, n = agents.shape
+        if (m, n) not in chosen:
+            chosen[m, n] = select_ranks(TableKey(m, n), alpha, table=table)
+        ranks, coverage = chosen[m, n]
+        l, k = ranks.local_rank, ranks.server_rank
+        q_hat, transcript = _one_shot_round(
+            agents, {"local_rank": l}, lambda a: _kth_smallest(a, l), lambda s: _kth_smallest(s, k)
+        )
+        return CalibrationResult(
+            q_hat=q_hat,
+            method="fedcp_qq",
+            guaranteed_coverage=coverage,
+            params=dict(m=m, n=n, alpha=alpha, local_rank=l, server_rank=k),
+            transcript=transcript,
+        )
+
+    return calibrate
 
 
 def fedcp_avg_calibrate(scores: Sequence[Sequence[float]], alpha: float) -> CalibrationResult:

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -128,16 +128,14 @@ class CoverageTable:
     """Lazily filled map (local_rank, server_rank) -> coverage for one (m, n).
 
     Holds only the entries a search has read (about n + m of the m*n);
-    they are level-independent, so one table serves every alpha. The rank
-    and gamma searches keep their answers on the table, and count the
-    stored entries a search changed (see :func:`_memoised`); those are
-    neither compared nor saved.
+    they are level-independent, so one table serves every alpha. It keeps
+    no search's answer: every rank or gamma search walks it again, and a
+    caller that runs many rounds of one shape chooses its ranks once (see
+    :data:`fedcal.federation.METHODS`).
     """
 
     key: TableKey
     entries: dict[tuple[int, int], float] = field(default_factory=dict)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _overwrites: int = field(default=0, init=False, repr=False, compare=False)
 
     def validate(self) -> None:
         """Check every entry's ranks, its range [0, 1], and monotonicity in
@@ -398,18 +396,11 @@ def _entry(table: CoverageTable, local_rank: int, server_rank: int) -> float:
 
 
 def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: float) -> bool:
-    """Whether the entry reaches 1 - alpha; a settled entry is stored exact.
-
-    Settling an entry that was stored before this probe changes a value
-    another reader may have seen, and counts in ``table._overwrites``.
-    """
+    """Whether the entry reaches 1 - alpha; a settled entry is stored exact."""
     pair, groups = (local_rank, server_rank), ((table.key.m, table.key.n, local_rank),)
-    stored = table.entries.get(pair)
     reached, value = _meets_level(
         _entry(table, *pair), alpha, lambda: _settled(groups, server_rank)
     )
-    if stored is not None and value != stored:
-        table._overwrites += 1
     table.entries[pair] = value
     return reached
 
@@ -488,53 +479,13 @@ def select_ranks(
     """
     check_alpha(alpha)
     table = _table_for(table, key.m, key.n)
-    ranks, value = _search_ranks(table, alpha)
+    ranks, value = _walk_frontier(table, alpha)
     _check_stored(table, ranks)
     return ranks, value
 
 
-def _memoised(table: CoverageTable, key: tuple, search: Callable):
-    """``search()``, or its answer kept from an earlier call on ``table``.
-
-    An answer is kept against the entries as the search left them
-    (``table._memo["entries"]``) and reused only while the table holds
-    exactly those entries. A search run again on them gives the same
-    answer: it reads the table only through ``_entry`` and ``_reaches``
-    (and re-reads what they stored), its course depends only on the values
-    read, and each read leaves the entry at the value the search acted on.
-    ``_entry`` stores what it computes; ``_reaches`` stores the value it
-    decided on, and a settled value is decided the same way again (it is
-    either settled again or more than ``LEVEL_MARGIN`` from the level). The
-    only later change is a ``_reaches`` settling an entry stored before it,
-    such as one entry probed at two levels; that counts in
-    ``table._overwrites``, and an answer found while it grew is not kept.
-
-    Searches nest: the gamma search runs rank searches, whose answers are
-    kept against the entries each left. When the outer search stores more
-    after them, its answer replaces the memo and theirs go with it.
-    """
-    memo, entries = table._memo, table.entries
-    if memo and memo["entries"] != entries:
-        memo.clear()
-    if key in memo:
-        return memo[key]
-    overwrites = table._overwrites
-    answer = search()
-    if table._overwrites == overwrites:
-        if memo.get("entries") != entries:
-            memo.clear()
-            memo["entries"] = dict(entries)
-        memo[key] = answer
-    return answer
-
-
-def _search_ranks(table: CoverageTable, alpha: float) -> tuple[RankPair, float]:
-    """The frontier walk of :func:`select_ranks`, trusting ``table``;
-    memoised per level."""
-    return _memoised(table, ("ranks", alpha), lambda: _walk_frontier(table, alpha))
-
-
 def _walk_frontier(table: CoverageTable, alpha: float) -> tuple[RankPair, float]:
+    """The frontier walk of :func:`select_ranks`, trusting ``table``."""
     m, n = table.key.m, table.key.n
     if not _reaches(table, n, m, alpha):
         raise InfeasibleError(

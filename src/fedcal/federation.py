@@ -1,15 +1,16 @@
 """One-shot protocol simulation, synthetic data, and heterogeneity diagnostics.
 
 ``METHODS`` is the one registry of calibration methods, keyed by their
-command-line names; the CLI and :func:`run_one_shot` both dispatch through
-it. Every federated calibration returns its round's transcript on the
-result, so the single-round property (exactly one uplink message per
-agent) is asserted rather than assumed; :func:`run_one_shot` returns that
-transcript alongside the result. All randomness derives from a master
-seed via counter-style spawn keys, one stream per (replication, agent), so
-results are reproducible under any execution order. The simulator seeds
-those streams, and the private round's agent streams, in one vectorised
-pass; each is still exactly the ``substream`` of its key.
+command-line names; the CLI, :func:`run_one_shot` and the simulator all
+bind through it. Every federated calibration returns its round's
+transcript on the result, so the single-round property (exactly one
+uplink message per agent) is asserted rather than assumed;
+:func:`run_one_shot` returns that transcript alongside the result. All
+randomness derives from a master seed via counter-style spawn keys, one
+stream per (replication, agent), so results are reproducible under any
+execution order. The simulator seeds those streams, and the private
+round's agent streams, in one vectorised pass; each is still exactly the
+``substream`` of its key.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from scipy.special import betainc, ndtr
 from .conformal import (
     CalibrationResult,
     Transcript,
+    _bind_qq,
     fedcp_avg_calibrate,
-    fedcp_qq_calibrate,
     split_cp_calibrate,
 )
 from .coverage_table import (
@@ -40,7 +41,7 @@ from .coverage_table import (
 from .errors import InternalError, InvalidArgumentError, ProtocolViolationError
 from .errors import check_alpha, check_integer
 from .order_stats import _kth_smallest
-from .privacy import DpConfig, _private_round, fedcp2_qq_calibrate
+from .privacy import DpConfig, _bind_private
 
 __all__ = [
     "FederationSpec",
@@ -75,10 +76,10 @@ class FederationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.m < 1:
+        if check_integer(self.m, "m") < 1:
             raise InvalidArgumentError(f"need at least one agent, got m={self.m}")
         check_alpha(self.alpha)
-        if self.n < 1:
+        if check_integer(self.n, "n") < 1:
             raise InvalidArgumentError(f"every local size must be >= 1, got n={self.n}")
         if check_integer(self.seed, "the seed") < 0:
             raise InvalidArgumentError(f"the seed must be >= 0, got {self.seed}")
@@ -297,7 +298,7 @@ def synthetic_dataset(
     0.03 * X * gaussian noise, plus (optionally) a 1%-frequency gaussian
     outlier burst with standard deviation 25.
     """
-    if count < 1:
+    if check_integer(count, "count") < 1:
         raise InvalidArgumentError(f"count must be >= 1, got {count}")
     x = rng.uniform(1.0, 5.0, count)
     rate = np.sin(x) ** 2 + 0.1
@@ -354,16 +355,19 @@ def synthetic_conditional_quantile(x, level: float, *, outliers: bool = True) ->
 class Method:
     """How the CLI and the simulator run one calibration method.
 
-    ``run(agents, alpha, *, table, dp_config, rng)`` calibrates; its
-    result carries the round's transcript, or None when the method runs no
-    round. ``table`` says whether it reads and extends a coverage table,
-    ``private`` whether it needs a DpConfig and a generator, and
-    ``one_shot`` whether it fits one uplink message per agent. The private
-    method also takes ``streams``, the m agent streams to use in place of
-    ``rng.spawn(m)``; the simulator passes the ones it seeded in bulk.
+    ``bind(alpha, *, table, dp_config)`` returns ``calibrate(agents,
+    spawn)``, which checks its inputs, runs the method and returns its
+    result; the result carries the round's transcript, or None when the
+    method runs no round. A method that chooses ranks (or gamma) makes the
+    choice at the first call and keeps it for later calls of the same
+    shape, so a caller running many rounds binds once. ``spawn(m)`` gives
+    the private round's m agent streams and is ignored by the others.
+    ``table`` says whether the method reads and extends a coverage table,
+    ``private`` whether it needs a DpConfig and ``spawn``, and ``one_shot``
+    whether it fits one uplink message per agent.
     """
 
-    run: Callable[..., CalibrationResult]
+    bind: Callable[..., Callable[..., CalibrationResult]]
     table: bool = False
     private: bool = False
     one_shot: bool = True
@@ -371,19 +375,15 @@ class Method:
 
 METHODS: dict[str, Method] = {
     "centralized": Method(
-        lambda agents, alpha, **_: split_cp_calibrate(np.concatenate(agents), alpha),
+        lambda alpha, **_: lambda agents, spawn: split_cp_calibrate(np.concatenate(agents), alpha),
         one_shot=False,
     ),
-    "fedcp-qq": Method(
-        lambda agents, alpha, *, table, **_: fedcp_qq_calibrate(agents, alpha, table=table),
-        table=True,
+    "fedcp-qq": Method(lambda alpha, *, table, **_: _bind_qq(alpha, table), table=True),
+    "fedcp-avg": Method(
+        lambda alpha, **_: lambda agents, spawn: fedcp_avg_calibrate(agents, alpha)
     ),
-    "fedcp-avg": Method(lambda agents, alpha, **_: fedcp_avg_calibrate(agents, alpha)),
     "fedcp2-qq": Method(
-        lambda agents, alpha, *, table, dp_config, rng=None, streams=None:
-            fedcp2_qq_calibrate(agents, alpha, dp_config, rng, table=table)
-            if streams is None
-            else _private_round(agents, alpha, dp_config, lambda m: streams, table),
+        lambda alpha, *, table, dp_config: _bind_private(alpha, dp_config, table),
         table=True,
         private=True,
     ),
@@ -427,7 +427,8 @@ def run_one_shot(
     entry = _one_shot_entry(method, dp_config)
     if entry.private and rng is None:
         rng = np.random.default_rng(spec.seed)
-    result = entry.run(scores, spec.alpha, table=table, dp_config=dp_config, rng=rng)
+    calibrate = entry.bind(spec.alpha, table=table, dp_config=dp_config)
+    result = calibrate(scores, None if rng is None else rng.spawn)
     return result, result.transcript
 
 
@@ -459,14 +460,16 @@ def coverage_experiment(
     replication is kept for export. Identical (spec, seed) inputs
     reproduce identical output.
     """
-    if replications < 1:
+    if check_integer(replications, "replications") < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
-    if test_size < 1:
+    if check_integer(test_size, "test_size") < 1:
         raise InvalidArgumentError(f"test_size must be >= 1, got {test_size}")
     m = spec.m
     offsets = _agent_shifts(shifts, m)[:, None]
     entry = _one_shot_entry(method, dp_config)
-    table = CoverageTable(key=TableKey(m, spec.n))
+    table = CoverageTable(key=TableKey(m, spec.n)) if entry.table else None
+    # bound once: the ranks (or gamma) are chosen at the first replication
+    calibrate = entry.bind(spec.alpha, table=table, dp_config=dp_config)
     rows: list[dict] = []
     # in replication r, stream (r, j) holds agent j's scores for j < m and
     # (r, m) the test scores; the private round's agent j draws its noise
@@ -474,9 +477,7 @@ def coverage_experiment(
     children = m if entry.private else 0
     for rep, streams in enumerate(_replication_streams(spec.seed, replications, m + 1, children)):
         agents = _replication(sampler, streams[:m], spec.n) + offsets
-        result = entry.run(
-            agents, spec.alpha, table=table, dp_config=dp_config, streams=streams[m + 1 :]
-        )
+        result = calibrate(agents, lambda _: streams[m + 1 :])
         test = sampler.sample(streams[m], test_size)
         coverage = float(np.mean(test <= result.q_hat))
         rows.append(
@@ -540,7 +541,7 @@ def conditional_coverage_experiment(
     continuous scores the exact quantiles of this distribution are
     :func:`fedcal.coverage_table.conditional_miscoverage_quantile`.
     """
-    if replications < 1:
+    if check_integer(replications, "replications") < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
     cdf = getattr(sampler, "cdf", None)
     if cdf is None:
@@ -577,7 +578,8 @@ def poisson_binomial_diagnostic(p: Sequence[float]) -> dict:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size < 1:
         raise InvalidArgumentError("p must be a nonempty probability vector")
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    # NaN fails every comparison, so test for the valid range rather than against it
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise InvalidArgumentError("all probabilities must lie in [0, 1]")
     m = p.size
     pbar = float(np.mean(p))
@@ -629,7 +631,7 @@ def heterogeneity_tv_penalty(
     """
     offsets = _agent_shifts(shifts, key.m)
     RankPair(local_rank, 1).validate(key)
-    if draws < 1:
+    if check_integer(draws, "draws") < 1:
         raise InvalidArgumentError(f"draws must be >= 1, got {draws}")
     s = base.sample(rng, draws)
     per_agent_cdf = base.cdf(s[:, None] - offsets)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer
 
 __all__ = [
     "as_sample",
@@ -82,7 +82,7 @@ def order_statistic(sample: Sequence[float] | np.ndarray, rank: int) -> float:
 
     Duplicates occupy distinct ranks; the cost is linear in the sample size.
     """
-    if rank < 1:
+    if check_integer(rank, "rank") < 1:
         raise InvalidArgumentError(f"rank must be >= 1, got {rank}")
     return float(_kth_smallest(as_sample(sample), rank))
 
@@ -102,9 +102,9 @@ def quantile_of_quantiles(
     """
     samples = _samples(agents)
     m = len(samples)
-    if local_rank < 1:
+    if check_integer(local_rank, "local rank") < 1:
         raise InvalidArgumentError(f"local rank must be >= 1, got {local_rank}")
-    if not 1 <= server_rank <= m:
+    if not 1 <= check_integer(server_rank, "server rank") <= m:
         raise InvalidArgumentError(f"server rank must be in [1, {m}], got {server_rank}")
     # short agents are padded with the sentinel, which a rank past their end selects
     sizes = np.array([a.size for a in samples])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import softmax
@@ -30,11 +30,10 @@ from .coverage_table import (
     TableKey,
     _check_stored,
     _entry,
-    _memoised,
-    _search_ranks,
     _table_for,
+    _walk_frontier,
 )
-from .errors import InfeasibleError, InvalidArgumentError, check_alpha
+from .errors import InfeasibleError, InvalidArgumentError, check_alpha, check_integer
 from .order_stats import _kth_smallest, as_block, as_sample
 
 __all__ = [
@@ -81,7 +80,7 @@ class BinGrid:
     def uniform(cls, s_max: float, bins: int = 100) -> "BinGrid":
         if not (math.isfinite(s_max) and s_max > 0.0):
             raise InvalidArgumentError(f"s_max must be positive and finite, got {s_max}")
-        if bins < 1:
+        if check_integer(bins, "bins") < 1:
             raise InvalidArgumentError(f"need at least one bin, got {bins}")
         return cls(edges=tuple(np.linspace(0.0, s_max, bins + 1)))
 
@@ -205,7 +204,7 @@ def rank_correction(epsilon: float, bins: int, agents: int, gamma_alpha: float) 
     bin count.
     """
     _check_epsilon(epsilon)
-    if bins < 1 or agents < 1:
+    if min(check_integer(bins, "bins"), check_integer(agents, "agents")) < 1:
         raise InvalidArgumentError("bins and agents must both be >= 1")
     if not 0.0 < gamma_alpha < 1.0:
         raise InvalidArgumentError(f"gamma*alpha must be in (0, 1), got {gamma_alpha}")
@@ -240,10 +239,9 @@ def select_gamma(
     coverage is smallest wins (that coverage measures how much the
     compensation overshoots); ties go to the smaller gamma. Every coverage
     is read through ``table`` (a fresh one when none is given), which stores
-    each corrected entry for the next search and keeps the selection while
-    its entries stand. The winner's rank pair, on which the guarantee
-    rests, is recomputed as in :func:`fedcal.coverage_table.select_ranks`,
-    on every call.
+    each corrected entry for the next search; every call searches the whole
+    grid again. The winner's rank pair, on which the guarantee rests, is
+    recomputed as in :func:`fedcal.coverage_table.select_ranks`.
 
     Raises
     ------
@@ -257,11 +255,7 @@ def select_gamma(
     if len(candidates) == 0:
         raise InvalidArgumentError("gamma grid must be nonempty")
     table = _table_for(table, key.m, key.n)
-    best = _memoised(
-        table,
-        ("gamma", alpha, epsilon, bins, tuple(candidates)),
-        lambda: _search_gamma(table, alpha, epsilon, bins, candidates),
-    )
+    best = _search_gamma(table, alpha, epsilon, bins, candidates)
     _check_stored(table, RankPair(best.local_rank, best.server_rank))
     return best
 
@@ -281,7 +275,7 @@ def _search_gamma(
             rejected[gamma] = "it leaves no attainable level"
             continue
         try:
-            ranks, _ = _search_ranks(table, alpha_eff)
+            ranks, _ = _walk_frontier(table, alpha_eff)
         except InfeasibleError as exc:
             rejected[gamma] = str(exc)
             continue
@@ -322,50 +316,55 @@ def fedcp2_qq_calibrate(
     edge; the server returns the server_rank-th smallest of the m edges.
     Agent j's noise comes from the j-th generator of ``rng.spawn(m)``,
     spawned once per call after the inputs are checked and gamma is chosen,
-    so a seeded generator reproduces the whole run. The simulator seeds the
-    same streams in bulk: in replication r, agent j's noise comes from
-    ``substream(seed, r, m + 1, j)``, the j-th child of
-    ``substream(seed, r, m + 1)``. A fixed ``config.gamma`` is searched as a
-    one-candidate grid. The reported guarantee is 1 - alpha.
+    so a seeded generator reproduces the whole run. The simulator binds the
+    method once per experiment (see :data:`fedcal.federation.METHODS`), so
+    gamma is chosen once, and seeds the same streams in bulk: in
+    replication r, agent j's noise comes from ``substream(seed, r, m + 1,
+    j)``, the j-th child of ``substream(seed, r, m + 1)``. A fixed
+    ``config.gamma`` is searched as a one-candidate grid. The reported
+    guarantee is 1 - alpha.
     """
-    return _private_round(scores, alpha, config, rng.spawn, table)
+    return _bind_private(alpha, config, table)(scores, rng.spawn)
 
 
-def _private_round(
-    scores: Sequence[Sequence[float]],
-    alpha: float,
-    config: DpConfig,
-    spawn: Callable[[int], Sequence[np.random.Generator]],
-    table: CoverageTable | None,
-) -> CalibrationResult:
-    """:func:`fedcp2_qq_calibrate` with the agents' m streams from
-    ``spawn(m)``, called once, after the checks and the gamma search."""
+def _bind_private(alpha: float, config: DpConfig, table: CoverageTable | None):
+    """:func:`fedcp2_qq_calibrate` at ``alpha`` as ``calibrate(scores,
+    spawn)``, where ``spawn(m)`` gives the agents' m streams and is called
+    once per call, after the checks and the gamma choice. Gamma is chosen
+    at the first call of a shape and kept for later calls of that shape."""
     check_alpha(alpha)
-    binned = config.grid.bin_index(as_block(scores))  # checks the range before any search
-    m, n = binned.shape
-    candidates = DEFAULT_GAMMA_GRID if config.gamma is None else (config.gamma,)
-    selection = select_gamma(
-        TableKey(m, n), alpha, config.epsilon, config.grid.bins, candidates, table=table
-    )
-    q = max((selection.local_rank + selection.correction) / n, 0.5)
-    k = selection.server_rank
-    streams = spawn(m)
-    q_hat, transcript = _one_shot_round(
-        binned,
-        dict(quantile=q, epsilon=config.epsilon, edges=config.grid.edges, server_rank=k),
-        lambda binned: _release(binned, q, config.epsilon, config.grid, streams),
-        lambda sent: _kth_smallest(sent, k),
-    )
-    return CalibrationResult(
-        q_hat=q_hat,
-        method="fedcp2_qq",
-        guaranteed_coverage=1.0 - alpha,
-        params=dict(
-            m=m, n=n, alpha=alpha, epsilon=config.epsilon,
-            bins=config.grid.bins, s_max=config.grid.s_max, gamma=selection.gamma,
-            local_rank=selection.local_rank, server_rank=selection.server_rank,
-            correction=selection.correction, quantile=q,
-            corrected_coverage=selection.corrected_coverage,
-        ),
-        transcript=transcript,
-    )
+    chosen: dict[tuple[int, int], GammaSelection] = {}
+
+    def calibrate(scores: Sequence[Sequence[float]], spawn) -> CalibrationResult:
+        binned = config.grid.bin_index(as_block(scores))  # checks the range before any search
+        m, n = binned.shape
+        if (m, n) not in chosen:
+            candidates = DEFAULT_GAMMA_GRID if config.gamma is None else (config.gamma,)
+            chosen[m, n] = select_gamma(
+                TableKey(m, n), alpha, config.epsilon, config.grid.bins, candidates, table=table
+            )
+        selection = chosen[m, n]
+        q = max((selection.local_rank + selection.correction) / n, 0.5)
+        k = selection.server_rank
+        streams = spawn(m)
+        q_hat, transcript = _one_shot_round(
+            binned,
+            dict(quantile=q, epsilon=config.epsilon, edges=config.grid.edges, server_rank=k),
+            lambda binned: _release(binned, q, config.epsilon, config.grid, streams),
+            lambda sent: _kth_smallest(sent, k),
+        )
+        return CalibrationResult(
+            q_hat=q_hat,
+            method="fedcp2_qq",
+            guaranteed_coverage=1.0 - alpha,
+            params=dict(
+                m=m, n=n, alpha=alpha, epsilon=config.epsilon,
+                bins=config.grid.bins, s_max=config.grid.s_max, gamma=selection.gamma,
+                local_rank=selection.local_rank, server_rank=selection.server_rank,
+                correction=selection.correction, quantile=q,
+                corrected_coverage=selection.corrected_coverage,
+            ),
+            transcript=transcript,
+        )
+
+    return calibrate

@@ -201,6 +201,12 @@ class TestCalibrateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and name in err
 
+    def test_non_numeric_gamma_refused(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--m", "3", "--n", "10", "--alpha", "0.2",
+                              "--method", "fedcp2-qq", "--reps", "2", "--epsilon", "5",
+                              "--smax", "1", "--gamma", "abc")
+        assert (code, out, err) == (1, "", "error: bad value 'abc' for --gamma\n")
+
     @pytest.mark.parametrize("method", ["fedcp-qq", "fedcp2-qq"])
     def test_negative_seed_refused(self, tmp_path, capsys, method):
         paths = _write_agent_files(tmp_path, [[0.1, 0.5, 0.3]] * 2)
@@ -279,7 +285,8 @@ class TestMethodRegistry:
             if not method.one_shot:
                 with pytest.raises(ProtocolViolationError):
                     run_one_shot(spec, agents, name)
-                assert method.run(agents, 0.2).transcript is None
+                calibrate = method.bind(0.2, table=None, dp_config=None)
+                assert calibrate(agents, None).transcript is None
                 continue
             result, transcript = run_one_shot(
                 spec, agents, name, dp_config=cfg, rng=np.random.default_rng(11)
@@ -292,8 +299,8 @@ class TestMethodRegistry:
             }
             assert json.loads(out.read_text()) == json.loads(json.dumps(expected, default=float))
             assert [agent for agent, _ in transcript.uplinks] == list(range(6))
-            direct = method.run(
-                agents, 0.2, table=None, dp_config=cfg, rng=np.random.default_rng(11)
+            direct = method.bind(0.2, table=None, dp_config=cfg)(
+                agents, np.random.default_rng(11).spawn
             )
             assert transcript == direct.transcript
 
@@ -335,6 +342,14 @@ class TestSimulateCommand:
                               "--method", "fedcp-qq", "--reps", "2", "--seed", "-1")
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and "--seed" in err
+
+    def test_method_without_table_runs_past_the_table_cap(self, capsys):
+        args = ("simulate", "--m", "1001", "--n", "1000", "--alpha", "0.1", "--reps", "1",
+                "--test-size", "1")
+        code, out, err = _run(capsys, *args, "--method", "fedcp-avg")
+        assert (code, err) == (0, "") and "method=fedcp-avg reps=1" in out
+        code, out, err = _run(capsys, *args, "--method", "fedcp-qq")
+        assert (code, out) == (1, "") and "exceeds the exact-arithmetic cap" in err
 
     def test_deterministic_under_seed(self, tmp_path, capsys):
         args = ("simulate", "--m", "4", "--n", "10", "--alpha", "0.1",

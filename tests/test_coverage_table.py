@@ -28,7 +28,6 @@ from fedcal import (
     unbalanced_coverage,
 )
 
-from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
@@ -357,45 +356,16 @@ class TestSelectRanks:
         assert first == second
         assert table.entries == entries
 
-    def test_memoised_search_reads_no_new_entry(self, monkeypatch):
+    def test_search_settles_a_stored_entry_near_the_level(self):
         key = TableKey(8, 60)
-        table = CoverageTable(key=key)
-        walks = []
-        walk = coverage_table._walk_frontier
-        monkeypatch.setattr(
-            coverage_table, "_walk_frontier", lambda t, a: walks.append(a) or walk(t, a)
-        )
-        first = select_ranks(key, 0.2, table=table)
-        misses = _entry_engine.cache_info().misses
-        assert [select_ranks(key, 0.2, table=table) for _ in range(3)] == [first] * 3
-        assert _entry_engine.cache_info().misses == misses
-        # the first walk fills the table, and its answer is kept against what it left
-        assert walks == [0.2]
-        select_ranks(key, 0.1, table=table)  # another level is another walk
-        assert walks == [0.2, 0.1]
-        # the memo is neither compared nor shown
-        assert table == CoverageTable(key=key, entries=dict(table.entries))
-        assert "memo" not in repr(table)
-
-    def test_search_that_settles_a_stored_entry_is_not_kept(self, monkeypatch):
-        key = TableKey(8, 60)
-        walks = []
-        walk = coverage_table._walk_frontier
-        monkeypatch.setattr(
-            coverage_table, "_walk_frontier", lambda t, a: walks.append(a) or walk(t, a)
-        )
         expected = select_ranks(key, 0.2)
         # a stored (n, m) entry just above the level: the walk settles it to
-        # its exact value, changing what an earlier reader may have seen
+        # its exact value
         table = CoverageTable(key=key, entries={(60, 8): 0.8 + LEVEL_MARGIN / 2})
-        walks.clear()
         assert select_ranks(key, 0.2, table=table) == expected
         assert table.entries[(60, 8)] == 480 / 481  # 1 - 1/(m*n + 1), settled exactly
-        assert table._overwrites == 1
-        assert [select_ranks(key, 0.2, table=table) for _ in range(2)] == [expected] * 2
-        assert walks == [0.2, 0.2]  # the second walk changed nothing and is kept
 
-    def test_forged_chosen_entry_refused_after_memoised_search(self):
+    def test_forged_chosen_entry_refused_on_a_repeated_search(self):
         key = TableKey(8, 60)
         table = CoverageTable(key=key)
         for _ in range(2):
@@ -405,7 +375,7 @@ class TestSelectRanks:
         with pytest.raises(InvalidArgumentError, match=r"\(46, 7\)"):
             select_ranks(key, 0.2, table=table)
 
-    def test_memoised_search_sees_a_forged_frontier_entry(self):
+    def test_repeated_search_sees_a_forged_frontier_entry(self):
         key = TableKey(8, 60)
         table = CoverageTable(key=key)
         for _ in range(2):

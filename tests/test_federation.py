@@ -29,6 +29,8 @@ from fedcal import (
     heterogeneity_tv_penalty,
     order_statistic,
     poisson_binomial_diagnostic,
+    quantile_of_quantiles,
+    rank_correction,
     run_one_shot,
     select_ranks,
     split_rank,
@@ -266,9 +268,10 @@ class TestCoverageExperiment:
     ):
         walks, searches = [], []
         walk, search = coverage_table._walk_frontier, privacy._search_gamma
-        monkeypatch.setattr(
-            coverage_table, "_walk_frontier", lambda *args: walks.append(args) or walk(*args)
-        )
+        for module in (coverage_table, privacy):  # privacy holds the walk by name
+            monkeypatch.setattr(
+                module, "_walk_frontier", lambda *args: walks.append(args) or walk(*args)
+            )
         monkeypatch.setattr(
             privacy, "_search_gamma", lambda *args: searches.append(args) or search(*args)
         )
@@ -278,6 +281,19 @@ class TestCoverageExperiment:
         # the gamma search walks the frontier once per candidate
         expected_walks = len(DEFAULT_GAMMA_GRID) if gamma_searches else 1
         assert (len(walks), len(searches)) == (expected_walks, gamma_searches)
+
+    def test_bound_method_calibrates_each_shape_like_its_calibrator(self):
+        cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))
+        qq = federation.METHODS["fedcp-qq"].bind(0.2, table=None, dp_config=None)
+        private = federation.METHODS["fedcp2-qq"].bind(0.2, table=None, dp_config=cfg)
+        rng = np.random.default_rng(8)
+        for m, n in [(6, 60), (8, 90), (6, 60)]:
+            scores = rng.uniform(0.01, 1.0, size=(m, n))
+            assert qq(scores, None) == fedcp_qq_calibrate(scores, 0.2)
+            expected = fedcp2_qq_calibrate(scores, 0.2, cfg, np.random.default_rng(m))
+            assert private(scores, np.random.default_rng(m).spawn) == expected
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            qq([[0.1, math.nan]] * 6, None)
 
 
 SAMPLER_CLASSES = (UniformScores, ExponentialScores, OutlierScores)
@@ -341,6 +357,47 @@ class TestStreamSeeding:
             _Preseeded(state).generate_state(4)
         with pytest.raises(InternalError, match="4 uint64 words"):
             _Preseeded(state).generate_state(8, np.uint64)
+
+
+_SPEC = FederationSpec(m=3, n=10, alpha=0.2)
+
+# a float where an integer count or rank belongs, and the name the refusal gives
+NON_INTEGER_CALLS = {
+    "spec m": (lambda: FederationSpec(m=2.5, n=10, alpha=0.1), "m"),
+    "spec n": (lambda: FederationSpec(m=3, n=10.0, alpha=0.1), "n"),
+    "replications": (
+        lambda: coverage_experiment(_SPEC, 2.5, "fedcp-qq", UniformScores(), 10), "replications"
+    ),
+    "test_size": (
+        lambda: coverage_experiment(_SPEC, 2, "fedcp-qq", UniformScores(), 10.0), "test_size"
+    ),
+    "conditional replications": (
+        lambda: conditional_coverage_experiment(_SPEC, 2.0, sampler=UniformScores()),
+        "replications",
+    ),
+    "uniform bins": (lambda: BinGrid.uniform(1.0, 10.0), "bins"),
+    "correction bins": (lambda: rank_correction(5.0, 2.5, 3, 0.01), "bins"),
+    "correction agents": (lambda: rank_correction(5.0, 100, 3.0, 0.01), "agents"),
+    "draws": (
+        lambda: heterogeneity_tv_penalty(
+            [0.0] * 3, UniformScores(), TableKey(3, 10), 5, np.random.default_rng(0), draws=10.0
+        ),
+        "draws",
+    ),
+    "count": (lambda: synthetic_dataset(10.0, np.random.default_rng(0)), "count"),
+    "order statistic rank": (lambda: order_statistic([1.0, 2.0, 3.0], 2.5), "rank"),
+    "local rank": (lambda: quantile_of_quantiles([[1.0, 2.0], [3.0, 4.0]], 1.0, 1), "local rank"),
+    "server rank": (
+        lambda: quantile_of_quantiles([[1.0, 2.0], [3.0, 4.0]], 1, 2.0), "server rank"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGER_CALLS))
+def test_non_integer_count_or_rank_refused(name):
+    call, argument = NON_INTEGER_CALLS[name]
+    with pytest.raises(InvalidArgumentError, match=f"^{argument} must be an integer"):
+        call()
 
 
 class TestFederationSpec:
@@ -438,9 +495,10 @@ class TestPoissonBinomialDiagnostic:
         out = poisson_binomial_diagnostic([0.0, 0.0, 0.0])
         assert out == {"exact_tv_to_binomial": 0.0, "ehm_upper": 0.0}
 
-    def test_invalid_probabilities_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            poisson_binomial_diagnostic([0.5, 1.5])
+    @pytest.mark.parametrize("p", [[0.5, 1.5], [-0.5, 0.5], [0.5, math.nan]])
+    def test_invalid_probabilities_rejected(self, p):
+        with pytest.raises(InvalidArgumentError, match=r"lie in \[0, 1\]"):
+            poisson_binomial_diagnostic(p)
 
 
 class TestHeterogeneity:

@@ -21,7 +21,6 @@ from fedcal import (
     select_gamma,
     select_ranks,
 )
-from fedcal import privacy
 from fedcal.coverage_table import RankPair, _entry_engine
 from fedcal.privacy import _release
 
@@ -296,24 +295,7 @@ class TestSelectGamma:
         assert len(loaded.entries) == len(table.entries)
         assert second == first
 
-    def test_memoised_selection_reads_no_new_entry(self, monkeypatch):
-        key = TableKey(6, 60)
-        table = CoverageTable(key=key)
-        searches = []
-        search = privacy._search_gamma
-        monkeypatch.setattr(
-            privacy, "_search_gamma", lambda *args: searches.append(args[1:]) or search(*args)
-        )
-        first = select_gamma(key, 0.2, 5.0, 100, table=table)
-        misses = _entry_engine.cache_info().misses
-        assert [select_gamma(key, 0.2, 5.0, 100, table=table) for _ in range(3)] == [first] * 3
-        assert _entry_engine.cache_info().misses == misses
-        # the first search fills the table, and its answer is kept against what it left
-        assert len(searches) == 1
-        select_gamma(key, 0.2, 5.0, 50, table=table)  # another grid is another search
-        assert len(searches) == 2
-
-    def test_forged_winner_refused_after_memoised_selection(self):
+    def test_forged_winner_refused_on_a_repeated_selection(self):
         key = TableKey(6, 60)
         table = CoverageTable(key=key)
         for _ in range(2):
