@@ -37,7 +37,6 @@ _OPTION_TYPES = {
     "epsilon": float,
     "bins": int,
     "smax": float,
-    "gamma": str,
     "seed": int,
     "reps": int,
     "sampler": str,
@@ -48,7 +47,6 @@ _OPTION_TYPES = {
 
 _DEFAULTS = {
     "bins": 100,
-    "gamma": "auto",
     "seed": 0,
     "sampler": "uniform",
     "test_size": 1000,
@@ -76,14 +74,14 @@ def _build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("scores", nargs="+", help="per-agent files or one agent,score file")
     add_common(
         calibrate,
-        "alpha", "method", "epsilon", "bins", "smax", "gamma", "seed", "cache", "out",
+        "alpha", "method", "epsilon", "bins", "smax", "seed", "cache", "out",
     )
 
     simulate = sub.add_parser("simulate", help="replicated coverage experiment")
     add_common(
         simulate,
         "m", "n", "alpha", "method", "reps", "seed", "sampler", "test_size",
-        "epsilon", "bins", "smax", "gamma", "out",
+        "epsilon", "bins", "smax", "out",
     )
     return parser
 
@@ -186,15 +184,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _dp_config(options: dict) -> DpConfig:
     _require(options, "epsilon", "smax")
-    gamma = options["gamma"]
-    try:
-        gamma_value = None if gamma.lower() == "auto" else float(gamma)
-    except ValueError:
-        raise InvalidArgumentError(f"bad value {gamma!r} for --gamma") from None
     return DpConfig(
-        epsilon=options["epsilon"],
-        grid=BinGrid.uniform(options["smax"], options["bins"]),
-        gamma=gamma_value,
+        epsilon=options["epsilon"], grid=BinGrid.uniform(options["smax"], options["bins"])
     )
 
 

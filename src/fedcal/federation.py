@@ -40,7 +40,7 @@ from .coverage_table import (
 )
 from .errors import InternalError, InvalidArgumentError, ProtocolViolationError
 from .errors import check_alpha, check_integer
-from .order_stats import _kth_smallest
+from .order_stats import _kth_smallest, as_block
 from .privacy import DpConfig, _bind_private
 
 __all__ = [
@@ -420,15 +420,20 @@ def run_one_shot(
     ``method`` is a ``METHODS`` name; underscores may stand for its hyphens.
     The returned result is bit-identical to calling the corresponding
     calibrator directly, and the transcript is its ``result.transcript``.
-    Methods that cannot operate on one message per agent are rejected.
+    Methods that cannot operate on one message per agent are rejected, and
+    so are scores that are not ``spec.m`` agents of ``spec.n`` each.
     """
-    if len(scores) != spec.m:
-        raise InvalidArgumentError(f"expected {spec.m} agents of scores, got {len(scores)}")
+    agents = as_block(scores)
+    if agents.shape != (spec.m, spec.n):
+        raise InvalidArgumentError(
+            f"expected {spec.m} agents of {spec.n} scores each, "
+            f"got {agents.shape[0]} of {agents.shape[1]}"
+        )
     entry = _one_shot_entry(method, dp_config)
     if entry.private and rng is None:
         rng = np.random.default_rng(spec.seed)
     calibrate = entry.bind(spec.alpha, table=table, dp_config=dp_config)
-    result = calibrate(scores, None if rng is None else rng.spawn)
+    result = calibrate(agents, None if rng is None else rng.spawn)
     return result, result.transcript
 
 

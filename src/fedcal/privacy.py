@@ -4,9 +4,9 @@ Each agent publishes one bin edge drawn from an exponential mechanism whose
 utility counts how badly an edge misses the requested quantile of the
 agent's discretized scores. The federated calibrator compensates for the
 randomness in two ways: it targets a slightly inflated coverage level
-(controlled by ``gamma``) and asks agents for a correspondingly deeper
-order statistic (the rank correction), so the final guarantee is the plain
-1 - alpha.
+(controlled by ``gamma``, which :func:`select_gamma` chooses) and asks agents
+for a correspondingly deeper order statistic (the rank correction), so the
+final guarantee is the plain 1 - alpha.
 
 Sampling happens in log space via the Gumbel-max trick; the softmax weights
 are formed as ``utility / sensitivity`` directly, which stays finite even at
@@ -70,6 +70,8 @@ class BinGrid:
         object.__setattr__(self, "edges", edges)
         if len(edges) < 2:
             raise InvalidArgumentError("a bin grid needs at least two edges")
+        if not all(math.isfinite(e) for e in edges):  # NaN passes every order test below
+            raise InvalidArgumentError("bin edges must be finite")
         if edges[0] != 0.0:
             raise InvalidArgumentError(f"the first edge must be 0, got {edges[0]}")
         if any(a >= b for a, b in zip(edges, edges[1:])):
@@ -119,18 +121,15 @@ class DpConfig:
 
     ``epsilon`` is the budget each agent's mechanism spends; a caller whose
     secure shuffling or aggregation amplifies privacy passes the amplified
-    budget. ``gamma=None`` searches ``DEFAULT_GAMMA_GRID`` for the mixing
-    parameter; a fixed ``gamma`` is used as given.
+    budget. ``grid`` holds the bins the scores are released on. The mixing
+    parameter gamma is not set here: :func:`select_gamma` chooses it.
     """
 
     epsilon: float
     grid: BinGrid
-    gamma: float | None = None
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon)
-        if self.gamma is not None and not 0.0 < self.gamma < 1.0:
-            raise InvalidArgumentError(f"gamma must be in (0, 1), got {self.gamma}")
 
 
 def _logits(index: np.ndarray, q: float, epsilon: float, bins: int) -> np.ndarray:
@@ -227,11 +226,11 @@ def select_gamma(
     alpha: float,
     epsilon: float,
     bins: int,
-    candidates: Sequence[float] = DEFAULT_GAMMA_GRID,
     *,
     table: CoverageTable | None = None,
 ) -> GammaSelection:
-    """Grid search for the mixing parameter of the private calibrator.
+    """Grid search of ``DEFAULT_GAMMA_GRID`` for the mixing parameter of the
+    private calibrator.
 
     For each candidate gamma the rank pair is selected at the inflated level
     (1 - alpha) / (1 - gamma * alpha) and the corrected local rank must still
@@ -240,8 +239,9 @@ def select_gamma(
     compensation overshoots); ties go to the smaller gamma. Every coverage
     is read through ``table`` (a fresh one when none is given), which stores
     each corrected entry for the next search; every call searches the whole
-    grid again. The winner's rank pair, on which the guarantee rests, is
-    recomputed as in :func:`fedcal.coverage_table.select_ranks`.
+    grid again. Each candidate's walk trusts the table; the winner's rank
+    pair, on which the guarantee rests, is then recomputed as in
+    :func:`fedcal.coverage_table.select_ranks`.
 
     Raises
     ------
@@ -252,52 +252,38 @@ def select_gamma(
         If the winner's entry in ``table`` differs from its recomputed value.
     """
     check_alpha(alpha)
-    if len(candidates) == 0:
-        raise InvalidArgumentError("gamma grid must be nonempty")
     table = _table_for(table, key.m, key.n)
-    best = _search_gamma(table, alpha, epsilon, bins, candidates)
-    _check_stored(table, RankPair(best.local_rank, best.server_rank))
-    return best
-
-
-def _search_gamma(
-    table: CoverageTable, alpha: float, epsilon: float, bins: int, candidates: Sequence[float]
-) -> GammaSelection:
-    """The grid search of :func:`select_gamma`, trusting ``table``."""
-    key = table.key
     best: GammaSelection | None = None
-    rejected: dict[float, str] = {}
-    for gamma in candidates:
-        if not 0.0 < gamma < 1.0:
-            raise InvalidArgumentError(f"gamma candidates must be in (0, 1), got {gamma}")
+    reason = ""  # why the latest, so largest, candidate failed
+    for gamma in DEFAULT_GAMMA_GRID:
         alpha_eff = 1.0 - (1.0 - alpha) / (1.0 - gamma * alpha)
         if alpha_eff <= 0.0:
-            rejected[gamma] = "it leaves no attainable level"
+            reason = "it leaves no attainable level"
             continue
         try:
             ranks, _ = _walk_frontier(table, alpha_eff)
         except InfeasibleError as exc:
-            rejected[gamma] = str(exc)
+            reason = str(exc)
             continue
         correction = rank_correction(epsilon, bins, key.m, gamma * alpha)
         total = ranks.local_rank + correction
         if total > key.n:
-            rejected[gamma] = (
+            reason = (
                 f"corrected local rank {total} exceeds n = {key.n}; "
                 f"n is too small for epsilon = {epsilon} with {bins} bins"
             )
             continue
         corrected = _entry(table, total, ranks.server_rank)
-        if best is None or (corrected, gamma) < (best.corrected_coverage, best.gamma):
+        if best is None or corrected < best.corrected_coverage:  # the grid ascends
             best = GammaSelection(
                 float(gamma), ranks.local_rank, ranks.server_rank, correction, corrected
             )
     if best is None:
-        gamma = max(rejected)
         raise InfeasibleError(
-            f"no feasible gamma among {len(candidates)} candidate(s); "
-            f"gamma = {gamma:g} fails because {rejected[gamma]}"
+            f"no feasible gamma among {len(DEFAULT_GAMMA_GRID)} candidate(s); "
+            f"gamma = {DEFAULT_GAMMA_GRID[-1]:g} fails because {reason}"
         )
+    _check_stored(table, RankPair(best.local_rank, best.server_rank))
     return best
 
 
@@ -320,9 +306,9 @@ def fedcp2_qq_calibrate(
     method once per experiment (see :data:`fedcal.federation.METHODS`), so
     gamma is chosen once, and seeds the same streams in bulk: in
     replication r, agent j's noise comes from ``substream(seed, r, m + 1,
-    j)``, the j-th child of ``substream(seed, r, m + 1)``. A fixed
-    ``config.gamma`` is searched as a one-candidate grid. The reported
-    guarantee is 1 - alpha.
+    j)``, the j-th child of ``substream(seed, r, m + 1)``. Gamma and the
+    ranks come from :func:`select_gamma`. The reported guarantee is
+    1 - alpha.
     """
     return _bind_private(alpha, config, table)(scores, rng.spawn)
 
@@ -339,9 +325,8 @@ def _bind_private(alpha: float, config: DpConfig, table: CoverageTable | None):
         binned = config.grid.bin_index(as_block(scores))  # checks the range before any search
         m, n = binned.shape
         if (m, n) not in chosen:
-            candidates = DEFAULT_GAMMA_GRID if config.gamma is None else (config.gamma,)
             chosen[m, n] = select_gamma(
-                TableKey(m, n), alpha, config.epsilon, config.grid.bins, candidates, table=table
+                TableKey(m, n), alpha, config.epsilon, config.grid.bins, table=table
             )
         selection = chosen[m, n]
         q = max((selection.local_rank + selection.correction) / n, 0.5)

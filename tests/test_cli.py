@@ -15,14 +15,17 @@ from fedcal import (
     DpConfig,
     FederationSpec,
     ProtocolViolationError,
+    RankPair,
     TableKey,
     coverage_column,
+    coverage_probability,
     load_table,
     run_one_shot,
     save_table,
 )
 from fedcal.cli import main
 from fedcal.federation import METHODS
+from fedcal.privacy import DEFAULT_GAMMA_GRID
 
 
 def _run(capsys, *argv):
@@ -140,6 +143,24 @@ class TestCalibrateCommand:
         assert (code1, code2) == (0, 0)
         assert out1 == out2
 
+    def test_private_result_file_certifies_its_choice(self, tmp_path, capsys):
+        # the keys an independent checker reads to recompute the ranks at the
+        # inflated level (1 - alpha) / (1 - gamma * alpha) and the corrected entry
+        agents = (1.0 - np.random.default_rng(1).uniform(size=(6, 50))).round(6).tolist()
+        out_path = tmp_path / "result.json"
+        code, _, _ = _run(capsys, "calibrate", *_write_agent_files(tmp_path, agents),
+                          "--alpha", "0.2", "--method", "fedcp2-qq", "--epsilon", "5",
+                          "--bins", "100", "--smax", "1", "--out", str(out_path))
+        assert code == 0
+        payload = json.loads(out_path.read_text())
+        params = payload["params"]
+        l, k, correction = params["local_rank"], params["server_rank"], params["correction"]
+        assert params["gamma"] in DEFAULT_GAMMA_GRID
+        assert l + correction <= 50
+        corrected = coverage_probability(TableKey(6, 50), RankPair(l + correction, k))
+        assert params["corrected_coverage"] == pytest.approx(corrected, abs=1e-12)
+        assert payload["guaranteed_coverage"] == 1.0 - 0.2
+
     def test_result_file_is_json(self, tmp_path, capsys):
         paths = _write_agent_files(tmp_path, [range(1, 20)])
         out_path = tmp_path / "result.json"
@@ -201,11 +222,22 @@ class TestCalibrateCommand:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and name in err
 
-    def test_non_numeric_gamma_refused(self, capsys):
-        code, out, err = _run(capsys, "simulate", "--m", "3", "--n", "10", "--alpha", "0.2",
-                              "--method", "fedcp2-qq", "--reps", "2", "--epsilon", "5",
-                              "--smax", "1", "--gamma", "abc")
-        assert (code, out, err) == (1, "", "error: bad value 'abc' for --gamma\n")
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_gamma_is_neither_an_option_nor_a_config_key(self, tmp_path, capsys, command):
+        if command == "calibrate":
+            args = _write_agent_files(tmp_path, [[0.2, 0.4, 0.6, 0.8]] * 3)
+        else:
+            args = ["--m", "3", "--n", "10", "--reps", "2"]
+        common = [command, *args, "--alpha", "0.2", "--method", "fedcp2-qq",
+                  "--epsilon", "5", "--smax", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*common, "--gamma", "0.1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --gamma 0.1" in capsys.readouterr().err
+        config = tmp_path / "run.cfg"
+        config.write_text("gamma=0.1\n")
+        code, out, err = _run(capsys, *common, "--config", str(config))
+        assert (code, out, err) == (1, "", f"error: {config}:1: unknown key 'gamma'\n")
 
     @pytest.mark.parametrize("method", ["fedcp-qq", "fedcp2-qq"])
     def test_negative_seed_refused(self, tmp_path, capsys, method):

@@ -161,6 +161,13 @@ class TestRunOneShot:
             assert len(transcript.uplinks) == m
             assert sorted(a for a, _ in transcript.uplinks) == list(range(m))
 
+    @pytest.mark.parametrize("m, n", [(4, 5), (3, 40)])
+    def test_scores_must_have_the_spec_shape(self, m, n):
+        spec = FederationSpec(m=3, n=5, alpha=0.2, seed=0)
+        expected = f"expected 3 agents of 5 scores each, got {m} of {n}"
+        with pytest.raises(InvalidArgumentError, match=expected):
+            run_one_shot(spec, self._agents(m, n), "fedcp-qq")
+
     def test_centralized_violates_the_protocol(self):
         spec = FederationSpec(m=2, n=5, alpha=0.1, seed=0)
         with pytest.raises(ProtocolViolationError):
@@ -267,13 +274,15 @@ class TestCoverageExperiment:
         self, monkeypatch, method, gamma_searches
     ):
         walks, searches = [], []
-        walk, search = coverage_table._walk_frontier, privacy._search_gamma
+        walk, search = coverage_table._walk_frontier, privacy.select_gamma
         for module in (coverage_table, privacy):  # privacy holds the walk by name
             monkeypatch.setattr(
                 module, "_walk_frontier", lambda *args: walks.append(args) or walk(*args)
             )
         monkeypatch.setattr(
-            privacy, "_search_gamma", lambda *args: searches.append(args) or search(*args)
+            privacy,
+            "select_gamma",
+            lambda *args, **kwargs: searches.append(args) or search(*args, **kwargs),
         )
         spec = FederationSpec(m=30, n=30, alpha=0.1, seed=2)
         dp = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))

@@ -52,6 +52,13 @@ class TestBinGrid:
         with pytest.raises(InvalidArgumentError):
             BinGrid(edges=(0.0, 1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "edges", [(0.0, math.nan, 1.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)]
+    )
+    def test_non_finite_edges_refused(self, edges):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            BinGrid(edges=edges)
+
     @pytest.mark.parametrize("s_max", [math.nan, math.inf, 0.0, -1.0])
     def test_uniform_needs_finite_positive_s_max(self, s_max):
         with pytest.raises(InvalidArgumentError, match="s_max"):
@@ -249,7 +256,7 @@ class TestSelectGamma:
             )
             if best is None or (corrected, gamma) < best[:2]:
                 best = (corrected, gamma, ranks, correction)
-        selection = select_gamma(key, alpha, eps, bins, grid)
+        selection = select_gamma(key, alpha, eps, bins)
         assert selection.corrected_coverage == best[0]
         assert selection.gamma == best[1]
         assert selection.correction == best[3]
@@ -307,8 +314,8 @@ class TestSelectGamma:
 
 
 class TestPrivateCalibrate:
-    def _config(self, bins=50, epsilon=5.0, **kwargs):
-        return DpConfig(epsilon=epsilon, grid=BinGrid.uniform(1.0, bins), **kwargs)
+    def _config(self, bins=50, epsilon=5.0):
+        return DpConfig(epsilon=epsilon, grid=BinGrid.uniform(1.0, bins))
 
     def _scores(self, m, n, seed=5):
         return (1.0 - np.random.default_rng(seed).uniform(size=(m, n))).tolist()
@@ -351,24 +358,20 @@ class TestPrivateCalibrate:
         width = grid.edges[1] - grid.edges[0]
         assert low <= result.q_hat <= high + width
 
-    def test_fixed_gamma_respected(self):
-        cfg = self._config(gamma=0.2)
-        result = fedcp2_qq_calibrate(self._scores(5, 100), 0.1, cfg, np.random.default_rng(4))
-        assert result.params["gamma"] == 0.2
-
     def test_infeasible_small_n(self):
         cfg = self._config(bins=100, epsilon=0.05)
         with pytest.raises(InfeasibleError):
             fedcp2_qq_calibrate(self._scores(5, 10), 0.1, cfg, np.random.default_rng(0))
 
-    def test_infeasible_fixed_gamma_names_the_reason(self):
-        cfg = self._config(bins=100, epsilon=0.05, gamma=0.1)
-        with pytest.raises(InfeasibleError, match="corrected local rank .* exceeds n = 10"):
+    def test_infeasible_search_names_the_largest_gammas_reason(self):
+        cfg = self._config(bins=100, epsilon=0.05)
+        reason = "gamma = 0.5 fails because corrected local rank 378 exceeds n = 10"
+        with pytest.raises(InfeasibleError, match=reason):
             fedcp2_qq_calibrate(self._scores(5, 10), 0.1, cfg, np.random.default_rng(0))
-        # the inflated level 1 - 0.0244 needs more than the 2 x 4 table offers
-        cfg = self._config(gamma=0.9)
-        with pytest.raises(InfeasibleError, match="no rank pair reaches"):
-            fedcp2_qq_calibrate(self._scores(2, 4), 0.2, cfg, np.random.default_rng(0))
+        # at gamma = 0.5 the inflated level 1 - 0.1111 needs more than the 2 x 3 table offers
+        reason = "gamma = 0.5 fails because .* no rank pair reaches"
+        with pytest.raises(InfeasibleError, match=reason):
+            fedcp2_qq_calibrate(self._scores(2, 3), 0.2, self._config(), np.random.default_rng(0))
 
     def test_scores_above_smax_rejected_before_sampling(self):
         cfg = self._config()
