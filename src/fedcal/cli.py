@@ -23,6 +23,7 @@ from .errors import FedcalError, InvalidArgumentError
 from .federation import (
     METHODS, SAMPLERS, FederationSpec, Method, coverage_experiment, write_rows_csv,
 )
+from .order_stats import as_block
 from .privacy import BinGrid, DpConfig
 
 CACHE_DIR_ENV = "FEDCAL_CACHE_DIR"
@@ -195,10 +196,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     method = _method(options)
     agents = read_score_matrix_csv(args.scores)
     table, path, loaded = None, None, 0
-    if method.table and (options.get("cache") or os.environ.get(CACHE_DIR_ENV)):
-        key = TableKey(len(agents), agents[0].size)
-        path = _cache_path(options, key.m, key.n)
-        table, loaded = _load_or_new_table(path, key)
+    if method.table:  # a table method needs a balanced block, whose shape keys the cache
+        agents = as_block(agents)
+        if options.get("cache") or os.environ.get(CACHE_DIR_ENV):
+            key = TableKey(*agents.shape)
+            path = _cache_path(options, key.m, key.n)
+            table, loaded = _load_or_new_table(path, key)
     dp, spawn = None, None
     if method.private:
         dp, spawn = _dp_config(options), np.random.default_rng(options["seed"]).spawn

@@ -127,8 +127,8 @@ class RankPair:
 class CoverageTable:
     """Lazily filled map (local_rank, server_rank) -> coverage for one (m, n).
 
-    Holds only the entries a search has read (about n + m of the m*n);
-    they are level-independent, so one table serves every alpha. It keeps
+    Holds only the entries a search has read (about two per local rank it
+    walks, of the m*n); they are level-independent, so one table serves every alpha. It keeps
     no search's answer: every rank or gamma search walks it again, and a
     caller that runs many rounds of one shape chooses its ranks once (see
     :data:`fedcal.federation.METHODS`).
@@ -205,11 +205,25 @@ def _rule_for(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return _legendre_rule(1 << (degree // 2 + 1).bit_length())
 
 
-@lru_cache(maxsize=4)
+# G columns of one (n, rule), keyed (n, local_rank, count), least recently
+# used first and at most _CDF_FLOATS floats (32 MiB): eight at the cell cap's
+# 2^19 nodes, and every column the rank and gamma searches of a small shape read
+_CDF_FLOATS = 1 << 22
+_cdf_memo: dict[tuple[int, int, int], np.ndarray] = {}
+
+
 def _local_cdf(n: int, local_rank: int, count: int) -> np.ndarray:
     """G(t) = P(local order statistic <= t) at the nodes of a ``count`` rule."""
-    g = betainc(local_rank, n - local_rank + 1, _legendre_rule(count)[0])
-    g.flags.writeable = False
+    key = (n, local_rank, count)
+    g = _cdf_memo.pop(key, None)
+    if g is None:
+        if _cdf_memo and next(iter(_cdf_memo))[::2] != (n, count):
+            _cdf_memo.clear()  # another shape
+        if _cdf_memo and (len(_cdf_memo) + 1) * count > _CDF_FLOATS:
+            del _cdf_memo[next(iter(_cdf_memo))]
+        g = betainc(local_rank, n - local_rank + 1, _legendre_rule(count)[0])
+        g.flags.writeable = False
+    _cdf_memo[key] = g
     return g
 
 
@@ -237,6 +251,47 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.convolve(x, y) for x, y in zip(a, b)])
 
 
+# a binomial tail bounded below 2^-80, or its complement so bounded, is read
+# as 0 or 1 with no ``betainc`` call; the 1e-6 covers the rounding of the
+# bound's lgamma sums, at most about 1e-8 at m = 10^6
+_LOG_NEGLIGIBLE = -80 * math.log(2) - 1e-6
+
+
+def _window(m: int, k: int) -> tuple[float, float]:
+    """(low, high): P(Bin(m, G) >= k) is below 2^-80 where G < low, and
+    within 2^-80 of 1 where G > high.
+
+    By the union bounds P(Bin(m, G) >= k) <= C(m, k) G^k and
+    P(Bin(m, G) < k) <= C(m, k - 1) (1 - G)^(m - k + 1), the binomial
+    coefficients taken from ``lgamma`` because m reaches 10^6.
+    """
+    log_tiny = _LOG_NEGLIGIBLE - math.lgamma(m + 1)
+    low = math.exp((log_tiny + math.lgamma(k + 1) + math.lgamma(m - k + 1)) / k)
+    rest = m - k + 1
+    high = 1.0 - math.exp((log_tiny + math.lgamma(k) + math.lgamma(rest + 1)) / rest)
+    return low, high
+
+
+def _binomial_tail(m: int, server_rank, g: np.ndarray) -> np.ndarray:
+    """P(Bin(m, G) >= k) at each node's G, for one server rank k or (one row
+    each) a 1-D array of them.
+
+    ``betainc`` runs only inside each rank's :func:`_window`: outside it the
+    tail reads 0, or 1, which ``betainc`` gives there anyway. Both forms
+    share the windows, so an entry equals its column's element bit for bit.
+    """
+    if isinstance(server_rank, np.ndarray):  # one row per rank
+        low, high = np.array([_window(m, k) for k in server_rank.tolist()]).T[:, :, None]
+        k, g = np.broadcast_arrays(server_rank[:, None], g)
+    else:
+        k, (low, high) = server_rank, _window(m, server_rank)
+    tail = (g > high).astype(float)
+    inside = (g >= low) & (g <= high)
+    k = k[inside] if isinstance(k, np.ndarray) else k
+    tail[inside] = betainc(k, m - k + 1, g[inside])
+    return tail
+
+
 def _quadrature(groups: tuple, server_rank):
     """Coverage of the agents in ``groups`` (see :func:`_agent_groups`) at
     one server rank (a float) or at a 1-D array of them (an array).
@@ -244,7 +299,8 @@ def _quadrature(groups: tuple, server_rank):
     At each node the counts of all groups but the last (the largest) are
     convolved into ``below``, and P(at least k covered) = sum_j below[j]
     tail(k - j) with the last group's tails. One group reads its tail at k
-    alone, so an entry is bit-identical to the same entry of a column.
+    alone through :func:`_binomial_tail`, so an entry is bit-identical to
+    the same entry of a column.
     """
     t, w = _rule_for(sum(count * n for count, n, _ in groups))
     *others, (m, n, l) = groups
@@ -256,8 +312,7 @@ def _quadrature(groups: tuple, server_rank):
         at_least[:, : below.shape[1] - 1] += np.cumsum(below[:, :0:-1], axis=1)[:, ::-1]
         integrand = at_least.T[np.asarray(server_rank) - 1]
     else:
-        k = server_rank[:, None] if isinstance(server_rank, np.ndarray) else server_rank
-        integrand = betainc(k, m - k + 1, g)
+        integrand = _binomial_tail(m, server_rank, g)
     coverage = 1.0 - (integrand * w).sum(axis=-1)
     if np.ndim(coverage) == 0:  # one entry: check and clip it as a float
         coverage = float(coverage)
@@ -396,12 +451,18 @@ def _entry(table: CoverageTable, local_rank: int, server_rank: int) -> float:
 
 
 def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: float) -> bool:
-    """Whether the entry reaches 1 - alpha; a settled entry is stored exact."""
-    pair, groups = (local_rank, server_rank), ((table.key.m, table.key.n, local_rank),)
-    reached, value = _meets_level(
-        _entry(table, *pair), alpha, lambda: _settled(groups, server_rank)
+    """Whether the entry reaches 1 - alpha; a settled entry is stored exact.
+
+    A value more than ``LEVEL_MARGIN`` from the level is decided as it is,
+    as :func:`_meets_level` would, without its call.
+    """
+    value, target = _entry(table, local_rank, server_rank), 1.0 - alpha
+    if abs(value - target) > LEVEL_MARGIN:
+        return value >= target
+    groups = ((table.key.m, table.key.n, local_rank),)
+    reached, table.entries[(local_rank, server_rank)] = _meets_level(
+        value, alpha, lambda: _settled(groups, server_rank)
     )
-    table.entries[pair] = value
     return reached
 
 
@@ -456,11 +517,14 @@ def select_ranks(
     """Rank pair whose coverage is minimal among those >= 1 - alpha.
 
     Walks the feasibility frontier from (n, m) downward: as the local rank
-    decreases the smallest feasible server rank can only grow, so each
-    column's search starts where the previous one ended (see
-    :func:`_first_reaching`). Entries are read through ``table`` (a fresh
-    one when none is given). An entry within ``LEVEL_MARGIN`` of 1 - alpha
-    is settled exactly and stored at its exact value, so every decision is
+    l decreases the smallest feasible server rank can only grow, so the
+    previous column's answer bounds each column's search from below. The
+    search starts at the predicted frontier ceil((m + 1) P(Bin(n, 1 - alpha)
+    >= l)), usually within one rank of the answer, and gallops and bisects
+    from there (see :func:`_first_reaching`). Entries are read through
+    ``table`` (a fresh one when none is given); each evaluates ``betainc``
+    only inside its window (see :func:`_binomial_tail`). An entry within
+    ``LEVEL_MARGIN`` of 1 - alpha is settled exactly and stored at its exact value, so every decision is
     the exact one and the search may probe in any order. Ties are broken
     toward the smallest local rank, then the smallest server rank. The
     chosen entry, on which the guarantee rests, is recomputed and must
@@ -501,8 +565,15 @@ def _walk_frontier(table: CoverageTable, alpha: float) -> tuple[RankPair, float]
         return RankPair(l, 1), table.entries[(l, 1)]
     best: tuple[float, int, int] | None = None
     k_floor = 1
+    # (m + 1) P(Bin(n, 1 - alpha) = l) and (m + 1) P(Bin(n, 1 - alpha) >= l),
+    # which predicts column l's frontier; both read 0 once (1 - alpha)^n
+    # underflows, and the search then gallops up from k_floor
+    mass, predicted, odds = (m + 1) * (1 - alpha) ** n, 0.0, alpha / (1 - alpha)
     for l in range(n, 0, -1):
-        k = _first_reaching(table, l, k_floor, alpha)
+        predicted += mass
+        mass *= odds * l / (n - l + 1)
+        start = max(math.ceil(min(predicted, m)), k_floor)
+        k = _first_reaching(table, l, k_floor, start, alpha)
         if k > m:
             break  # every smaller local rank is infeasible too
         k_floor = k
@@ -535,17 +606,31 @@ def _check_stored(table: CoverageTable, ranks: RankPair) -> None:
         )
 
 
-def _first_reaching(table: CoverageTable, local_rank: int, low: int, alpha: float) -> int:
+def _first_reaching(
+    table: CoverageTable, local_rank: int, low: int, start: int, alpha: float
+) -> int:
     """Smallest server rank >= ``low`` whose entry reaches 1 - alpha, or m + 1.
 
-    Gallops up from ``low`` (offsets 0, 1, 3, 7, ...) and bisects the last
-    gap, so a gap of g server ranks costs O(log g) probes instead of g.
+    Probes ``start`` (in [low, m]) first. If it reaches the level, gallops
+    down toward ``low`` (offsets 1, 3, 7, ...) while the entries still
+    reach it; otherwise gallops up (offsets 1, 3, 7, ...). Then it bisects
+    the last gap, so a start g server ranks off the answer costs O(log g)
+    probes. Every entry below ``low`` is known to fail, and coverage grows
+    with the server rank, so the answer does not depend on ``start``.
     """
     m = table.key.m
-    failed, k, step = low - 1, low, 1
-    while k <= m and not _reaches(table, local_rank, k, alpha):
-        failed, k, step = k, k + step, 2 * step
-    k = min(k, m + 1)
+    if _reaches(table, local_rank, start, alpha):
+        failed, k, step = low - 1, start, 1
+        while k - step > failed:
+            if not _reaches(table, local_rank, k - step, alpha):
+                failed = k - step
+                break
+            k, step = k - step, 2 * step
+    else:
+        failed, k, step = start, start + 1, 2
+        while k <= m and not _reaches(table, local_rank, k, alpha):
+            failed, k, step = k, k + step, 2 * step
+        k = min(k, m + 1)
     while k - failed > 1:
         middle = (failed + k) // 2
         if _reaches(table, local_rank, middle, alpha):

@@ -7,8 +7,9 @@ in floats, the log-Gamma closed form at local rank n, the threshold's law
 as a rational polynomial, truncated-binomial convolutions in log space,
 batched Monte-Carlo, a straight transcription of the
 exponential-mechanism softmax, the per-agent private release, the
-per-row score-file reader and the simulator loop that seeds every stream
-through ``substream``.
+per-row score-file reader, the simulator loop that seeds every stream
+through ``substream``, and the rank search as a plain gallop over entries
+that call ``betainc`` at every node.
 Gauss-Legendre quadrature of the order-statistic integrand is kept as the
 plain formula the library's engine evaluates. Expected values frozen in
 the tests were produced by these.
@@ -25,8 +26,16 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc, gammaln, logsumexp, roots_legendre
 
-from fedcal.coverage_table import CoverageTable, RankPair, TableKey
-from fedcal.errors import InvalidArgumentError, ResourceLimitError
+from fedcal.coverage_table import (
+    CoverageTable,
+    RankPair,
+    TableKey,
+    _meets_level,
+    _rule_for,
+    _settled,
+    select_ranks,
+)
+from fedcal.errors import InfeasibleError, InvalidArgumentError, ResourceLimitError
 from fedcal.federation import _agent_shifts, run_one_shot, substream
 from fedcal.order_stats import _kth_smallest
 
@@ -238,6 +247,77 @@ def select_ranks_by_convolution(m: int, n: int, alpha: float) -> tuple[int, int]
         k_floor = k
         best = min(best or (2.0, 0, 0), (column[k - 1], l, k))
     return best[1], best[2]
+
+
+def select_ranks_by_gallop(m: int, n: int, alpha: float):
+    """The rank search with no window and no predicted start.
+
+    Each column's frontier is galloped up from the previous column's
+    (offsets 0, 1, 3, 7, ...) and its last gap bisected. Entries are the
+    engine's quadrature with ``betainc`` at every node, and a value within
+    ``LEVEL_MARGIN`` of 1 - alpha is settled exactly by the engine's route.
+    Returns ((local_rank, server_rank), value, entries read).
+    """
+    t, w = _rule_for(m * n)
+    entries: dict[tuple[int, int], float] = {}
+
+    def reaches(l: int, k: int) -> bool:
+        value = entries.get((l, k))
+        if value is None:
+            g = betainc(l, n - l + 1, t)
+            value = min(max(float(1.0 - (betainc(k, m - k + 1, g) * w).sum()), 0.0), 1.0)
+        reached, entries[(l, k)] = _meets_level(
+            value, alpha, lambda: _settled(((m, n, l),), k)
+        )
+        return reached
+
+    if not reaches(n, m):
+        raise InfeasibleError(f"no rank pair reaches {1 - alpha} for m={m}, n={n}")
+    best, k_floor = None, 1
+    for l in range(n, 0, -1):
+        failed, k, step = k_floor - 1, k_floor, 1
+        while k <= m and not reaches(l, k):
+            failed, k, step = k, k + step, 2 * step
+        k = min(k, m + 1)
+        while k - failed > 1:
+            middle = (failed + k) // 2
+            if reaches(l, middle):
+                k = middle
+            else:
+                failed = middle
+        if k > m:
+            break
+        k_floor = k
+        best = min(best or (2.0, 0, 0), (entries[(l, k)], l, k))
+    return (best[1], best[2]), best[0], entries
+
+
+# the inputs of the benchmark's cold_shapes workload: 3,636 (m, n, alpha)
+COLD_BAND = tuple(
+    (m, n, alpha)
+    for m in range(10, 101)
+    for n in range(10, 101)
+    if 400 <= m * n <= 1000
+    for alpha in (0.05, 0.1, 0.2)
+)
+
+
+def search_differences(m: int, n: int, alpha: float) -> list[str]:
+    """How ``select_ranks`` on a fresh table differs from
+    :func:`select_ranks_by_gallop`: in the pair, in its value, or in an
+    entry both searches read. Empty when they agree bit for bit."""
+    table = CoverageTable(key=TableKey(m, n))
+    ranks, value = select_ranks(table.key, alpha, table=table)
+    pair, expected, entries = select_ranks_by_gallop(m, n, alpha)
+    problems = []
+    if (ranks.local_rank, ranks.server_rank) != pair or value != expected:
+        problems.append(f"chose {ranks} at {value!r}, the gallop {pair} at {expected!r}")
+    problems += [
+        f"entry {pair} reads {table.entries[pair]!r}, the gallop's {entries[pair]!r}"
+        for pair in sorted(table.entries.keys() & entries.keys())
+        if table.entries[pair] != entries[pair]
+    ]
+    return [f"(m={m}, n={n}, alpha={alpha}): {problem}" for problem in problems]
 
 
 def unbalanced_coverage_by_convolution(sizes, local_ranks) -> np.ndarray:

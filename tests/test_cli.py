@@ -12,6 +12,7 @@ import pytest
 import fedcal
 from fedcal import (
     BinGrid,
+    CoverageTable,
     DpConfig,
     FederationSpec,
     ProtocolViolationError,
@@ -178,6 +179,22 @@ class TestCalibrateCommand:
                             "--method", "centralized")
         assert code == 1
         assert ":2" in err
+
+    def test_unequal_agents_refused_before_the_cache_is_read(self, tmp_path, capsys):
+        path = tmp_path / "scores.csv"
+        path.write_text("agent,score\n0,0.1\n0,0.2\n1,0.3\n1,0.4\n1,0.5\n")
+        cache = tmp_path / "c.txt"
+        expected = "error: balanced score matrix required, got local sizes [2, 3]\n"
+        for existing in (False, True):
+            if existing:
+                save_table(CoverageTable(key=TableKey(2, 3)), cache)
+            code, out, err = _run(capsys, "calibrate", str(path), "--alpha", "0.1",
+                                  "--method", "fedcp-qq", "--cache", str(cache))
+            assert (code, out, err) == (1, "", expected)
+        # pooling unequal agents is fine
+        code, _, err = _run(capsys, "calibrate", str(path), "--alpha", "0.4",
+                            "--method", "centralized", "--cache", str(cache))
+        assert (code, err) == (0, "")
 
     def test_undecodable_score_file_reported(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import roots_legendre
+from scipy.special import betainc, roots_legendre
 
 from fedcal import (
     CoverageTable,
@@ -28,18 +28,24 @@ from fedcal import (
     unbalanced_coverage,
 )
 
+from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
     _agent_groups,
+    _binomial_tail,
+    _cdf_memo,
     _entry_engine,
     _legendre_rule,
+    _local_cdf,
     _meets_level,
     _settled,
+    _window,
     unbalanced_local_ranks,
 )
 
 from oracles import (
+    COLD_BAND,
     conditional_coverage_cdf_fraction,
     coverage_bruteforce,
     coverage_bruteforce_column,
@@ -49,6 +55,7 @@ from oracles import (
     inid_coverage_exact_fraction,
     max_report_coverage,
     mc_qq_coverage,
+    search_differences,
     select_ranks_by_convolution,
     unbalanced_coverage_by_convolution,
 )
@@ -119,6 +126,52 @@ class TestFastPath:
             column = coverage_column(key, l)
             for k in range(1, 10):
                 assert coverage_probability(key, RankPair(l, k)) == column[k - 1]
+
+    def test_window_skips_most_nodes(self, monkeypatch):
+        # at (20, 40), ranks (36, 18): 152 of the 512 nodes need betainc
+        sizes = []
+        _local_cdf(40, 36, 512)  # G is memoised, so only the tail calls betainc below
+        monkeypatch.setattr(
+            coverage_table, "betainc", lambda a, b, x: sizes.append(np.size(x)) or betainc(a, b, x)
+        )
+        coverage_table._quadrature(((20, 40, 36),), 18)
+        assert sizes == [152]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), m=st.integers(1, 10**5))
+    def test_windowed_tail_is_betainc_or_a_negligible_zero(self, data, m):
+        k = data.draw(st.sampled_from([1, m]) | st.integers(1, m))
+        low, high = _window(m, k)
+        edges = st.sampled_from(
+            [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 - 2**-53, low, high]
+            + [x for x in (np.nextafter(low, 0), np.nextafter(high, 1)) if x <= 1]
+        )
+        g = np.array(data.draw(st.lists(edges | st.floats(0.0, 1.0), min_size=1, max_size=40)))
+        expected = betainc(k, m - k + 1, g)
+        tail = _binomial_tail(m, k, g)
+        assert np.all((tail == expected) | ((tail == 0.0) & (expected <= 2.0**-80)))
+        # the column form shares the windows
+        assert _binomial_tail(m, np.array([k, m]), g)[0].tolist() == tail.tolist()
+
+    def test_local_cdf_memo_holds_one_shapes_columns(self, monkeypatch):
+        monkeypatch.setattr(coverage_table, "_CDF_FLOATS", 3 * 8)
+        _cdf_memo.clear()
+        for l in (1, 2, 3, 1, 4):  # reading l = 1 again makes l = 2 the oldest
+            _local_cdf(5, l, 8)
+        assert list(_cdf_memo) == [(5, 3, 8), (5, 1, 8), (5, 4, 8)]
+        _local_cdf(5, 1, 4)  # another rule
+        assert list(_cdf_memo) == [(5, 1, 4)]
+        _local_cdf(6, 1, 4)  # another local sample size
+        assert list(_cdf_memo) == [(6, 1, 4)]
+
+    def test_searches_of_one_shape_compute_each_local_cdf_once(self):
+        key = TableKey(8, 60)
+        table = CoverageTable(key=key)
+        _cdf_memo.clear()
+        _entry_engine.cache_clear()
+        select_ranks(key, 0.2, table=table)
+        select_ranks(key, 0.1, table=table)
+        assert len(_cdf_memo) == len({l for l, _ in table.entries})
 
     def test_column_monotone_in_both_ranks(self):
         key = TableKey(6, 8)
@@ -341,6 +394,22 @@ class TestSelectRanks:
         table = CoverageTable(key=TableKey(1, 9999))
         assert select_ranks(TableKey(1, 9999), 0.1, table=table) == (RankPair(9000, 1), 0.9)
         assert len(table.entries) <= 2
+
+    def test_matches_the_plain_gallop_on_the_cold_band(self):
+        # tests/cold_band.py checks all 3,636 inputs
+        rng = np.random.default_rng(2302)
+        inputs = [COLD_BAND[i] for i in rng.choice(len(COLD_BAND), 300, replace=False)]
+        assert [problem for case in inputs for problem in search_differences(*case)] == []
+
+    @pytest.mark.parametrize("m, n, alpha", [(99, 101, 1e-4), (9999, 1, 0.1)])
+    def test_matches_the_plain_gallop_at_exact_ties(self, m, n, alpha):
+        assert search_differences(m, n, alpha) == []
+
+    def test_search_starts_near_the_frontier(self):
+        # the gallop from the previous column's frontier read 33 entries
+        table = CoverageTable(key=TableKey(20, 40))
+        select_ranks(table.key, 0.1, table=table)
+        assert len(table.entries) <= 20
 
     def test_infeasible_alpha_raises(self):
         # the all-maximum entry has coverage mn/(mn+1); below that nothing works
