@@ -3,7 +3,8 @@
 Calibrators consume precomputed nonconformity scores; predictors stay
 opaque callables supplied by the caller, since fitting models is out of
 scope here. Set membership is the non-strict rule ``score <= q_hat``, so a
-threshold of ``inf`` yields the vacuous interval (-inf, inf).
+threshold of ``inf`` yields the vacuous interval (-inf, inf), and one below
+every score a response can have yields the empty set.
 
 Every federated calibrator is one protocol round (:func:`_one_shot_round`):
 the server broadcasts parameters, each agent sends one number, and the
@@ -112,6 +113,13 @@ class CalibrationResult:
 
 @dataclass(frozen=True)
 class PredictionInterval:
+    """The closed interval [lower, upper] of responses.
+
+    The empty set is (inf, -inf): it contains no response and has length 0.
+    The constructor refuses bounds out of order, so only
+    :func:`predict_interval` builds it.
+    """
+
     lower: float
     upper: float
 
@@ -123,10 +131,15 @@ class PredictionInterval:
 
     @property
     def length(self) -> float:
-        return self.upper - self.lower
+        return max(self.upper - self.lower, 0.0)
 
     def contains(self, y: float) -> bool:
         return self.lower <= y <= self.upper
+
+
+_EMPTY_INTERVAL = object.__new__(PredictionInterval)
+object.__setattr__(_EMPTY_INTERVAL, "lower", math.inf)
+object.__setattr__(_EMPTY_INTERVAL, "upper", -math.inf)
 
 
 def _one_shot_round(
@@ -252,16 +265,22 @@ def fedcp_avg_calibrate(scores: Sequence[Sequence[float]], alpha: float) -> Cali
 
 
 def predict_interval(x, result: CalibrationResult, sf: ScoreFunction) -> PredictionInterval:
-    """Interval of responses whose score at x stays within the threshold."""
+    """Interval of responses whose score at x stays within the threshold.
+
+    It is empty when no response's does, as with a negative CQR threshold
+    larger in size than half the width of the quantile band at x.
+    """
     q = result.q_hat
     if math.isinf(q):
         return PredictionInterval(-math.inf, math.inf)
     if sf.kind == ABSOLUTE_RESIDUAL:
         center = float(sf.predict(x))
-        return PredictionInterval(center - q, center + q)
-    if sf.kind == CQR:
-        return PredictionInterval(float(sf.predict_lower(x)) - q, float(sf.predict_upper(x)) + q)
-    raise InvalidArgumentError(f"unknown score kind {sf.kind!r}")
+        lower, upper = center - q, center + q
+    elif sf.kind == CQR:
+        lower, upper = float(sf.predict_lower(x)) - q, float(sf.predict_upper(x)) + q
+    else:
+        raise InvalidArgumentError(f"unknown score kind {sf.kind!r}")
+    return _EMPTY_INTERVAL if upper < lower else PredictionInterval(lower, upper)
 
 
 def evaluate_intervals(
@@ -270,8 +289,9 @@ def evaluate_intervals(
     """Empirical coverage and average length over a test set.
 
     Membership is closed on both ends. ``mean_length`` averages the finite
-    lengths only; unbounded intervals are tallied in ``infinite_lengths``
-    (and ``mean_length`` is ``inf`` when no finite interval exists).
+    lengths only, an empty interval's being 0; unbounded intervals are
+    tallied in ``infinite_lengths`` (and ``mean_length`` is ``inf`` when no
+    finite interval exists).
     """
     if len(intervals) == 0 or len(intervals) != len(y_test):
         raise InvalidArgumentError(
@@ -281,7 +301,7 @@ def evaluate_intervals(
     upper = np.array([iv.upper for iv in intervals])
     y = np.asarray(y_test, dtype=float)
     covered = (lower <= y) & (y <= upper)
-    lengths = upper - lower
+    lengths = np.maximum(upper - lower, 0.0)  # the empty (inf, -inf) has length 0
     finite = np.isfinite(lengths)
     return {
         "coverage": float(np.mean(covered)),

@@ -128,10 +128,10 @@ class CoverageTable:
     """Lazily filled map (local_rank, server_rank) -> coverage for one (m, n).
 
     Holds only the entries a search has read (about two per local rank it
-    walks, of the m*n); they are level-independent, so one table serves every alpha. It keeps
-    no search's answer: every rank or gamma search walks it again, and a
-    caller that runs many rounds of one shape chooses its ranks once (see
-    :data:`fedcal.federation.METHODS`).
+    walks, of the m*n); they are level-independent, so one table serves
+    every alpha. It keeps no search's answer: every rank or gamma search
+    walks it again, and a caller that runs many rounds of one shape chooses
+    its ranks once (see :data:`fedcal.federation.METHODS`).
     """
 
     key: TableKey
@@ -272,35 +272,30 @@ def _window(m: int, k: int) -> tuple[float, float]:
     return low, high
 
 
-def _binomial_tail(m: int, server_rank, g: np.ndarray) -> np.ndarray:
-    """P(Bin(m, G) >= k) at each node's G, for one server rank k or (one row
-    each) a 1-D array of them.
+def _binomial_tail(m: int, k: int, g: np.ndarray) -> np.ndarray:
+    """P(Bin(m, G) >= k) at each node's G.
 
-    ``betainc`` runs only inside each rank's :func:`_window`: outside it the
-    tail reads 0, or 1, which ``betainc`` gives there anyway. Both forms
-    share the windows, so an entry equals its column's element bit for bit.
+    ``betainc`` runs only inside the rank's :func:`_window`: outside it the
+    tail reads 0, or 1, which ``betainc`` gives there anyway.
     """
-    if isinstance(server_rank, np.ndarray):  # one row per rank
-        low, high = np.array([_window(m, k) for k in server_rank.tolist()]).T[:, :, None]
-        k, g = np.broadcast_arrays(server_rank[:, None], g)
-    else:
-        k, (low, high) = server_rank, _window(m, server_rank)
+    low, high = _window(m, k)
     tail = (g > high).astype(float)
     inside = (g >= low) & (g <= high)
-    k = k[inside] if isinstance(k, np.ndarray) else k
     tail[inside] = betainc(k, m - k + 1, g[inside])
     return tail
 
 
 def _quadrature(groups: tuple, server_rank):
     """Coverage of the agents in ``groups`` (see :func:`_agent_groups`) at
-    one server rank (a float) or at a 1-D array of them (an array).
+    one server rank (a float) or, for several groups, at a 1-D array of
+    them (an array).
 
     At each node the counts of all groups but the last (the largest) are
     convolved into ``below``, and P(at least k covered) = sum_j below[j]
     tail(k - j) with the last group's tails. One group reads its tail at k
-    alone through :func:`_binomial_tail`, so an entry is bit-identical to
-    the same entry of a column.
+    alone through :func:`_binomial_tail`; its column is made of these
+    entries (see :func:`_column`), so an entry equals its column's element
+    bit for bit.
     """
     t, w = _rule_for(sum(count * n for count, n, _ in groups))
     *others, (m, n, l) = groups
@@ -326,14 +321,13 @@ def _quadrature(groups: tuple, server_rank):
 
 def _column(groups: tuple, m: int) -> np.ndarray:
     """Coverage at server ranks 1..m when only the agents in ``groups`` can
-    be covered (1 past their number). One group's ranks go in blocks of at
-    most 2^22 ``betainc`` values (32 MiB), several groups' all at once."""
+    be covered (1 past their number). One group's column is its entries,
+    several groups' ranks go all at once."""
     column, covered = np.ones(m), sum(count for count, _, _ in groups)
-    nodes = _rule_for(sum(count * n for count, n, _ in groups))[0].size
-    rows = max(1, (1 << 22) // nodes if len(groups) == 1 else covered)
-    for start in range(0, covered, rows):
-        stop = min(start + rows, covered)
-        column[start:stop] = _quadrature(groups, np.arange(start + 1, stop + 1))
+    if len(groups) > 1:
+        column[:covered] = _quadrature(groups, np.arange(1, covered + 1))
+    else:  # one group, or none (covered = 0) when no agent can be covered
+        column[:covered] = [_quadrature(groups, k) for k in range(1, covered + 1)]
     return column
 
 
@@ -518,20 +512,24 @@ def select_ranks(
 
     Walks the feasibility frontier from (n, m) downward: as the local rank
     l decreases the smallest feasible server rank can only grow, so the
-    previous column's answer bounds each column's search from below. The
-    search starts at the predicted frontier ceil((m + 1) P(Bin(n, 1 - alpha)
-    >= l)), usually within one rank of the answer, and gallops and bisects
-    from there (see :func:`_first_reaching`). Entries are read through
-    ``table`` (a fresh one when none is given); each evaluates ``betainc``
-    only inside its window (see :func:`_binomial_tail`). An entry within
-    ``LEVEL_MARGIN`` of 1 - alpha is settled exactly and stored at its exact value, so every decision is
-    the exact one and the search may probe in any order. Ties are broken
-    toward the smallest local rank, then the smallest server rank. The
-    chosen entry, on which the guarantee rests, is recomputed and must
-    match the stored value (see :func:`_check_stored`); the stored value is
-    the one returned. A single agent (m = 1) covers with probability
-    l / (n + 1), so there the smallest l reaching the level is probed
-    directly, with no walk.
+    previous column's answer bounds each column's search from below. Each
+    column probes the predicted frontier ceil((m + 1) P(Bin(n, 1 - alpha)
+    >= l)), raised to that bound and usually within one rank of the answer,
+    then steps down while the next lower rank still reaches the level, or
+    up until a rank does, so a start d ranks off costs at most d + 2
+    probes. Where (1 - alpha)^n underflows every start is the bound, and
+    the upward steps of the whole walk total at most m. Entries are read
+    through ``table`` (a fresh one when none is given); each evaluates
+    ``betainc`` only inside its window (see :func:`_binomial_tail`). An
+    entry within ``LEVEL_MARGIN`` of 1 - alpha is settled exactly and
+    stored at its exact value, so every decision is the exact one and the
+    search may probe in any order. Ties are broken toward the smallest
+    local rank, then the smallest server rank. The chosen entry, on which
+    the guarantee rests, is recomputed and must match the stored value (see
+    :func:`_check_stored`); the stored value is the one returned. A single
+    agent (m = 1) covers with probability l / (n + 1), so there the split
+    rank (see :func:`fedcal.order_stats.split_rank`), the smallest l
+    reaching the level, is probed directly, with no walk.
 
     Raises
     ------
@@ -558,8 +556,8 @@ def _walk_frontier(table: CoverageTable, alpha: float) -> tuple[RankPair, float]
         )
     if m == 1:
         # one agent covers with probability l / (n + 1), increasing in l, so
-        # the smallest l reaching the level is the answer
-        l = math.ceil((1 - Fraction(alpha)) * (n + 1))
+        # the smallest l reaching the level, the split rank, is the answer
+        l = split_rank(n, alpha)
         reached = _reaches(table, l, 1, alpha)
         assert reached  # the probe decides exactly, as the (n, 1) probe did
         return RankPair(l, 1), table.entries[(l, 1)]
@@ -567,13 +565,20 @@ def _walk_frontier(table: CoverageTable, alpha: float) -> tuple[RankPair, float]
     k_floor = 1
     # (m + 1) P(Bin(n, 1 - alpha) = l) and (m + 1) P(Bin(n, 1 - alpha) >= l),
     # which predicts column l's frontier; both read 0 once (1 - alpha)^n
-    # underflows, and the search then gallops up from k_floor
+    # underflows, and the search then steps up from k_floor
     mass, predicted, odds = (m + 1) * (1 - alpha) ** n, 0.0, alpha / (1 - alpha)
     for l in range(n, 0, -1):
         predicted += mass
         mass *= odds * l / (n - l + 1)
-        start = max(math.ceil(min(predicted, m)), k_floor)
-        k = _first_reaching(table, l, k_floor, start, alpha)
+        # every entry below k_floor fails, and coverage grows with k
+        k = max(math.ceil(min(predicted, m)), k_floor)
+        if _reaches(table, l, k, alpha):
+            while k > k_floor and _reaches(table, l, k - 1, alpha):
+                k -= 1
+        else:
+            k += 1
+            while k <= m and not _reaches(table, l, k, alpha):
+                k += 1
         if k > m:
             break  # every smaller local rank is infeasible too
         k_floor = k
@@ -606,42 +611,9 @@ def _check_stored(table: CoverageTable, ranks: RankPair) -> None:
         )
 
 
-def _first_reaching(
-    table: CoverageTable, local_rank: int, low: int, start: int, alpha: float
-) -> int:
-    """Smallest server rank >= ``low`` whose entry reaches 1 - alpha, or m + 1.
-
-    Probes ``start`` (in [low, m]) first. If it reaches the level, gallops
-    down toward ``low`` (offsets 1, 3, 7, ...) while the entries still
-    reach it; otherwise gallops up (offsets 1, 3, 7, ...). Then it bisects
-    the last gap, so a start g server ranks off the answer costs O(log g)
-    probes. Every entry below ``low`` is known to fail, and coverage grows
-    with the server rank, so the answer does not depend on ``start``.
-    """
-    m = table.key.m
-    if _reaches(table, local_rank, start, alpha):
-        failed, k, step = low - 1, start, 1
-        while k - step > failed:
-            if not _reaches(table, local_rank, k - step, alpha):
-                failed = k - step
-                break
-            k, step = k - step, 2 * step
-    else:
-        failed, k, step = start, start + 1, 2
-        while k <= m and not _reaches(table, local_rank, k, alpha):
-            failed, k, step = k, k + step, 2 * step
-        k = min(k, m + 1)
-    while k - failed > 1:
-        middle = (failed + k) // 2
-        if _reaches(table, local_rank, middle, alpha):
-            k = middle
-        else:
-            failed = middle
-    return k
-
-
 def unbalanced_local_ranks(sizes: Sequence[int], alpha: float) -> list[int]:
-    """Per-agent ranks ceil((1 - alpha) * (n_j + 1)), capped at n_j.
+    """Per-agent split ranks ceil((1 - alpha) * (n_j + 1)) (see
+    :func:`fedcal.order_stats.split_rank`), capped at n_j.
 
     The cap keeps an undersized agent reporting its largest score instead of
     the useless out-of-range sentinel (with a single score per agent the

@@ -11,6 +11,7 @@ never mutate their inputs, so they are safe to call concurrently.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -65,8 +66,13 @@ def as_block(agents: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
 
 
 def split_rank(n: int, alpha: float) -> int:
-    """Order-statistic rank ceil((n + 1) * (1 - alpha)) used by split calibration."""
-    return math.ceil((n + 1) * (1.0 - alpha))
+    """Order-statistic rank ceil((n + 1) * (1 - alpha)) used by split calibration.
+
+    The smallest r with r / (n + 1) >= 1 - alpha, computed in exact rationals
+    from the float alpha: rounding (n + 1) * (1.0 - alpha) in floats can land
+    one rank off either way, as at (n, alpha) = (9, 0.3) and (299, 0.19).
+    """
+    return math.ceil((n + 1) * (1 - Fraction(alpha)))
 
 
 def _kth_smallest(values: np.ndarray, rank: int) -> np.ndarray:

@@ -145,6 +145,26 @@ class TestPredictInterval:
         interval = predict_interval(0.0, result, sf)
         assert (interval.lower, interval.upper) == (1.25, 3.75)
 
+    def test_negative_cqr_threshold_can_give_the_empty_set(self):
+        # quantile regressors x -+ 1 on residuals uniform in +-0.2 score in
+        # [-1, -0.8], so the threshold is near -0.82 and a +-0.3 band at
+        # x = 0.2 keeps no response
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(10, 30))
+        y = x + rng.uniform(-0.2, 0.2, size=(10, 30))
+        wide = ScoreFunction.cqr(lambda x: x - 1.0, lambda x: x + 1.0)
+        result = fedcp_qq_calibrate(wide.score(x, y), 0.1)
+        assert result.q_hat == pytest.approx(-0.8248, abs=1e-4)
+        empty = predict_interval(0.2, result, ScoreFunction.cqr(lambda x: x - 0.3, lambda x: x + 0.3))
+        assert empty.length == 0.0
+        assert not any(empty.contains(y) for y in (-math.inf, -0.3248, 0.2, 0.7248, math.inf))
+        kept = predict_interval(0.2, result, wide)
+        assert evaluate_intervals([empty, kept], [0.2, 0.2]) == {
+            "coverage": 0.5,
+            "mean_length": pytest.approx(kept.length / 2),
+            "infinite_lengths": 0,
+        }
+
     def test_cqr_scores_can_be_negative(self):
         sf = ScoreFunction.cqr(lambda x: np.zeros_like(x), lambda x: np.ones_like(x))
         scores = sf.score(np.zeros(3), np.array([0.5, 1.5, -0.5]))

@@ -25,6 +25,7 @@ from fedcal import (
     save_table,
     select_ranks,
     select_ranks_unbalanced,
+    split_cp_calibrate,
     unbalanced_coverage,
 )
 
@@ -57,6 +58,7 @@ from oracles import (
     mc_qq_coverage,
     search_differences,
     select_ranks_by_convolution,
+    select_ranks_by_gallop,
     unbalanced_coverage_by_convolution,
 )
 
@@ -150,8 +152,6 @@ class TestFastPath:
         expected = betainc(k, m - k + 1, g)
         tail = _binomial_tail(m, k, g)
         assert np.all((tail == expected) | ((tail == 0.0) & (expected <= 2.0**-80)))
-        # the column form shares the windows
-        assert _binomial_tail(m, np.array([k, m]), g)[0].tolist() == tail.tolist()
 
     def test_local_cdf_memo_holds_one_shapes_columns(self, monkeypatch):
         monkeypatch.setattr(coverage_table, "_CDF_FLOATS", 3 * 8)
@@ -308,7 +308,7 @@ class TestCertifiedLevel:
         assert time.perf_counter() - start < 60
         assert (ranks.local_rank, ranks.server_rank) == pair
         assert coverage == value
-        assert len(table.entries) < 2 * n + 100  # the search gallops over server ranks
+        assert len(table.entries) < 2 * n + 100  # the search steps over server ranks
 
     def test_many_singletons_settle_quickly(self):
         start = time.perf_counter()
@@ -374,18 +374,22 @@ class TestSelectRanks:
     def test_single_agent_takes_smallest_reaching_rank(self):
         # one agent covers with probability l / (n + 1), so the search reads
         # only the feasibility entry (n, 1) and its answer; at the exact ties
-        # (n = 9, 19, 99 at alpha = 0.1) the answer is settled exactly
+        # (n = 9, 19, 99 at alpha = 0.1) the answer is settled exactly. It is
+        # the centralized split rank, which rounding (n + 1)(1 - alpha) in
+        # floats would miss at (9, 0.3) and (299, 0.19)
         for n in range(1, 401):
-            for alpha in (0.01, 0.05, 0.1, 0.2, 1 / 3, 0.5):
+            for alpha in (0.009, 0.01, 0.05, 0.1, 0.19, 0.2, 0.3, 1 / 3, 0.5):
                 level = 1 - Fraction(alpha)
                 table = CoverageTable(key=TableKey(1, n))
                 try:
                     ranks, value = select_ranks(TableKey(1, n), alpha, table=table)
                 except InfeasibleError:
                     assert Fraction(n, n + 1) < level
+                    assert split_cp_calibrate(np.zeros(n), alpha).params["rank"] == n + 1
                     continue
                 l = ranks.local_rank
                 assert ranks.server_rank == 1
+                assert split_cp_calibrate(np.zeros(n), alpha).params["rank"] == l, (n, alpha)
                 assert Fraction(l, n + 1) >= level > Fraction(l - 1, n + 1)
                 assert abs(value - Fraction(l, n + 1)) <= LEVEL_MARGIN / 2
                 if abs(Fraction(l, n + 1) - level) <= LEVEL_MARGIN:
@@ -404,6 +408,16 @@ class TestSelectRanks:
     @pytest.mark.parametrize("m, n, alpha", [(99, 101, 1e-4), (9999, 1, 0.1)])
     def test_matches_the_plain_gallop_at_exact_ties(self, m, n, alpha):
         assert search_differences(m, n, alpha) == []
+
+    def test_underflowed_prediction_steps_up_from_the_floor(self):
+        # 0.1^330 reads 0.0, so every column starts at the previous column's
+        # answer, and the walk's upward steps total at most m
+        table = CoverageTable(key=TableKey(10, 330))
+        ranks, value = select_ranks(table.key, 0.9, table=table)
+        pair, expected, _ = select_ranks_by_gallop(10, 330, 0.9)
+        assert (pair, expected) == ((34, 5), 0.10001213865128689)
+        assert ((ranks.local_rank, ranks.server_rank), value) == (pair, expected)
+        assert len(table.entries) <= 330 + 10 + 1
 
     def test_search_starts_near_the_frontier(self):
         # the gallop from the previous column's frontier read 33 entries
