@@ -54,6 +54,11 @@ _DEFAULTS = {
 }
 
 
+def _flag(name: str) -> str:
+    """The command-line flag of the option whose dest is ``name``."""
+    return "--" + name.replace("_", "-")
+
+
 @functools.cache  # built once per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -65,8 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--config", help="key=value file; flags override it")
         for name in names:
-            flag = "--" + name.replace("_", "-")
-            p.add_argument(flag, dest=name, default=None)
+            p.add_argument(_flag(name), dest=name, default=None)
 
     table = sub.add_parser("table", help="build or reuse a coverage table")
     add_common(table, "m", "n", "alpha", "cache")
@@ -124,7 +128,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             try:
                 resolved[name] = _OPTION_TYPES[name](raw)
             except ValueError:
-                raise InvalidArgumentError(f"bad value {raw!r} for --{name}") from None
+                raise InvalidArgumentError(f"bad value {raw!r} for {_flag(name)}") from None
     if resolved.get("seed", 0) < 0:  # numpy seeds only from non-negative integers
         raise InvalidArgumentError(f"--seed must be >= 0, got {resolved['seed']}")
     return resolved
@@ -134,7 +138,7 @@ def _require(options: dict, *names: str) -> None:
     missing = [n for n in names if options.get(n) is None]
     if missing:
         raise InvalidArgumentError(
-            "missing required option(s): " + ", ".join("--" + n for n in missing)
+            "missing required option(s): " + ", ".join(map(_flag, missing))
         )
 
 

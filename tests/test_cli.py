@@ -15,6 +15,7 @@ from fedcal import (
     CoverageTable,
     DpConfig,
     FederationSpec,
+    InvalidArgumentError,
     ProtocolViolationError,
     RankPair,
     TableKey,
@@ -24,7 +25,7 @@ from fedcal import (
     run_one_shot,
     save_table,
 )
-from fedcal.cli import main
+from fedcal.cli import _require, main
 from fedcal.federation import METHODS
 from fedcal.privacy import DEFAULT_GAMMA_GRID
 
@@ -428,6 +429,42 @@ class TestSimulateCommand:
         assert (code, err) == (0, "")
         assert _digest(out) == self.FROZEN_ROWS[(method, seed)]
 
+    # the same for the other samplers, whose draws the frozen rows above
+    # do not reach
+    FROZEN_SAMPLER_ROWS = {
+        ("exponential", "fedcp-qq", 3):
+            "2f06cc112c0942cbf25fde1174b7fd1ed4b4963deeb12fb5858a294ea65344b6",
+        ("exponential", "fedcp-qq", 11):
+            "3e2b29233eabc1254b04df1bfa9af3f464857aa1143ab22308ece93c24b10a87",
+        ("exponential", "fedcp-avg", 3):
+            "4e13d0755d7c4c57e5521671f903f47d985bc87470ef3f6b6ecbb52753ac5b9b",
+        ("exponential", "fedcp-avg", 11):
+            "4064d5835059b2690b75e9705381b6bc351d8b042f7301fa238ed3c6034243dc",
+        ("outlier", "fedcp-qq", 3):
+            "635b823975c146d2e05d7c6f0ac2d13a50656f68ffb3847803210bf5ce8ee698",
+        ("outlier", "fedcp-qq", 11):
+            "d29a0d6a8981a505700c3b03f1591edc1e02fc81f2cf25bcbdc5552170b56d15",
+        ("outlier", "fedcp-avg", 3):
+            "654e66df7a4f92e3002d5635fe47eea4d70867ce1cbcb7a8ef7e08eb8c9201df",
+        ("outlier", "fedcp-avg", 11):
+            "256b1b7a40df9afaf8bfe5b909246c7e1ea56f247c7d5467b063815c33c72888",
+    }
+
+    @pytest.mark.parametrize("sampler, method, seed", sorted(FROZEN_SAMPLER_ROWS))
+    def test_sampler_rows_equal_frozen_digest(self, tmp_path, capsys, sampler, method, seed):
+        out = tmp_path / "rows.csv"
+        code, _, err = _run(capsys, "simulate", "--m", "8", "--n", "40", "--alpha", "0.1",
+                            "--method", method, "--reps", "20", "--seed", str(seed),
+                            "--test-size", "200", "--sampler", sampler, "--out", str(out))
+        assert (code, err) == (0, "")
+        assert _digest(out) == self.FROZEN_SAMPLER_ROWS[(sampler, method, seed)]
+
+    def test_bad_value_names_the_flag(self, capsys):
+        code, out, err = _run(capsys, "simulate", "--m", "3", "--n", "10", "--alpha", "0.2",
+                              "--method", "fedcp-qq", "--reps", "2", "--test-size", "1.5")
+        assert (code, out) == (1, "")
+        assert err == "error: bad value '1.5' for --test-size\n"
+
 
 class TestConfigFile:
     def test_config_supplies_values_and_flags_override(self, tmp_path, capsys):
@@ -470,3 +507,9 @@ class TestConfigFile:
         code, _, err = _run(capsys, "table", "--m", "2")
         assert code == 1
         assert "--n" in err and "--alpha" in err
+
+    def test_missing_option_named_by_its_flag(self):
+        # no subcommand requires an option with an underscore in its name,
+        # so the check is called directly
+        with pytest.raises(InvalidArgumentError, match="--test-size$"):
+            _require({"test_size": None}, "test_size")

@@ -268,6 +268,7 @@ class TestCoverageExperiment:
         args = (spec, 9, method, OutlierScores(), 50)
         got = coverage_experiment(*args, dp_config=dp, shifts=shifts).rows
         assert got == coverage_rows_by_substream(*args, dp_config=dp, shifts=shifts)
+        assert all(type(row["coverage"]) is float for row in got)
 
     @pytest.mark.parametrize("method, gamma_searches", [("fedcp-qq", 0), ("fedcp2-qq", 1)])
     def test_ranks_and_gamma_are_searched_once_per_experiment(
@@ -362,10 +363,39 @@ class TestStreamSeeding:
 
     def test_preseeded_state_serves_only_pcg64(self):
         state = _stream_states(3, np.array([[0, 1]]))[0]
+        for dtype in (np.uint64, np.dtype("uint64"), "uint64"):
+            assert _Preseeded(state).generate_state(4, dtype) is state
         with pytest.raises(InternalError, match="4 uint64 words"):
             _Preseeded(state).generate_state(4)
         with pytest.raises(InternalError, match="4 uint64 words"):
+            _Preseeded(state).generate_state(4, np.uint32)
+        with pytest.raises(InternalError, match="4 uint64 words"):
             _Preseeded(state).generate_state(8, np.uint64)
+
+
+# each sampler's documented draws on its stream, made with the plain numpy calls
+DOCUMENTED_DRAWS = {
+    UniformScores: lambda rng, n: rng.uniform(0.0, 1.0, n),
+    ExponentialScores: lambda rng, n: rng.exponential(1.0, n),
+    OutlierScores: lambda rng, n: _outlier_mix(
+        rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 50.0, n), rng.uniform(0.0, 1.0, n)
+    ),
+}
+
+
+def _outlier_mix(base, tail, flip):
+    return np.where(flip < 0.01, tail, base)
+
+
+@pytest.mark.parametrize("sampler", SAMPLER_CLASSES)
+def test_sampler_draws_equal_documented_numpy_calls(sampler):
+    # bit for bit, so rows can be regenerated from substream(seed, r, j) alone
+    documented = DOCUMENTED_DRAWS[sampler]
+    for seed in range(200):
+        for j, size in enumerate((1, 2, 30, 1000)):
+            draws = sampler().sample(substream(seed, 0, j), size)
+            expected = documented(substream(seed, 0, j), size)
+            assert draws.dtype == expected.dtype and draws.tobytes() == expected.tobytes()
 
 
 _SPEC = FederationSpec(m=3, n=10, alpha=0.2)
