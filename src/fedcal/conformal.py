@@ -43,44 +43,39 @@ __all__ = [
     "read_score_matrix_csv",
 ]
 
-ABSOLUTE_RESIDUAL = "absolute_residual"
-CQR = "cqr"
-
 
 @dataclass(frozen=True)
 class ScoreFunction:
     """A nonconformity score built from caller-supplied predictors.
 
-    ``absolute_residual`` wraps a point predictor f and scores |y - f(x)|;
-    ``cqr`` wraps a (lower, upper) quantile pair and scores
-    max(lower(x) - y, y - upper(x)), which may be negative. CQR scores are
-    deliberately not clamped at zero: clamping would tie scores together and
-    break their exchangeability with the test score.
+    ``band(x)`` gives a (lower(x), upper(x)) band; the score is
+    max(lower(x) - y, y - upper(x)) and the set at threshold q is
+    [lower(x) - q, upper(x) + q]. ``cqr`` wraps a (lower, upper) quantile
+    pair; ``absolute_residual`` wraps a point predictor f as the zero-width
+    band (f(x), f(x)), whose score is |y - f(x)|. CQR scores may be
+    negative and are deliberately not clamped at zero: clamping would tie
+    scores together and break their exchangeability with the test score.
     """
 
-    kind: str
-    predict: Callable | None = None
-    predict_lower: Callable | None = None
-    predict_upper: Callable | None = None
+    band: Callable
 
     @classmethod
     def absolute_residual(cls, predict: Callable) -> "ScoreFunction":
-        return cls(kind=ABSOLUTE_RESIDUAL, predict=predict)
+        def band(x):
+            center = predict(x)
+            return center, center
+
+        return cls(band)
 
     @classmethod
     def cqr(cls, predict_lower: Callable, predict_upper: Callable) -> "ScoreFunction":
-        return cls(kind=CQR, predict_lower=predict_lower, predict_upper=predict_upper)
+        return cls(lambda x: (predict_lower(x), predict_upper(x)))
 
     def score(self, x, y):
         """Nonconformity score of observation(s) (x, y)."""
-        if self.kind == ABSOLUTE_RESIDUAL:
-            return np.abs(np.asarray(y, dtype=float) - np.asarray(self.predict(x), dtype=float))
-        if self.kind == CQR:
-            y = np.asarray(y, dtype=float)
-            lo = np.asarray(self.predict_lower(x), dtype=float)
-            hi = np.asarray(self.predict_upper(x), dtype=float)
-            return np.maximum(lo - y, y - hi)
-        raise InvalidArgumentError(f"unknown score kind {self.kind!r}")
+        y = np.asarray(y, dtype=float)
+        lower, upper = (np.asarray(bound, dtype=float) for bound in self.band(x))
+        return np.maximum(lower - y, y - upper)
 
 
 @dataclass(frozen=True)
@@ -116,15 +111,14 @@ class PredictionInterval:
     """The closed interval [lower, upper] of responses.
 
     The empty set is (inf, -inf): it contains no response and has length 0.
-    The constructor refuses bounds out of order, so only
-    :func:`predict_interval` builds it.
+    The constructor refuses every other pair of bounds out of order.
     """
 
     lower: float
     upper: float
 
     def __post_init__(self) -> None:
-        if not self.lower <= self.upper:
+        if not self.lower <= self.upper and (self.lower, self.upper) != (math.inf, -math.inf):
             raise InvalidArgumentError(
                 f"interval bounds out of order: [{self.lower}, {self.upper}]"
             )
@@ -137,9 +131,7 @@ class PredictionInterval:
         return self.lower <= y <= self.upper
 
 
-_EMPTY_INTERVAL = object.__new__(PredictionInterval)
-object.__setattr__(_EMPTY_INTERVAL, "lower", math.inf)
-object.__setattr__(_EMPTY_INTERVAL, "upper", -math.inf)
+_EMPTY_INTERVAL = PredictionInterval(math.inf, -math.inf)
 
 
 def _one_shot_round(
@@ -267,19 +259,14 @@ def fedcp_avg_calibrate(scores: Sequence[Sequence[float]], alpha: float) -> Cali
 def predict_interval(x, result: CalibrationResult, sf: ScoreFunction) -> PredictionInterval:
     """Interval of responses whose score at x stays within the threshold.
 
-    It is empty when no response's does, as with a negative CQR threshold
-    larger in size than half the width of the quantile band at x.
+    It is empty when no response's does, as with a negative threshold
+    larger in size than half the width of the band at x.
     """
     q = result.q_hat
     if math.isinf(q):
         return PredictionInterval(-math.inf, math.inf)
-    if sf.kind == ABSOLUTE_RESIDUAL:
-        center = float(sf.predict(x))
-        lower, upper = center - q, center + q
-    elif sf.kind == CQR:
-        lower, upper = float(sf.predict_lower(x)) - q, float(sf.predict_upper(x)) + q
-    else:
-        raise InvalidArgumentError(f"unknown score kind {sf.kind!r}")
+    lower, upper = sf.band(x)
+    lower, upper = float(lower) - q, float(upper) + q
     return _EMPTY_INTERVAL if upper < lower else PredictionInterval(lower, upper)
 
 

@@ -377,7 +377,8 @@ class Method:
     the private round's m agent streams and is ignored by the others.
     ``table`` says whether the method reads and extends a coverage table,
     ``private`` whether it needs a DpConfig and ``spawn``, and ``one_shot``
-    whether it fits one uplink message per agent.
+    whether it fits one uplink message per agent, which :func:`run_one_shot`
+    requires.
     """
 
     bind: Callable[..., Callable[..., CalibrationResult]]
@@ -403,17 +404,12 @@ METHODS: dict[str, Method] = {
 }
 
 
-def _one_shot_entry(method: str, dp_config: DpConfig | None) -> Method:
+def _method_entry(method: str, dp_config: DpConfig | None) -> Method:
     """The ``METHODS`` entry for ``method``, whose underscores may stand for
-    hyphens, once checked to run one round with what it needs."""
+    hyphens, once checked to have what it needs."""
     entry = METHODS.get(method.replace("_", "-"))
     if entry is None:
         raise InvalidArgumentError(f"unknown method {method!r}")
-    if not entry.one_shot:
-        raise ProtocolViolationError(
-            f"{method} calibration needs every local score, which exceeds "
-            "one uplink message per agent"
-        )
     if entry.private and dp_config is None:
         raise InvalidArgumentError("the private method needs a DpConfig")
     return entry
@@ -442,7 +438,12 @@ def run_one_shot(
             f"expected {spec.m} agents of {spec.n} scores each, "
             f"got {agents.shape[0]} of {agents.shape[1]}"
         )
-    entry = _one_shot_entry(method, dp_config)
+    entry = _method_entry(method, dp_config)
+    if not entry.one_shot:
+        raise ProtocolViolationError(
+            f"{method} calibration needs every local score, which exceeds "
+            "one uplink message per agent"
+        )
     if entry.private and rng is None:
         rng = np.random.default_rng(spec.seed)
     calibrate = entry.bind(spec.alpha, table=table, dp_config=dp_config)
@@ -477,6 +478,11 @@ def coverage_experiment(
     absolute-residual interval with that threshold. One row per
     replication is kept for export. Identical (spec, seed) inputs
     reproduce identical output.
+
+    ``method`` is any ``METHODS`` name, ``centralized`` included, which
+    calibrates on the m agents' pooled scores: only :func:`run_one_shot`,
+    which simulates a protocol round, refuses a method that exceeds one
+    uplink message per agent.
     """
     if check_integer(replications, "replications") < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
@@ -484,7 +490,7 @@ def coverage_experiment(
         raise InvalidArgumentError(f"test_size must be >= 1, got {test_size}")
     m = spec.m
     offsets = _agent_shifts(shifts, m)[:, None]
-    entry = _one_shot_entry(method, dp_config)
+    entry = _method_entry(method, dp_config)
     table = CoverageTable(key=TableKey(m, spec.n)) if entry.table else None
     # bound once: the ranks (or gamma) are chosen at the first replication
     calibrate = entry.bind(spec.alpha, table=table, dp_config=dp_config)

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc, gammaln, logsumexp, roots_legendre
 
+from fedcal.conformal import split_cp_calibrate
 from fedcal.coverage_table import (
     CoverageTable,
     RankPair,
@@ -551,20 +552,26 @@ def _replication_by_substream(sampler, seed: int, rep: int, m: int, n: int) -> n
 def coverage_rows_by_substream(
     spec, replications, method, sampler, test_size, *, dp_config=None, shifts=None
 ) -> list[dict]:
-    """``coverage_experiment``'s rows, each stream built by ``substream``."""
+    """``coverage_experiment``'s rows, each stream built by ``substream``.
+
+    ``centralized``, which ``run_one_shot`` refuses, is split calibration
+    on the replication's pooled (m, n) block."""
     offsets = _agent_shifts(shifts, spec.m)[:, None]
     table = CoverageTable(key=TableKey(spec.m, spec.n))
     rows: list[dict] = []
     for rep in range(replications):
         agents = _replication_by_substream(sampler, spec.seed, rep, spec.m, spec.n) + offsets
-        result, _ = run_one_shot(
-            spec,
-            agents,
-            method,
-            table=table,
-            dp_config=dp_config,
-            rng=substream(spec.seed, rep, spec.m + 1),
-        )
+        if method == "centralized":
+            result = split_cp_calibrate(agents.ravel(), spec.alpha)
+        else:
+            result, _ = run_one_shot(
+                spec,
+                agents,
+                method,
+                table=table,
+                dp_config=dp_config,
+                rng=substream(spec.seed, rep, spec.m + 1),
+            )
         test = sampler.sample(substream(spec.seed, rep, spec.m), test_size)
         coverage = float(np.mean(test <= result.q_hat))
         rows.append(

@@ -24,6 +24,8 @@ from fedcal import (
     load_table,
     run_one_shot,
     save_table,
+    split_cp_calibrate,
+    substream,
 )
 from fedcal.cli import _require, main
 from fedcal.federation import METHODS
@@ -386,6 +388,27 @@ class TestSimulateCommand:
         len_qq = float(out_qq.split("mean_length=")[1].split()[0])
         len_avg = float(out_avg.split("mean_length=")[1].split()[0])
         assert len_avg > len_qq
+
+    def test_centralized_rows_are_pooled_split_calibration(self, tmp_path, capsys):
+        out_path = tmp_path / "rows.csv"
+        m, n, seed, test_size = 5, 20, 7, 200
+        code, out, err = _run(capsys, "simulate", "--m", str(m), "--n", str(n),
+                              "--alpha", "0.1", "--method", "centralized", "--reps", "3",
+                              "--seed", str(seed), "--test-size", str(test_size),
+                              "--out", str(out_path))
+        assert (code, err) == (0, "") and out.startswith("method=centralized reps=3 ")
+        with open(out_path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [int(row["replication"]) for row in rows] == [0, 1, 2]
+        for rep, row in enumerate(rows):
+            # uniform scores: agent j's n draws from stream (rep, j), the
+            # test draws from stream (rep, m)
+            pooled = np.concatenate([substream(seed, rep, j).random(n) for j in range(m)])
+            q_hat = split_cp_calibrate(pooled, 0.1).q_hat
+            test = substream(seed, rep, m).random(test_size)
+            assert row["method"] == "centralized"
+            assert float(row["q_hat"]) == q_hat
+            assert float(row["coverage"]) == np.count_nonzero(test <= q_hat) / test_size
 
     def test_negative_seed_refused(self, capsys):
         code, out, err = _run(capsys, "simulate", "--m", "3", "--n", "10", "--alpha", "0.2",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fedcal import (
     CalibrationResult,
@@ -169,6 +170,68 @@ class TestPredictInterval:
         sf = ScoreFunction.cqr(lambda x: np.zeros_like(x), lambda x: np.ones_like(x))
         scores = sf.score(np.zeros(3), np.array([0.5, 1.5, -0.5]))
         np.testing.assert_allclose(scores, [-0.5, 0.5, 0.5])
+
+
+# finite values, the signed zeros and the largest magnitudes among them
+BAND_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e308, -1e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# a scalar or an array; shapes () and (4,) broadcast together
+BAND_INPUTS = st.one_of(BAND_VALUES, arrays(np.float64, 4, elements=BAND_VALUES))
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+class TestScoreBand:
+    """Both scores are one band formula: the absolute residual is the
+    zero-width band (f(x), f(x)). The expected values below are the
+    formulas each score used on its own."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(y=BAND_INPUTS, f=BAND_INPUTS, lo=BAND_INPUTS, hi=BAND_INPUTS)
+    def test_scores_keep_their_formulas(self, y, f, lo, hi):
+        with np.errstate(over="ignore"):
+            residual = ScoreFunction.absolute_residual(lambda x: f).score(0.0, y)
+            expected = np.abs(np.asarray(y, dtype=float) - np.asarray(f, dtype=float))
+            got = ScoreFunction.cqr(lambda x: lo, lambda x: hi).score(0.0, y)
+            y = np.asarray(y, dtype=float)
+            cqr = np.maximum(np.asarray(lo, dtype=float) - y, y - np.asarray(hi, dtype=float))
+        assert residual.shape == expected.shape and np.array_equal(residual, expected)
+        # only an exactly-zero residual may differ, in its sign
+        assert np.all((residual.view(np.int64) == expected.view(np.int64)) | (expected == 0.0))
+        assert got.shape == cqr.shape and _bits(got) == _bits(cqr)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(f=BAND_VALUES, lo=BAND_VALUES, hi=BAND_VALUES, q=BAND_VALUES)
+    def test_intervals_keep_their_formulas(self, f, lo, hi, q):
+        result = CalibrationResult(q_hat=q, method="centralized", guaranteed_coverage=0.9)
+        for sf, lower, upper in [
+            (ScoreFunction.absolute_residual(lambda x: f), f - q, f + q),
+            (ScoreFunction.cqr(lambda x: lo, lambda x: hi), lo - q, hi + q),
+        ]:
+            interval = predict_interval(0.0, result, sf)
+            expected = (math.inf, -math.inf) if upper < lower else (lower, upper)
+            assert _bits([interval.lower, interval.upper]) == _bits(expected)
+
+    def test_infinite_threshold_calls_no_predictor(self):
+        def unreachable(x):
+            raise AssertionError("predictor called")
+
+        result = CalibrationResult(q_hat=math.inf, method="centralized", guaranteed_coverage=0.9)
+        for sf in (ScoreFunction.absolute_residual(unreachable),
+                   ScoreFunction.cqr(unreachable, unreachable)):
+            assert predict_interval(0.0, result, sf) == PredictionInterval(-math.inf, math.inf)
+
+    def test_empty_set_is_the_one_pair_out_of_order(self):
+        empty = PredictionInterval(math.inf, -math.inf)
+        assert empty.length == 0.0
+        assert not any(empty.contains(y) for y in (-math.inf, -1.0, 0.0, 1.0, math.inf))
+        for lower, upper in [(2.0, 1.0), (math.inf, 1.0), (1.0, -math.inf), (math.inf, math.nan)]:
+            with pytest.raises(InvalidArgumentError, match="out of order"):
+                PredictionInterval(lower, upper)
 
 
 class TestEvaluateIntervals:

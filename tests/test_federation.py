@@ -259,7 +259,16 @@ class TestCoverageExperiment:
         assert rows[0]["method"] == "fedcp_qq"
         assert float(rows[1]["coverage"]) == summary.rows[1]["coverage"]
 
-    @pytest.mark.parametrize("method", ["fedcp-qq", "fedcp-avg", "fedcp2-qq"])
+    def test_only_the_method_lookup_refuses(self):
+        # the one-message gate belongs to run_one_shot, so centralized runs
+        # (see test_rows_equal_the_per_replication_loop); these two stay
+        spec = FederationSpec(m=3, n=10, alpha=0.2, seed=4)
+        with pytest.raises(InvalidArgumentError, match="unknown method 'pooled'"):
+            coverage_experiment(spec, 2, "pooled", UniformScores(), 20)
+        with pytest.raises(InvalidArgumentError, match="needs a DpConfig"):
+            coverage_experiment(spec, 2, "fedcp2_qq", UniformScores(), 20)
+
+    @pytest.mark.parametrize("method", ["centralized", "fedcp-qq", "fedcp-avg", "fedcp2-qq"])
     @pytest.mark.parametrize("seed", [0, 2**32, 2**70 + 1])
     def test_rows_equal_the_per_replication_loop(self, method, seed):
         spec = FederationSpec(m=6, n=44, alpha=0.2, seed=seed)
