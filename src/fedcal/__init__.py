@@ -12,7 +12,6 @@ from .conformal import (
     CalibrationResult,
     PredictionInterval,
     ScoreFunction,
-    evaluate_intervals,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
     predict_interval,
@@ -25,13 +24,11 @@ from .coverage_table import (
     RankPair,
     TableKey,
     conditional_miscoverage_quantile,
-    coverage_column,
     coverage_probability,
     load_table,
     save_table,
     select_ranks,
     select_ranks_unbalanced,
-    unbalanced_coverage,
 )
 from .errors import (
     FedcalError,
@@ -42,21 +39,16 @@ from .errors import (
     ResourceLimitError,
 )
 from .federation import (
-    ConditionalCoverageResult,
     ExperimentResult,
     ExponentialScores,
     FederationSpec,
     OutlierScores,
     Transcript,
     UniformScores,
-    conditional_coverage_experiment,
     coverage_experiment,
     heterogeneity_tv_penalty,
-    poisson_binomial_diagnostic,
     run_one_shot,
     substream,
-    synthetic_conditional_quantile,
-    synthetic_dataset,
     write_rows_csv,
 )
 from .order_stats import order_statistic, quantile_of_quantiles, split_rank

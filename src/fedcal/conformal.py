@@ -38,7 +38,6 @@ __all__ = [
     "fedcp_qq_calibrate",
     "fedcp_avg_calibrate",
     "predict_interval",
-    "evaluate_intervals",
     "read_scores_csv",
     "read_score_matrix_csv",
 ]
@@ -268,33 +267,6 @@ def predict_interval(x, result: CalibrationResult, sf: ScoreFunction) -> Predict
     lower, upper = sf.band(x)
     lower, upper = float(lower) - q, float(upper) + q
     return _EMPTY_INTERVAL if upper < lower else PredictionInterval(lower, upper)
-
-
-def evaluate_intervals(
-    intervals: Sequence[PredictionInterval], y_test: Sequence[float]
-) -> dict:
-    """Empirical coverage and average length over a test set.
-
-    Membership is closed on both ends. ``mean_length`` averages the finite
-    lengths only, an empty interval's being 0; unbounded intervals are
-    tallied in ``infinite_lengths`` (and ``mean_length`` is ``inf`` when no
-    finite interval exists).
-    """
-    if len(intervals) == 0 or len(intervals) != len(y_test):
-        raise InvalidArgumentError(
-            f"need equally many intervals and test points, got {len(intervals)} and {len(y_test)}"
-        )
-    lower = np.array([iv.lower for iv in intervals])
-    upper = np.array([iv.upper for iv in intervals])
-    y = np.asarray(y_test, dtype=float)
-    covered = (lower <= y) & (y <= upper)
-    lengths = np.maximum(upper - lower, 0.0)  # the empty (inf, -inf) has length 0
-    finite = np.isfinite(lengths)
-    return {
-        "coverage": float(np.mean(covered)),
-        "mean_length": float(np.mean(lengths[finite])) if finite.any() else math.inf,
-        "infinite_lengths": int(np.count_nonzero(~finite)),
-    }
 
 
 # ---------------------------------------------------------------------------

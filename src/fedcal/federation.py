@@ -1,4 +1,4 @@
-"""One-shot protocol simulation, synthetic data, and heterogeneity diagnostics.
+"""One-shot protocol simulation and heterogeneity diagnostics.
 
 ``METHODS`` is the one registry of calibration methods, keyed by their
 command-line names; the CLI, :func:`run_one_shot` and the simulator all
@@ -23,7 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import betainc, ndtr
+from scipy.special import betainc
 
 from .conformal import (
     CalibrationResult,
@@ -32,15 +32,10 @@ from .conformal import (
     fedcp_avg_calibrate,
     split_cp_calibrate,
 )
-from .coverage_table import (
-    CoverageTable,
-    RankPair,
-    TableKey,
-    select_ranks,
-)
+from .coverage_table import CoverageTable, RankPair, TableKey
 from .errors import InternalError, InvalidArgumentError, ProtocolViolationError
 from .errors import check_alpha, check_integer
-from .order_stats import _kth_smallest, as_block
+from .order_stats import as_block
 from .privacy import DpConfig, _bind_private
 
 __all__ = [
@@ -53,14 +48,10 @@ __all__ = [
     "OutlierScores",
     "SAMPLERS",
     "substream",
-    "synthetic_dataset",
-    "synthetic_conditional_quantile",
     "run_one_shot",
     "ExperimentResult",
     "coverage_experiment",
     "write_rows_csv",
-    "ConditionalCoverageResult",
-    "conditional_coverage_experiment",
     "poisson_binomial_diagnostic",
     "heterogeneity_tv_penalty",
 ]
@@ -292,74 +283,6 @@ def _key_states(seed: int, reps: np.ndarray, *suffixes) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# synthetic regression data
-# ---------------------------------------------------------------------------
-
-_POISSON_TERMS = 32
-_OUTLIER_PROB = 0.01
-_OUTLIER_SD = 25.0
-# 80 halvings shrink the initial bracket (width about 630) below 1e-21
-_BISECTION_STEPS = 80
-
-
-def synthetic_dataset(
-    count: int, rng: np.random.Generator, *, outliers: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draws of the heteroscedastic benchmark generator.
-
-    X is uniform on [1, 5]; Y given X is Poisson(sin^2(X) + 0.1) plus
-    0.03 * X * gaussian noise, plus (optionally) a 1%-frequency gaussian
-    outlier burst with standard deviation 25.
-    """
-    if check_integer(count, "count") < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
-    x = rng.uniform(1.0, 5.0, count)
-    rate = np.sin(x) ** 2 + 0.1
-    y = rng.poisson(rate).astype(float) + 0.03 * x * rng.standard_normal(count)
-    if outliers:
-        burst = rng.uniform(0.0, 1.0, count) < _OUTLIER_PROB
-        y = y + _OUTLIER_SD * burst * rng.standard_normal(count)
-    return x, y
-
-
-def _synthetic_cdf(y: np.ndarray, x: np.ndarray, outliers: bool) -> np.ndarray:
-    """P(Y <= y | X = x) under the synthetic generator; shapes broadcast."""
-    rate = np.sin(x) ** 2 + 0.1
-    counts = np.arange(_POISSON_TERMS, dtype=float)
-    log_pois = counts * np.log(rate)[..., None] - rate[..., None] - np.cumsum(
-        np.concatenate([[0.0], np.log(np.maximum(counts[1:], 1.0))])
-    )
-    weights = np.exp(log_pois)
-    narrow_sd = 0.03 * x
-    shifted = y[..., None] - counts
-    cdf = ndtr(shifted / narrow_sd[..., None])
-    if outliers:
-        wide_sd = np.sqrt(narrow_sd**2 + _OUTLIER_SD**2)
-        cdf = (1.0 - _OUTLIER_PROB) * cdf + _OUTLIER_PROB * ndtr(shifted / wide_sd[..., None])
-    return np.sum(weights * cdf, axis=-1)
-
-
-def synthetic_conditional_quantile(x, level: float, *, outliers: bool = True) -> np.ndarray:
-    """Exact conditional ``level``-quantile of Y given X under the generator.
-
-    Inverts the mixture c.d.f. by ``_BISECTION_STEPS`` bisection steps;
-    serves as a stand-in predictor so experiments exercise calibration
-    without training any model.
-    """
-    if not 0.0 < level < 1.0:
-        raise InvalidArgumentError(f"level must be in (0, 1), got {level}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    lo = np.full(x.shape, -12.0 * _OUTLIER_SD)
-    hi = np.full(x.shape, _POISSON_TERMS + 12.0 * _OUTLIER_SD)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = _synthetic_cdf(mid, x, outliers) < level
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
 # protocol simulation
 # ---------------------------------------------------------------------------
 
@@ -375,10 +298,10 @@ class Method:
     choice at the first call and keeps it for later calls of the same
     shape, so a caller running many rounds binds once. ``spawn(m)`` gives
     the private round's m agent streams and is ignored by the others.
-    ``table`` says whether the method reads and extends a coverage table,
-    ``private`` whether it needs a DpConfig and ``spawn``, and ``one_shot``
-    whether it fits one uplink message per agent, which :func:`run_one_shot`
-    requires.
+    ``table`` marks the methods whose coverage table the CLI may load from
+    and save to a cache, ``private`` those that need a DpConfig and
+    ``spawn``, and ``one_shot`` those that fit one uplink message per agent,
+    which :func:`run_one_shot` requires.
     """
 
     bind: Callable[..., Callable[..., CalibrationResult]]
@@ -491,9 +414,8 @@ def coverage_experiment(
     m = spec.m
     offsets = _agent_shifts(shifts, m)[:, None]
     entry = _method_entry(method, dp_config)
-    table = CoverageTable(key=TableKey(m, spec.n)) if entry.table else None
     # bound once: the ranks (or gamma) are chosen at the first replication
-    calibrate = entry.bind(spec.alpha, table=table, dp_config=dp_config)
+    calibrate = entry.bind(spec.alpha, table=None, dp_config=dp_config)
     rows: list[dict] = []
     # in replication r, stream (r, j) holds agent j's scores for j < m and
     # (r, m) the test scores; the private round's agent j draws its noise
@@ -535,56 +457,6 @@ def write_rows_csv(rows: Sequence[dict], path) -> None:
         writer = csv.DictWriter(handle, fieldnames=fields)
         writer.writeheader()
         writer.writerows(rows)
-
-
-@dataclass
-class ConditionalCoverageResult:
-    """Per-replication miscoverage of the fixed calibration set."""
-
-    ranks: RankPair
-    alpha_p: np.ndarray
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.alpha_p))
-
-    def quantile(self, q: float) -> float:
-        return float(np.quantile(self.alpha_p, q))
-
-
-def conditional_coverage_experiment(
-    spec: FederationSpec,
-    replications: int,
-    *,
-    sampler,
-    ranks: RankPair | None = None,
-) -> ConditionalCoverageResult:
-    """Distribution of the conditional miscoverage over calibration draws.
-
-    Needs a sampler with a known c.d.f. so each replication's miscoverage
-    1 - F(q_hat) is exact rather than estimated. Ranks default to the
-    selected pair for (m, n, alpha) but any pair can be forced. For
-    continuous scores the exact quantiles of this distribution are
-    :func:`fedcal.coverage_table.conditional_miscoverage_quantile`.
-    """
-    if check_integer(replications, "replications") < 1:
-        raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
-    cdf = getattr(sampler, "cdf", None)
-    if cdf is None:
-        raise InvalidArgumentError(
-            "conditional coverage needs a sampler with a known cdf"
-        )
-    key = TableKey(spec.m, spec.n)
-    if ranks is None:
-        ranks, _ = select_ranks(key, spec.alpha)
-    else:
-        ranks.validate(key)
-    l, k = ranks.local_rank, ranks.server_rank
-    alpha_p = np.empty(replications)
-    for rep, streams in enumerate(_replication_streams(spec.seed, replications, spec.m)):
-        local = _kth_smallest(_replication(sampler, streams, spec.n), l)
-        alpha_p[rep] = 1.0 - float(cdf(_kth_smallest(local, k)))
-    return ConditionalCoverageResult(ranks=ranks, alpha_p=alpha_p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_integer
+from .errors import InvalidArgumentError, check_alpha, check_integer
 
 __all__ = [
     "as_sample",
@@ -71,7 +71,11 @@ def split_rank(n: int, alpha: float) -> int:
     The smallest r with r / (n + 1) >= 1 - alpha, computed in exact rationals
     from the float alpha: rounding (n + 1) * (1.0 - alpha) in floats can land
     one rank off either way, as at (n, alpha) = (9, 0.3) and (299, 0.19).
+    n = 0 gives rank 1, past the end of the empty sample.
     """
+    if check_integer(n, "n") < 0:
+        raise InvalidArgumentError(f"n must be >= 0, got {n}")
+    check_alpha(alpha)
     return math.ceil((n + 1) * (1 - Fraction(alpha)))
 
 

@@ -7,9 +7,9 @@ in floats, the log-Gamma closed form at local rank n, the threshold's law
 as a rational polynomial, truncated-binomial convolutions in log space,
 batched Monte-Carlo, a straight transcription of the
 exponential-mechanism softmax, the per-agent private release, the
-per-row score-file reader, the simulator loop that seeds every stream
-through ``substream``, and the rank search as a plain gallop over entries
-that call ``betainc`` at every node.
+per-row score-file reader, the simulator loop and the conditional
+Monte-Carlo that seed every stream through ``substream``, and the rank
+search as a plain gallop over entries that call ``betainc`` at every node.
 Gauss-Legendre quadrature of the order-statistic integrand is kept as the
 plain formula the library's engine evaluates. Expected values frozen in
 the tests were produced by these.
@@ -588,8 +588,11 @@ def coverage_rows_by_substream(
 
 
 def conditional_alpha_p_by_substream(spec, replications, sampler, ranks) -> np.ndarray:
-    """``conditional_coverage_experiment``'s ``alpha_p`` at ``ranks``, each
-    stream built by ``substream``."""
+    """The conditional miscoverage 1 - F(q_hat) of each replication's
+    quantile-of-quantiles threshold at ``ranks``, F being ``sampler.cdf``:
+    a Monte-Carlo draw of the law whose exact quantiles are
+    :func:`fedcal.coverage_table.conditional_miscoverage_quantile`. Agent
+    j's scores in replication r are n draws from ``substream(seed, r, j)``."""
     l, k = ranks.local_rank, ranks.server_rank
     alpha_p = np.empty(replications)
     for rep in range(replications):

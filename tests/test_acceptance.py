@@ -21,14 +21,11 @@ from fedcal import (
     ProtocolViolationError,
     RankPair,
     TableKey,
-    conditional_coverage_experiment,
     conditional_miscoverage_quantile,
-    coverage_column,
     coverage_probability,
     fedcp2_qq_calibrate,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
-    poisson_binomial_diagnostic,
     private_quantile,
     private_quantile_distribution,
     rank_correction,
@@ -37,10 +34,15 @@ from fedcal import (
     split_cp_calibrate,
     split_rank,
     substream,
-    synthetic_conditional_quantile,
-    synthetic_dataset,
 )
-from oracles import coverage_bruteforce_column, max_report_coverage
+from fedcal.coverage_table import coverage_column
+from fedcal.federation import poisson_binomial_diagnostic
+from kit import synthetic_conditional_quantile, synthetic_dataset
+from oracles import (
+    conditional_alpha_p_by_substream,
+    coverage_bruteforce_column,
+    max_report_coverage,
+)
 
 EXACT_MATCH = 1e-10
 COLLAPSE_MATCH = 1e-12
@@ -312,10 +314,8 @@ def test_c10_conditional_miscoverage_bound_holds():
         quantile = conditional_miscoverage_quantile(key, ranks, delta)
         seed = MASTER_SEED + 100 * ranks.local_rank + ranks.server_rank
         spec = FederationSpec(m=m, n=n, alpha=alpha, seed=seed)
-        result = conditional_coverage_experiment(
-            spec, reps, sampler=_Uniform01(), ranks=ranks
-        )
-        fraction = float(np.mean(result.alpha_p <= quantile))
+        alpha_p = conditional_alpha_p_by_substream(spec, reps, _Uniform01(), ranks)
+        fraction = float(np.mean(alpha_p <= quantile))
         assert abs(fraction - (1 - delta)) <= band, (
             f"{ranks}: fraction {fraction} outside {1 - delta} +- {band}"
         )

@@ -11,7 +11,6 @@ import fedcal
 PUBLIC_API = [
     "BinGrid",
     "CalibrationResult",
-    "ConditionalCoverageResult",
     "CoverageTable",
     "DpConfig",
     "ExperimentResult",
@@ -31,19 +30,15 @@ PUBLIC_API = [
     "TableKey",
     "Transcript",
     "UniformScores",
-    "conditional_coverage_experiment",
     "conditional_miscoverage_quantile",
-    "coverage_column",
     "coverage_experiment",
     "coverage_probability",
-    "evaluate_intervals",
     "fedcp2_qq_calibrate",
     "fedcp_avg_calibrate",
     "fedcp_qq_calibrate",
     "heterogeneity_tv_penalty",
     "load_table",
     "order_statistic",
-    "poisson_binomial_diagnostic",
     "predict_interval",
     "private_quantile",
     "private_quantile_distribution",
@@ -59,15 +54,12 @@ PUBLIC_API = [
     "split_cp_calibrate",
     "split_rank",
     "substream",
-    "synthetic_conditional_quantile",
-    "synthetic_dataset",
-    "unbalanced_coverage",
     "write_rows_csv",
 ]
 
 
 def test_all_is_the_pinned_api():
-    assert len(PUBLIC_API) == 54
+    assert len(PUBLIC_API) == 46
     assert sorted(fedcal.__all__) == PUBLIC_API
 
 

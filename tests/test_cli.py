@@ -19,7 +19,6 @@ from fedcal import (
     ProtocolViolationError,
     RankPair,
     TableKey,
-    coverage_column,
     coverage_probability,
     load_table,
     run_one_shot,
@@ -28,6 +27,7 @@ from fedcal import (
     substream,
 )
 from fedcal.cli import _require, main
+from fedcal.coverage_table import coverage_column
 from fedcal.federation import METHODS
 from fedcal.privacy import DEFAULT_GAMMA_GRID
 

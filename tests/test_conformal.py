@@ -13,7 +13,6 @@ from fedcal import (
     InvalidArgumentError,
     PredictionInterval,
     ScoreFunction,
-    evaluate_intervals,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
     order_statistic,
@@ -159,12 +158,6 @@ class TestPredictInterval:
         empty = predict_interval(0.2, result, ScoreFunction.cqr(lambda x: x - 0.3, lambda x: x + 0.3))
         assert empty.length == 0.0
         assert not any(empty.contains(y) for y in (-math.inf, -0.3248, 0.2, 0.7248, math.inf))
-        kept = predict_interval(0.2, result, wide)
-        assert evaluate_intervals([empty, kept], [0.2, 0.2]) == {
-            "coverage": 0.5,
-            "mean_length": pytest.approx(kept.length / 2),
-            "infinite_lengths": 0,
-        }
 
     def test_cqr_scores_can_be_negative(self):
         sf = ScoreFunction.cqr(lambda x: np.zeros_like(x), lambda x: np.ones_like(x))
@@ -234,33 +227,26 @@ class TestScoreBand:
                 PredictionInterval(lower, upper)
 
 
-class TestEvaluateIntervals:
-    def test_all_inside(self):
-        intervals = [PredictionInterval(0.0, 1.0)] * 4
-        y = [0.0, 0.5, 1.0, 0.2]
-        assert evaluate_intervals(intervals, y)["coverage"] == 1.0
+class TestPredictionInterval:
+    def test_closed_interval_contains_its_endpoints(self):
+        interval = PredictionInterval(0.0, 1.0)
+        assert interval.length == 1.0
+        assert all(interval.contains(y) for y in (0.0, 0.2, 1.0))
+        assert not any(interval.contains(y) for y in (-1e-12, 1.0 + 1e-12, math.nan))
 
-    def test_half_coverage_and_mean_length(self):
-        intervals = [PredictionInterval(0.0, 1.0), PredictionInterval(0.0, 2.0)]
-        metrics = evaluate_intervals(intervals, [0.5, 3.0])
-        assert metrics["coverage"] == 0.5
-        assert metrics["mean_length"] == 1.5
-        assert metrics["infinite_lengths"] == 0
+    def test_zero_width_interval_contains_its_one_point(self):
+        point = PredictionInterval(1.5, 1.5)
+        assert point.length == 0.0
+        assert point.contains(1.5)
+        assert not any(point.contains(y) for y in (-math.inf, 1.4999, 1.5001, math.inf))
 
-    def test_infinite_interval_counted_separately(self):
-        intervals = [PredictionInterval(-math.inf, math.inf), PredictionInterval(0.0, 2.0)]
-        metrics = evaluate_intervals(intervals, [100.0, 1.0])
-        assert metrics["coverage"] == 1.0
-        assert metrics["mean_length"] == 2.0
-        assert metrics["infinite_lengths"] == 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            evaluate_intervals([], [])
-
-    def test_interval_order_enforced(self):
-        with pytest.raises(InvalidArgumentError):
-            PredictionInterval(2.0, 1.0)
+    def test_unbounded_intervals_have_infinite_length(self):
+        whole = PredictionInterval(-math.inf, math.inf)
+        assert whole.length == math.inf
+        assert all(whole.contains(y) for y in (-math.inf, -1e300, 100.0, math.inf))
+        half = PredictionInterval(0.0, math.inf)
+        assert half.length == math.inf
+        assert half.contains(math.inf) and not half.contains(-1e-300)
 
 
 class TestCsvIngestion:

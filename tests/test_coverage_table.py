@@ -19,14 +19,12 @@ from fedcal import (
     ResourceLimitError,
     TableKey,
     conditional_miscoverage_quantile,
-    coverage_column,
     coverage_probability,
     load_table,
     save_table,
     select_ranks,
     select_ranks_unbalanced,
     split_cp_calibrate,
-    unbalanced_coverage,
 )
 
 from fedcal import coverage_table
@@ -42,6 +40,8 @@ from fedcal.coverage_table import (
     _meets_level,
     _settled,
     _window,
+    coverage_column,
+    unbalanced_coverage,
     unbalanced_local_ranks,
 )
 

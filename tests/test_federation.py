@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from fedcal import (
     RankPair,
     TableKey,
     UniformScores,
-    conditional_coverage_experiment,
     conditional_miscoverage_quantile,
     coverage_experiment,
     fedcp2_qq_calibrate,
@@ -28,26 +28,51 @@ from fedcal import (
     fedcp_qq_calibrate,
     heterogeneity_tv_penalty,
     order_statistic,
-    poisson_binomial_diagnostic,
     quantile_of_quantiles,
     rank_correction,
     run_one_shot,
     select_ranks,
     split_rank,
     substream,
-    synthetic_conditional_quantile,
-    synthetic_dataset,
     write_rows_csv,
 )
 from fedcal import coverage_table, federation, privacy
 from fedcal.conformal import _one_shot_round
-from fedcal.federation import _Preseeded, _replication_streams, _stream_states, _synthetic_cdf
+from fedcal.federation import (
+    _Preseeded,
+    _replication_streams,
+    _stream_states,
+    poisson_binomial_diagnostic,
+)
 from fedcal.privacy import DEFAULT_GAMMA_GRID
 
+from kit import _synthetic_cdf, synthetic_conditional_quantile, synthetic_dataset
 from oracles import conditional_alpha_p_by_substream, coverage_rows_by_substream
 
 
+def _rounded_digest(*arrays) -> str:
+    """SHA-256 of the arrays' values rounded to 9 decimals, so that the last
+    bits of the platform's sin, exp and ndtr do not enter it; adding 0.0
+    turns a rounded -0.0 into 0.0."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update((np.round(np.asarray(array, dtype=float), 9) + 0.0).tobytes())
+    return digest.hexdigest()
+
+
 class TestSyntheticData:
+    # frozen fixtures: a change to any draw of the generator changes them
+    @pytest.mark.parametrize(
+        "outliers, expected",
+        [
+            (True, "bb14a5586005d796bed5e4b44916052df4c687c79aa8cd3f781ec2bd069f51b4"),
+            (False, "01b3d272cfc14c8df4b00ddc526c91a0c56ad5e7b47a82e78ba5a4df1e587a9b"),
+        ],
+    )
+    def test_draws_equal_the_frozen_digest(self, outliers, expected):
+        x, y = synthetic_dataset(1000, np.random.default_rng(0), outliers=outliers)
+        assert _rounded_digest(x, y) == expected
+
     def test_deterministic_under_seed(self):
         x1, y1 = synthetic_dataset(500, np.random.default_rng(42))
         x2, y2 = synthetic_dataset(500, np.random.default_rng(42))
@@ -86,6 +111,18 @@ class TestSyntheticData:
 
 
 class TestSyntheticQuantiles:
+    # frozen like the draws' digests, on acceptance criterion c06's grid
+    @pytest.mark.parametrize(
+        "level, expected",
+        [
+            (0.05, "bd7fb90894b4cb606db789db2effa09596cf4f59004a3d8128c39ba08b0e5d16"),
+            (0.95, "5da20041d6f9dcccf2e88c5bc731ddeeea1b00916fc2b5840c1b6b2352cf46d6"),
+        ],
+    )
+    def test_quantiles_equal_the_frozen_digest(self, level, expected):
+        grid = np.linspace(1.0, 5.0, 2001)
+        assert _rounded_digest(synthetic_conditional_quantile(grid, level)) == expected
+
     def test_inverts_the_conditional_cdf(self):
         x = np.linspace(1.0, 5.0, 9)
         for level in (0.05, 0.5, 0.95):
@@ -419,10 +456,6 @@ NON_INTEGER_CALLS = {
     "test_size": (
         lambda: coverage_experiment(_SPEC, 2, "fedcp-qq", UniformScores(), 10.0), "test_size"
     ),
-    "conditional replications": (
-        lambda: conditional_coverage_experiment(_SPEC, 2.0, sampler=UniformScores()),
-        "replications",
-    ),
     "uniform bins": (lambda: BinGrid.uniform(1.0, 10.0), "bins"),
     "correction bins": (lambda: rank_correction(5.0, 2.5, 3, 0.01), "bins"),
     "correction agents": (lambda: rank_correction(5.0, 100, 3.0, 0.01), "agents"),
@@ -433,6 +466,7 @@ NON_INTEGER_CALLS = {
         "draws",
     ),
     "count": (lambda: synthetic_dataset(10.0, np.random.default_rng(0)), "count"),
+    "split rank n": (lambda: split_rank(10.0, 0.1), "n"),
     "order statistic rank": (lambda: order_statistic([1.0, 2.0, 3.0], 2.5), "rank"),
     "local rank": (lambda: quantile_of_quantiles([[1.0, 2.0], [3.0, 4.0]], 1.0, 1), "local rank"),
     "server rank": (
@@ -471,51 +505,31 @@ class TestFederationSpec:
 
 class TestConditionalCoverage:
     def test_uniform_scores_give_one_minus_threshold(self):
+        # pins the oracle that c10 and the tests below read alpha_p from
         spec = FederationSpec(m=4, n=10, alpha=0.1, seed=3)
-        ranks = RankPair(9, 4)
-        result = conditional_coverage_experiment(
-            spec, 5, sampler=UniformScores(), ranks=ranks
-        )
+        alpha_p = conditional_alpha_p_by_substream(spec, 5, UniformScores(), RankPair(9, 4))
         for rep in range(5):
             agents = [
                 UniformScores().sample(substream(3, rep, j), 10) for j in range(4)
             ]
             values = sorted(order_statistic(a, 9) for a in agents)
-            assert result.alpha_p[rep] == pytest.approx(1.0 - values[3], abs=1e-15)
+            assert alpha_p[rep] == pytest.approx(1.0 - values[3], abs=1e-15)
 
     def test_mean_miscoverage_at_most_alpha(self):
         spec = FederationSpec(m=10, n=20, alpha=0.1, seed=8)
-        result = conditional_coverage_experiment(spec, 2000, sampler=UniformScores())
-        se = float(np.std(result.alpha_p, ddof=1) / math.sqrt(2000))
-        assert result.mean <= 0.1 + 3 * se
+        ranks, _ = select_ranks(TableKey(10, 20), 0.1)
+        alpha_p = conditional_alpha_p_by_substream(spec, 2000, UniformScores(), ranks)
+        se = float(np.std(alpha_p, ddof=1) / math.sqrt(2000))
+        assert np.mean(alpha_p) <= 0.1 + 3 * se
 
     def test_high_probability_bound_holds(self):
         key = TableKey(10, 20)
         ranks = RankPair(19, 10)
         spec = FederationSpec(m=10, n=20, alpha=0.1, seed=21)
-        result = conditional_coverage_experiment(
-            spec, 3000, sampler=UniformScores(), ranks=ranks
-        )
+        alpha_p = conditional_alpha_p_by_substream(spec, 3000, UniformScores(), ranks)
         bound = conditional_miscoverage_quantile(key, ranks, 0.1)
-        fraction = float(np.mean(result.alpha_p <= bound))
+        fraction = float(np.mean(alpha_p <= bound))
         assert abs(fraction - 0.9) <= 3 * math.sqrt(0.9 * 0.1 / 3000)
-
-    @pytest.mark.parametrize("sampler", SAMPLER_CLASSES)
-    @pytest.mark.parametrize("seed", [0, 2**40])
-    def test_alpha_p_equals_the_per_replication_loop(self, sampler, seed):
-        spec = FederationSpec(m=7, n=13, alpha=0.1, seed=seed)
-        result = conditional_coverage_experiment(spec, 40, sampler=sampler())
-        expected = conditional_alpha_p_by_substream(spec, 40, sampler(), result.ranks)
-        assert np.array_equal(result.alpha_p, expected)
-
-    def test_sampler_without_cdf_rejected(self):
-        class OpaqueSampler:
-            def sample(self, rng, size):
-                return rng.uniform(size=size)
-
-        spec = FederationSpec(m=2, n=5, alpha=0.1, seed=0)
-        with pytest.raises(InvalidArgumentError, match="cdf"):
-            conditional_coverage_experiment(spec, 2, sampler=OpaqueSampler())
 
 
 class TestPoissonBinomialDiagnostic:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedcal import InvalidArgumentError, order_statistic, quantile_of_quantiles
+from fedcal import InvalidArgumentError, order_statistic, quantile_of_quantiles, split_rank
 from fedcal.order_stats import as_block
 
 
@@ -40,6 +40,18 @@ class TestOrderStatistic:
             ordered = np.sort(sample)
             for rank in (1, len(sample) // 2 + 1, len(sample)):
                 assert order_statistic(sample, rank) == ordered[rank - 1]
+
+
+class TestSplitRank:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+    def test_alpha_outside_the_open_unit_interval_refused(self, alpha):
+        with pytest.raises(InvalidArgumentError, match=r"^alpha must be in \(0, 1\)"):
+            split_rank(10, alpha)
+
+    def test_negative_n_refused_and_no_scores_give_rank_one(self):
+        with pytest.raises(InvalidArgumentError, match="^n must be >= 0, got -3"):
+            split_rank(-3, 0.1)
+        assert split_rank(0, 0.1) == 1
 
 
 class TestAsBlock:
