@@ -28,7 +28,6 @@ from .coverage_table import (
     load_table,
     save_table,
     select_ranks,
-    select_ranks_unbalanced,
 )
 from .errors import (
     FedcalError,

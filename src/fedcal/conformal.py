@@ -259,12 +259,18 @@ def predict_interval(x, result: CalibrationResult, sf: ScoreFunction) -> Predict
     """Interval of responses whose score at x stays within the threshold.
 
     It is empty when no response's does, as with a negative threshold
-    larger in size than half the width of the band at x.
+    larger in size than half the width of the band at x. The band at x must
+    be one number on each side: an ``x`` holding several points is refused.
     """
     q = result.q_hat
     if math.isinf(q):
         return PredictionInterval(-math.inf, math.inf)
     lower, upper = sf.band(x)
+    if np.ndim(lower) or np.ndim(upper):
+        raise InvalidArgumentError(
+            f"the band at x must be one number on each side, got shapes "
+            f"{np.shape(lower)} and {np.shape(upper)}"
+        )
     lower, upper = float(lower) - q, float(upper) + q
     return _EMPTY_INTERVAL if upper < lower else PredictionInterval(lower, upper)
 
@@ -302,6 +308,8 @@ def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
     Both read the same syntax and raise the same errors.
     """
     paths = list(paths)
+    if not paths:
+        raise InvalidArgumentError("no score files given")
     if len(paths) == 1:
         return _read_score_file(paths[0], agent_column=True)
     return [read_scores_csv(p) for p in paths]

@@ -3,9 +3,9 @@
 For m agents holding n i.i.d. continuous scores each, the prediction set
 built from the (local_rank, server_rank) quantile-of-quantiles covers a
 fresh test point with a probability that depends on (m, n, local_rank,
-server_rank) only. This module evaluates that probability exactly, selects
-the rank pair whose coverage is the smallest one still above a requested
-level, and handles agents with unequal sample sizes.
+server_rank) only. This module evaluates that probability exactly and
+selects the rank pair whose coverage is the smallest one still above a
+requested level.
 
 ``coverage_probability`` evaluates the one-dimensional order-statistic
 integral
@@ -18,9 +18,7 @@ that an agent's l-th smallest score falls below t, and the integrand the
 chance that at least k agents' do, i.e. that the threshold falls below t.
 The integrand is a polynomial of degree m*n in t, so Gauss-Legendre
 quadrature with m*n/2 + 2 nodes integrates it exactly up to rounding (a few
-units in the last place). Agents are described once, as groups sharing one
-(n, l), balanced agents one group, and the number covered is a sum of one
-binomial count per group. Where a comparison with the level 1 - alpha is
+units in the last place). Where a comparison with the level 1 - alpha is
 closer than that rounding can decide, the coverage, a rational number, is
 settled exactly. Coverage is nondecreasing in both ranks, which the rank
 search exploits so that only a thin frontier of (local_rank, server_rank)
@@ -39,13 +37,11 @@ from __future__ import annotations
 import io
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -66,10 +62,7 @@ __all__ = [
     "CoverageTable",
     "coverage_column",
     "coverage_probability",
-    "unbalanced_coverage",
     "select_ranks",
-    "select_ranks_unbalanced",
-    "unbalanced_local_ranks",
     "conditional_miscoverage_quantile",
     "save_table",
     "load_table",
@@ -227,30 +220,6 @@ def _local_cdf(n: int, local_rank: int, count: int) -> np.ndarray:
     return g
 
 
-def _agent_groups(sizes: Sequence[int], local_ranks: Sequence[int]) -> tuple[int, tuple]:
-    """The number of agents, and those that can be covered (local rank at
-    most size) as groups (count, n, l) sharing one (n, l), largest last."""
-    sizes = [check_integer(s, "a size") for s in sizes]
-    local_ranks = [check_integer(r, "a local rank") for r in local_ranks]
-    if len(sizes) != len(local_ranks) or not sizes or min(sizes + local_ranks) < 1:
-        raise InvalidArgumentError("sizes and local_ranks must be equal-length, nonempty, positive")
-    if sum(sizes) > CELL_CAP:
-        raise ResourceLimitError(f"total size {sum(sizes)} exceeds cap {CELL_CAP}")
-    counts = Counter((n, l) for n, l in zip(sizes, local_ranks) if l <= n)
-    return len(sizes), tuple(sorted((c, n, l) for (n, l), c in counts.items()))
-
-
-def _tails(count: int, g: np.ndarray) -> np.ndarray:
-    """P(at least d of ``count`` agents covered), d = 1..count, per node."""
-    d = np.arange(1, count + 1)
-    return betainc(d, count - d + 1, g[:, None])
-
-
-def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row of ``a`` convolved with the same row of ``b``."""
-    return np.array([np.convolve(x, y) for x, y in zip(a, b)])
-
-
 # a binomial tail bounded below 2^-80, or its complement so bounded, is read
 # as 0 or 1 with no ``betainc`` call; the 1e-6 covers the rounding of the
 # bound's lgamma sums, at most about 1e-8 at m = 10^6
@@ -285,83 +254,42 @@ def _binomial_tail(m: int, k: int, g: np.ndarray) -> np.ndarray:
     return tail
 
 
-def _quadrature(groups: tuple, server_rank):
-    """Coverage of the agents in ``groups`` (see :func:`_agent_groups`) at
-    one server rank (a float) or, for several groups, at a 1-D array of
-    them (an array).
-
-    At each node the counts of all groups but the last (the largest) are
-    convolved into ``below``, and P(at least k covered) = sum_j below[j]
-    tail(k - j) with the last group's tails. One group reads its tail at k
-    alone through :func:`_binomial_tail`; its column is made of these
-    entries (see :func:`_column`), so an entry equals its column's element
-    bit for bit.
-    """
-    t, w = _rule_for(sum(count * n for count, n, _ in groups))
-    *others, (m, n, l) = groups
-    g = _local_cdf(n, l, t.size)
-    if others:
-        tails = [_tails(c, _local_cdf(n_g, l_g, t.size)) for c, n_g, l_g in others]
-        below = reduce(_convolve_rows, [-np.diff(p, axis=1, prepend=1, append=0) for p in tails])
-        at_least = _convolve_rows(below, _tails(m, g))  # P(>= k) with the others at most k - 1
-        at_least[:, : below.shape[1] - 1] += np.cumsum(below[:, :0:-1], axis=1)[:, ::-1]
-        integrand = at_least.T[np.asarray(server_rank) - 1]
-    else:
-        integrand = _binomial_tail(m, server_rank, g)
-    coverage = 1.0 - (integrand * w).sum(axis=-1)
-    if np.ndim(coverage) == 0:  # one entry: check and clip it as a float
-        coverage = float(coverage)
-        if coverage < -1e-9 or coverage > 1.0 + 1e-9:
-            raise InternalError(f"coverage left [0, 1] for the agent groups {groups}")
-        return min(max(coverage, 0.0), 1.0)
-    if np.any(coverage < -1e-9) or np.any(coverage > 1.0 + 1e-9):
-        raise InternalError(f"coverage left [0, 1] for the agent groups {groups}")
-    return np.clip(coverage, 0.0, 1.0)
-
-
-def _column(groups: tuple, m: int) -> np.ndarray:
-    """Coverage at server ranks 1..m when only the agents in ``groups`` can
-    be covered (1 past their number). One group's column is its entries,
-    several groups' ranks go all at once."""
-    column, covered = np.ones(m), sum(count for count, _, _ in groups)
-    if len(groups) > 1:
-        column[:covered] = _quadrature(groups, np.arange(1, covered + 1))
-    else:  # one group, or none (covered = 0) when no agent can be covered
-        column[:covered] = [_quadrature(groups, k) for k in range(1, covered + 1)]
-    return column
-
-
 @lru_cache(maxsize=4096)
-def _entry_engine(m: int, n: int, local_rank: int, server_rank: int) -> float:
-    """One coverage entry, memoised for the process."""
-    return _quadrature(((m, n, local_rank),), server_rank)
+def _entry_engine(m: int, n: int, l: int, k: int) -> float:
+    """Coverage at ranks (l, k) by quadrature, memoised for the process.
+
+    The integrand, P(at least k of the m agents covered) at each node, is
+    read through :func:`_binomial_tail`. :func:`coverage_column` lists
+    these entries, so an entry equals its column's element bit for bit.
+    """
+    t, w = _rule_for(m * n)
+    integrand = _binomial_tail(m, k, _local_cdf(n, l, t.size))
+    coverage = float(1.0 - (integrand * w).sum())
+    if coverage < -1e-9 or coverage > 1.0 + 1e-9:
+        raise InternalError(f"coverage left [0, 1] at ranks ({l}, {k}) for (m, n) = ({m}, {n})")
+    return min(max(coverage, 0.0), 1.0)
 
 
 @lru_cache(maxsize=256)
-def _settled(groups: tuple, server_rank: int) -> Fraction:
-    """Exact coverage of the agents in ``groups`` at ``server_rank``.
+def _settled(m: int, n: int, l: int, k: int) -> Fraction:
+    """Exact coverage at ranks (l, k).
 
-    For one group, closed forms cover the shapes of systematic exact ties:
-    l / (n + 1) for one agent, :func:`_max_report_exact` for l = n and,
-    mirrored, l = 1. Otherwise it integrates P(at most k - 1 covered), or
-    1 - P(at most m - k uncovered) if that counts fewer: sum_r Q[r] r!
-    (T-r)! / (T+1)! over the coefficients Q of :func:`_count_polynomial`.
+    Closed forms cover the shapes of systematic exact ties: l / (n + 1) for
+    one agent, :func:`_max_report_exact` for l = n and, mirrored, l = 1.
+    Otherwise it integrates P(at most k - 1 covered), or 1 - P(at most
+    m - k uncovered) if that counts fewer: sum_r Q[r] r! (T-r)! / (T+1)!
+    over the coefficients Q of :func:`_count_polynomial`, T = m n.
     """
-    m, k = sum(count for count, _, _ in groups), server_rank
-    if k > m:
-        return Fraction(1)
-    if len(groups) == 1:
-        _, n, l = groups[0]
-        if m == 1:
-            return Fraction(l, n + 1)
-        if l == n:
-            return _max_report_exact(m, n, k)
-        if l == 1:
-            return 1 - _max_report_exact(m, n, m - k + 1)
+    if m == 1:
+        return Fraction(l, n + 1)
+    if l == n:
+        return _max_report_exact(m, n, k)
+    if l == 1:
+        return 1 - _max_report_exact(m, n, m - k + 1)
     covered = k - 1 <= m - k
-    total = sum(count * n for count, n, _ in groups)
+    total = m * n
     weight, numerator = math.factorial(total), 0  # weight = r! (T-r)!
-    for r, coefficient in enumerate(_count_polynomial(groups, min(k - 1, m - k), covered)):
+    for r, coefficient in enumerate(_count_polynomial(m, n, l, min(k - 1, m - k), covered)):
         numerator += coefficient * weight
         if r < total:
             weight = weight * (r + 1) // (total - r)
@@ -378,32 +306,24 @@ def _max_report_exact(m: int, n: int, k: int) -> Fraction:
     return coverage
 
 
-def _count_polynomial(groups: tuple, limit: int, covered: bool) -> list[int]:
+def _count_polynomial(m: int, n: int, l: int, limit: int, covered: bool) -> list[int]:
     """P(at most ``limit`` agents covered, or uncovered if not ``covered``)
-    in the basis t^r (1-t)^(T-r), T the total size, where G has the integer
+    in the basis t^r (1-t)^(T-r), T = m n, where G has the integer
     coefficients C(n, i) for i >= l, 1 - G those for i < l, and products
-    convolve them. With X the counted side, j of a group's c agents count
-    with C(c, j) X^j Y^(c-j); groups are convolved over the count so far.
+    convolve them. With X the counted side, j of the m agents count with
+    C(m, j) X^j Y^(m-j).
     """
+    binomials = np.array([math.comb(n, i) for i in range(n + 1)], dtype=object)
+    counted = (np.arange(n + 1) >= l) == covered
+    x, y = np.where(counted, binomials, 0), np.where(counted, 0, binomials)
     one = np.array([1], dtype=object)
-    state = [one]  # state[j]: exactly j agents counted so far
-    for count, n, l in groups:
-        binomials = np.array([math.comb(n, i) for i in range(n + 1)], dtype=object)
-        counted = (np.arange(n + 1) >= l) == covered
-        x, y = np.where(counted, binomials, 0), np.where(counted, 0, binomials)
-        top = min(count, limit)
-        x_powers = list(accumulate([x] * top, np.convolve, initial=one))
-        y_power = reduce(np.convolve, [y] * (count - top), one)
-        terms = []
-        for j in range(top, -1, -1):  # Y^(c-j) grows as j falls
-            terms.insert(0, math.comb(count, j) * np.convolve(x_powers[j], y_power))
-            y_power = np.convolve(y_power, y) if j else y_power
-        new = [0] * (min(limit, len(state) - 1 + top) + 1)
-        for i, part in enumerate(state):
-            for j, term in enumerate(terms[: len(new) - i]):
-                new[i + j] = new[i + j] + np.convolve(part, term)
-        state = new
-    return sum(state).tolist()
+    x_powers = list(accumulate([x] * limit, np.convolve, initial=one))
+    y_power = reduce(np.convolve, [y] * (m - limit), one)
+    polynomial = 0
+    for j in range(limit, -1, -1):  # Y^(m-j) grows as j falls
+        polynomial = polynomial + math.comb(m, j) * np.convolve(x_powers[j], y_power)
+        y_power = np.convolve(y_power, y) if j else y_power
+    return polynomial.tolist()
 
 
 def _meets_level(value: float, alpha: float, settle) -> tuple[bool, float]:
@@ -453,9 +373,8 @@ def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: flo
     value, target = _entry(table, local_rank, server_rank), 1.0 - alpha
     if abs(value - target) > LEVEL_MARGIN:
         return value >= target
-    groups = ((table.key.m, table.key.n, local_rank),)
     reached, table.entries[(local_rank, server_rank)] = _meets_level(
-        value, alpha, lambda: _settled(groups, server_rank)
+        value, alpha, lambda: _settled(table.key.m, table.key.n, local_rank, server_rank)
     )
     return reached
 
@@ -466,7 +385,7 @@ def coverage_column(key: TableKey, local_rank: int) -> np.ndarray:
     Quadrature values, never settled (see :func:`coverage_probability`).
     """
     RankPair(local_rank, 1).validate(key)
-    return _column(((key.m, key.n, local_rank),), key.m)
+    return np.array([_entry_engine(key.m, key.n, local_rank, k) for k in range(1, key.m + 1)])
 
 
 def coverage_probability(key: TableKey, ranks: RankPair) -> float:
@@ -481,21 +400,6 @@ def coverage_probability(key: TableKey, ranks: RankPair) -> float:
     """
     ranks.validate(key)
     return _entry_engine(key.m, key.n, ranks.local_rank, ranks.server_rank)
-
-
-def unbalanced_coverage(sizes: Sequence[int], local_ranks: Sequence[int]) -> np.ndarray:
-    """Coverage for server ranks 1..m, nondecreasing, when agents hold
-    unequal sample sizes.
-
-    An agent whose local rank exceeds its size always reports the
-    out-of-range sentinel and is never covered. The others are grouped by
-    (size, local rank), one group giving the balanced column padded with
-    full coverage (see :func:`_quadrature`). Each node costs one ``betainc``
-    per agent and about m * m_rest operations, m_rest the agents outside
-    the largest group.
-    """
-    m, groups = _agent_groups(sizes, local_ranks)
-    return _column(groups, m)
 
 
 # ---------------------------------------------------------------------------
@@ -609,33 +513,6 @@ def _check_stored(table: CoverageTable, ranks: RankPair) -> None:
             f"coverage-table entry ({l}, {k}) holds {stored!r}, but recomputing it "
             f"gives {computed!r}; the table was altered"
         )
-
-
-def unbalanced_local_ranks(sizes: Sequence[int], alpha: float) -> list[int]:
-    """Per-agent split ranks ceil((1 - alpha) * (n_j + 1)) (see
-    :func:`fedcal.order_stats.split_rank`), capped at n_j.
-
-    The cap keeps an undersized agent reporting its largest score instead of
-    the useless out-of-range sentinel (with a single score per agent the
-    uncapped rank would be 2 for every reasonable alpha).
-    """
-    check_alpha(alpha)
-    return [min(n, split_rank(n, alpha)) for n in (check_integer(s, "a size") for s in sizes)]
-
-
-def select_ranks_unbalanced(
-    sizes: Sequence[int], alpha: float
-) -> tuple[list[int], int, float]:
-    """(local_ranks, server_rank, coverage): the split-calibration local
-    rank of each agent (see :func:`unbalanced_local_ranks`) and the smallest
-    server rank whose coverage reaches 1 - alpha with them."""
-    ranks = unbalanced_local_ranks(sizes, alpha)
-    m, groups = _agent_groups(sizes, ranks)
-    for k, value in enumerate(_column(groups, m).tolist(), start=1):
-        reached, value = _meets_level(value, alpha, lambda: _settled(groups, k))
-        if reached:
-            return ranks, k, value
-    raise InfeasibleError(f"no server rank reaches coverage {1.0 - alpha} for sizes {list(sizes)}")
 
 
 # ---------------------------------------------------------------------------

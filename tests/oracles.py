@@ -55,28 +55,6 @@ def coverage_exact_fraction(m: int, n: int, l: int, k: int) -> Fraction:
     return 1 - total / (m * n + 1)
 
 
-def inid_coverage_exact_fraction(sizes, local_ranks, k: int) -> Fraction:
-    """Unequal-size analogue of :func:`coverage_exact_fraction`."""
-    m = len(sizes)
-    total_n = sum(sizes)
-    total = Fraction(0)
-    for j in range(k, m + 1):
-        for covered in itertools.combinations(range(m), j):
-            covered_set = set(covered)
-            ranges = [
-                range(local_ranks[a], sizes[a] + 1)
-                if a in covered_set
-                else range(0, min(local_ranks[a], sizes[a] + 1))
-                for a in range(m)
-            ]
-            for tup in itertools.product(*ranges):
-                numerator = 1
-                for a, i in enumerate(tup):
-                    numerator *= math.comb(sizes[a], i)
-                total += Fraction(numerator, math.comb(total_n, sum(tup)))
-    return 1 - total / (total_n + 1)
-
-
 # the literal enumeration grows exponentially with m; beyond these sizes it
 # would exhaust memory or time
 BRUTE_FORCE_CELLS = 64
@@ -268,7 +246,7 @@ def select_ranks_by_gallop(m: int, n: int, alpha: float):
             g = betainc(l, n - l + 1, t)
             value = min(max(float(1.0 - (betainc(k, m - k + 1, g) * w).sum()), 0.0), 1.0)
         reached, entries[(l, k)] = _meets_level(
-            value, alpha, lambda: _settled(((m, n, l),), k)
+            value, alpha, lambda: _settled(m, n, l, k)
         )
         return reached
 
@@ -319,35 +297,6 @@ def search_differences(m: int, n: int, alpha: float) -> list[str]:
         if table.entries[pair] != entries[pair]
     ]
     return [f"(m={m}, n={n}, alpha={alpha}): {problem}" for problem in problems]
-
-
-def unbalanced_coverage_by_convolution(sizes, local_ranks) -> np.ndarray:
-    """Unequal-size coverage for server ranks 1..m: a joint log-weight
-    recursion over (covered agents, total count below the test point),
-    built agent by agent."""
-    m, total = len(sizes), sum(sizes)
-    t = sum(min(l, n) for l, n in zip(local_ranks, sizes)) / (total + m)
-    joint = np.full((m + 1, total + 1), -np.inf)
-    joint[0, 0] = 0.0
-    degree = 0
-    for n_a, l_a in zip(sizes, local_ranks):
-        log_w = _log_binom_pmf(n_a, t)
-        updated = np.full_like(joint, -np.inf)
-        for j in range(m + 1):
-            row = joint[j, : degree + 1]
-            if not np.any(np.isfinite(row)):
-                continue
-            low = log_convolve(row, log_w[: min(l_a, n_a + 1)])
-            updated[j, : low.size] = np.logaddexp(updated[j, : low.size], low)
-            if l_a <= n_a:
-                high = log_convolve(row, log_w[l_a:])
-                span = slice(l_a, l_a + high.size)
-                updated[j + 1, span] = np.logaddexp(updated[j + 1, span], high)
-        joint = updated
-        degree += n_a
-    log_denominator = _log_binom_pmf(total, t)
-    log_terms = np.array([logsumexp(joint[j] - log_denominator) for j in range(1, m + 1)])
-    return np.clip(1.0 - np.exp(_suffix_logsumexp(log_terms)) / (total + 1), 0.0, 1.0)
 
 
 def mc_qq_coverage(m, n, l, k, reps, seed, batch=2000):

@@ -159,6 +159,13 @@ class TestPredictInterval:
         assert empty.length == 0.0
         assert not any(empty.contains(y) for y in (-math.inf, -0.3248, 0.2, 0.7248, math.inf))
 
+    def test_band_of_several_points_refused(self):
+        result = CalibrationResult(q_hat=0.5, method="centralized", guaranteed_coverage=0.9)
+        pointwise = ScoreFunction.absolute_residual(lambda x: 2.0 * x)
+        with pytest.raises(InvalidArgumentError, match=r"shapes \(3,\) and \(3,\)"):
+            predict_interval(np.zeros(3), result, pointwise)
+        assert predict_interval(np.float64(1.0), result, pointwise) == PredictionInterval(1.5, 2.5)
+
     def test_cqr_scores_can_be_negative(self):
         sf = ScoreFunction.cqr(lambda x: np.zeros_like(x), lambda x: np.ones_like(x))
         scores = sf.score(np.zeros(3), np.array([0.5, 1.5, -0.5]))
@@ -269,6 +276,10 @@ class TestCsvIngestion:
         agents = read_score_matrix_csv(paths)
         assert len(agents) == 3
         np.testing.assert_array_equal(agents[1], [1.0, 1.5])
+
+    def test_no_paths_refused(self):
+        with pytest.raises(InvalidArgumentError, match="no score files given"):
+            read_score_matrix_csv([])
 
     def test_agent_column_format(self, tmp_path):
         path = tmp_path / "all.csv"

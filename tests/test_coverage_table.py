@@ -23,7 +23,6 @@ from fedcal import (
     load_table,
     save_table,
     select_ranks,
-    select_ranks_unbalanced,
     split_cp_calibrate,
 )
 
@@ -31,7 +30,6 @@ from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
-    _agent_groups,
     _binomial_tail,
     _cdf_memo,
     _entry_engine,
@@ -41,8 +39,6 @@ from fedcal.coverage_table import (
     _settled,
     _window,
     coverage_column,
-    unbalanced_coverage,
-    unbalanced_local_ranks,
 )
 
 from oracles import (
@@ -53,13 +49,11 @@ from oracles import (
     coverage_by_quadrature,
     coverage_column_by_convolution,
     coverage_exact_fraction,
-    inid_coverage_exact_fraction,
     max_report_coverage,
     mc_qq_coverage,
     search_differences,
     select_ranks_by_convolution,
     select_ranks_by_gallop,
-    unbalanced_coverage_by_convolution,
 )
 
 
@@ -136,7 +130,8 @@ class TestFastPath:
         monkeypatch.setattr(
             coverage_table, "betainc", lambda a, b, x: sizes.append(np.size(x)) or betainc(a, b, x)
         )
-        coverage_table._quadrature(((20, 40, 36),), 18)
+        _entry_engine.cache_clear()
+        _entry_engine(20, 40, 36, 18)
         assert sizes == [152]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -223,17 +218,6 @@ class TestConvolutionOracle:
                 expected = select_ranks_by_convolution(m, n, 0.1)
                 assert (ranks.local_rank, ranks.server_rank) == expected, (m, n)
 
-    def test_unbalanced_matches(self):
-        cases = [([7, 12, 30, 5], [6, 11, 27, 5]), ([40, 3], [36, 3]), ([9, 1, 17], [10, 1, 16])]
-        for sizes, ranks in cases:
-            np.testing.assert_allclose(
-                unbalanced_coverage(sizes, ranks),
-                unbalanced_coverage_by_convolution(sizes, ranks),
-                rtol=0.0,
-                atol=1e-12,
-            )
-
-
 class TestCertifiedLevel:
     """Entries equal to 1 - alpha, where a float compare can go either way."""
 
@@ -245,13 +229,6 @@ class TestCertifiedLevel:
         assert (ranks.local_rank, ranks.server_rank) == ((rank, 1) if m == 1 else (1, rank))
         assert coverage == 0.75
         assert table.entries[(ranks.local_rank, ranks.server_rank)] == 0.75
-
-    @pytest.mark.parametrize("agents", [3, 19])
-    def test_true_tie_with_unequal_size_route(self, agents):
-        ranks, k, coverage = select_ranks_unbalanced([1] * agents, 0.25)
-        assert ranks == [1] * agents
-        assert k == math.ceil(0.75 * (agents + 1))
-        assert coverage == 0.75
 
     def test_margin_decides_the_route(self):
         calls = []
@@ -273,21 +250,33 @@ class TestCertifiedLevel:
             0.75,
         )
 
-    def test_settled_matches_exact_rationals(self):
-        for (m, n, l, k) in [(3, 4, 2, 2), (2, 3, 2, 1), (4, 2, 2, 4), (1, 5, 3, 1)]:
-            assert _settled(((m, n, l),), k) == coverage_exact_fraction(m, n, l, k)
-        for sizes, ranks, k in [((5, 3), (6, 2), 1), ((2, 3, 4), (2, 3, 4), 2), ((4, 2), (3, 1), 2)]:
-            groups = _agent_groups(sizes, ranks)[1]
-            assert _settled(groups, k) == inid_coverage_exact_fraction(sizes, ranks, k)
+    @staticmethod
+    def _small_entries(m):
+        # every entry of every shape with m agents and m n <= 12
+        return [
+            (m, n, l, k)
+            for n in range(1, 12 // m + 1)
+            for l in range(1, n + 1)
+            for k in range(1, m + 1)
+        ]
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_settled_matches_exact_rationals(self, m):
+        for case in self._small_entries(m):
+            assert _settled(*case) == coverage_exact_fraction(*case), case
+
+    def test_settled_sweep_reaches_every_route(self):
+        # the sweep above takes the closed forms and both sides of the count
+        # polynomial, covered (k - 1 <= m - k) and uncovered
+        cases = [case for m in range(1, 13) for case in self._small_entries(m)]
+        assert len(cases) == 264
+        polynomial_sides = {k - 1 <= m - k for (m, n, l, k) in cases if m > 1 and 1 < l < n}
+        assert polynomial_sides == {True, False}
 
     def test_closed_forms_match_exact_rationals(self):
         # one agent, l = n, n = 1 and l = 1 take closed forms
         for (m, n, l, k) in [(1, 6, 4, 1), (3, 4, 4, 2), (4, 3, 3, 1), (5, 1, 1, 3), (3, 4, 1, 2), (4, 3, 1, 4)]:
-            assert _settled(((m, n, l),), k) == coverage_exact_fraction(m, n, l, k)
-        # agents whose rank exceeds their size drop out before the closed form
-        for sizes, ranks, k in [((4, 4, 2), (4, 4, 3), 1), ((4, 4, 2), (4, 4, 3), 3), ((1, 1, 2), (1, 1, 3), 2)]:
-            groups = _agent_groups(sizes, ranks)[1]
-            assert _settled(groups, k) == inid_coverage_exact_fraction(sizes, ranks, k)
+            assert _settled(m, n, l, k) == coverage_exact_fraction(m, n, l, k)
 
     @pytest.mark.parametrize(
         "m, n, alpha, pair, value",
@@ -309,13 +298,6 @@ class TestCertifiedLevel:
         assert (ranks.local_rank, ranks.server_rank) == pair
         assert coverage == value
         assert len(table.entries) < 2 * n + 100  # the search steps over server ranks
-
-    def test_many_singletons_settle_quickly(self):
-        start = time.perf_counter()
-        ranks, k, coverage = select_ranks_unbalanced([1] * 999, 0.1)
-        assert time.perf_counter() - start < 60
-        assert (ranks, k, coverage) == ([1] * 999, 900, 0.9)
-
 
 class TestMaxReportClosedForm:
     def test_single_score_gives_server_collapse(self):
@@ -474,83 +456,16 @@ class TestSelectRanks:
             select_ranks(key, 0.2, table=table)
 
 
-class TestUnbalanced:
-    def test_equal_sizes_reduce_to_balanced(self):
-        ranks, k, coverage = select_ranks_unbalanced([9, 9, 9], 0.1)
-        assert ranks == [9, 9, 9]
-        column = coverage_column(TableKey(3, 9), 9)
-        feasible = next(i for i, v in enumerate(column) if v >= 0.9)
-        assert k == feasible + 1
-        assert coverage == pytest.approx(column[feasible], abs=1e-12)
-
-    def test_nineteen_singletons(self):
-        ranks, k, coverage = select_ranks_unbalanced([1] * 19, 0.1)
-        assert ranks == [1] * 19
-        assert k == 18
-        assert coverage == pytest.approx(0.9, abs=1e-12)
-
-    def test_rank_rule_caps_at_local_size(self):
-        assert unbalanced_local_ranks([1, 5, 10], 0.1) == [1, 5, 10]
-        assert unbalanced_local_ranks([99], 0.1) == [90]
-
-    def test_matches_exact_rationals(self):
-        for sizes, ranks in [([5, 10], [6, 10]), ([5, 10], [5, 10]), ([2, 3, 4], [2, 3, 4]), ([4, 2], [3, 1])]:
-            column = unbalanced_coverage(sizes, ranks)
-            for k in range(1, len(sizes) + 1):
-                expected = float(inid_coverage_exact_fraction(sizes, ranks, k))
-                assert column[k - 1] == pytest.approx(expected, abs=1e-12)
-
-    def test_overflowing_rank_forces_full_coverage_at_top(self):
-        # an agent whose rank exceeds its sample always reports the sentinel,
-        # so requiring every agent covered is vacuous
-        column = unbalanced_coverage([5, 10], [6, 10])
-        assert column[-1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_infeasible_sizes_raise(self):
-        with pytest.raises(InfeasibleError):
-            select_ranks_unbalanced([1, 1], 0.1)
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(
-        laws=st.lists(
-            st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 5)),
-            min_size=1,
-            max_size=3,
-        )
-    )
-    def test_grouped_shapes_match_the_oracles(self, laws):
-        # each law is (count, size, local rank); a rank above the size is
-        # never covered
-        sizes = [n for count, n, _ in laws for _ in range(count)]
-        ranks = [l for count, _, l in laws for _ in range(count)]
-        np.testing.assert_allclose(
-            unbalanced_coverage(sizes, ranks),
-            unbalanced_coverage_by_convolution(sizes, ranks),
-            rtol=0.0,
-            atol=1e-12,
-        )
-        groups = _agent_groups(sizes, ranks)[1]
-        for k in range(1, len(sizes) + 1):
-            assert _settled(groups, k) == inid_coverage_exact_fraction(sizes, ranks, k)
-
-    def test_two_thousand_agents_of_two_sizes(self):
-        start = time.perf_counter()
-        ranks, k, coverage = select_ranks_unbalanced([1] * 1000 + [2] * 1000, 0.1)
-        assert time.perf_counter() - start < 30
-        assert ranks == [1] * 1000 + [2] * 1000
-        assert k == 1711
-        assert coverage == pytest.approx(0.9000452501721354, abs=1e-12)
-
-
 @pytest.mark.parametrize(
     "call",
     [
         lambda: TableKey(10.5, 20),
+        lambda: TableKey(10, 20.5),
         lambda: coverage_probability(TableKey(3, 4), RankPair(2.5, 2)),
-        lambda: unbalanced_coverage([2.9, 3], [2, 3]),
-        lambda: select_ranks_unbalanced([9.7, 9, 9], 0.1),
+        lambda: coverage_probability(TableKey(3, 4), RankPair(2, 1.5)),
+        lambda: coverage_column(TableKey(3, 4), 2.5),
     ],
-    ids=["table-key", "rank-pair", "unbalanced-size", "unbalanced-search"],
+    ids=["table-key", "table-key-n", "rank-pair", "rank-pair-server", "column-rank"],
 )
 def test_non_integer_sizes_and_ranks_refused(call):
     with pytest.raises(InvalidArgumentError, match="must be an integer"):
