@@ -170,7 +170,7 @@ def split_cp_calibrate(scores: Sequence[float], alpha: float) -> CalibrationResu
     The threshold is the ceil((n+1)(1-alpha))-th smallest score, or ``inf``
     when that rank exceeds n (the guarantee then holds vacuously).
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     sample = as_sample(scores, allow_empty=False)
     rank = split_rank(sample.size, alpha)
     return CalibrationResult(
@@ -203,7 +203,7 @@ def _bind_qq(alpha: float, table: CoverageTable | None):
     spawn=None)``; the round draws nothing, so ``spawn`` goes unused. The
     ranks are selected at the first call of a shape and kept for later
     calls of that shape."""
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     chosen: dict[tuple[int, int], tuple[RankPair, float]] = {}
 
     def calibrate(scores: Sequence[Sequence[float]], spawn=None) -> CalibrationResult:
@@ -234,7 +234,7 @@ def fedcp_avg_calibrate(scores: Sequence[Sequence[float]], alpha: float) -> Cali
     fails outright when ceil((n+1)(1-alpha)) > n, since the local quantile
     it averages is undefined there.
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     agents = as_block(scores)
     m, n = agents.shape
     rank = split_rank(n, alpha)
@@ -259,11 +259,13 @@ def predict_interval(x, result: CalibrationResult, sf: ScoreFunction) -> Predict
     """Interval of responses whose score at x stays within the threshold.
 
     It is empty when no response's does, as with a negative threshold
-    larger in size than half the width of the band at x. The band at x must
-    be one number on each side: an ``x`` holding several points is refused.
+    larger in size than half the width of the band at x, or with -inf. A
+    threshold of +inf keeps every response without reading the band. The
+    band at x must be one number on each side: an ``x`` holding several
+    points is refused.
     """
     q = result.q_hat
-    if math.isinf(q):
+    if q == math.inf:
         return PredictionInterval(-math.inf, math.inf)
     lower, upper = sf.band(x)
     if np.ndim(lower) or np.ndim(upper):

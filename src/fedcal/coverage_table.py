@@ -18,11 +18,12 @@ that an agent's l-th smallest score falls below t, and the integrand the
 chance that at least k agents' do, i.e. that the threshold falls below t.
 The integrand is a polynomial of degree m*n in t, so Gauss-Legendre
 quadrature with m*n/2 + 2 nodes integrates it exactly up to rounding (a few
-units in the last place). Where a comparison with the level 1 - alpha is
-closer than that rounding can decide, the coverage, a rational number, is
-settled exactly. Coverage is nondecreasing in both ranks, which the rank
-search exploits so that only a thin frontier of (local_rank, server_rank)
-entries is ever evaluated.
+units in the last place). Each entry calls ``betainc`` for the integrand
+only at the nodes where it is more than 2^-80 from both 0 and 1. Where a
+comparison with the level 1 - alpha is closer than that rounding can
+decide, the coverage, a rational number, is settled exactly. Coverage is
+nondecreasing in both ranks, which the rank search exploits so that only
+a thin frontier of (local_rank, server_rank) entries is ever evaluated.
 
 The same integrand is the exact law of the coverage given the calibration
 set; ``conditional_miscoverage_quantile`` inverts it for the
@@ -60,7 +61,6 @@ __all__ = [
     "TableKey",
     "RankPair",
     "CoverageTable",
-    "coverage_column",
     "coverage_probability",
     "select_ranks",
     "conditional_miscoverage_quantile",
@@ -241,29 +241,23 @@ def _window(m: int, k: int) -> tuple[float, float]:
     return low, high
 
 
-def _binomial_tail(m: int, k: int, g: np.ndarray) -> np.ndarray:
-    """P(Bin(m, G) >= k) at each node's G.
-
-    ``betainc`` runs only inside the rank's :func:`_window`: outside it the
-    tail reads 0, or 1, which ``betainc`` gives there anyway.
-    """
-    low, high = _window(m, k)
-    tail = (g > high).astype(float)
-    inside = (g >= low) & (g <= high)
-    tail[inside] = betainc(k, m - k + 1, g[inside])
-    return tail
-
-
 @lru_cache(maxsize=4096)
 def _entry_engine(m: int, n: int, l: int, k: int) -> float:
     """Coverage at ranks (l, k) by quadrature, memoised for the process.
 
-    The integrand, P(at least k of the m agents covered) at each node, is
-    read through :func:`_binomial_tail`. :func:`coverage_column` lists
-    these entries, so an entry equals its column's element bit for bit.
+    The integrand P(at least k of the m agents covered) = I_G(k, m - k + 1)
+    calls ``betainc`` only on the run of nodes with G inside the rank's
+    :func:`_window`, reading 0 below it and 1 above. Float G falls between
+    some adjacent nodes (near 1e-300 at 32768 nodes and n = 200), but only
+    far below every window, so one ``searchsorted`` finds the run.
     """
     t, w = _rule_for(m * n)
-    integrand = _binomial_tail(m, k, _local_cdf(n, l, t.size))
+    g = _local_cdf(n, l, t.size)
+    low, high = _window(m, k)
+    lo, hi = g.searchsorted((low, np.nextafter(high, 2.0)))
+    integrand = np.zeros(t.size)
+    integrand[hi:] = 1.0
+    integrand[lo:hi] = betainc(k, m - k + 1, g[lo:hi])
     coverage = float(1.0 - (integrand * w).sum())
     if coverage < -1e-9 or coverage > 1.0 + 1e-9:
         raise InternalError(f"coverage left [0, 1] at ranks ({l}, {k}) for (m, n) = ({m}, {n})")
@@ -326,20 +320,6 @@ def _count_polynomial(m: int, n: int, l: int, limit: int, covered: bool) -> list
     return polynomial.tolist()
 
 
-def _meets_level(value: float, alpha: float, settle) -> tuple[bool, float]:
-    """Whether coverage ``value`` reaches 1 - alpha, and the value to keep.
-
-    A value more than LEVEL_MARGIN from the level is decided as it is;
-    otherwise ``settle()`` gives the exact coverage, which is compared with
-    1 - alpha exactly and kept correctly rounded.
-    """
-    target = 1.0 - alpha
-    if abs(value - target) > LEVEL_MARGIN:
-        return value >= target, value
-    exact = settle()
-    return exact >= 1 - Fraction(alpha), float(exact)
-
-
 def _table_for(table: CoverageTable | None, m: int, n: int) -> CoverageTable:
     """``table`` once checked to hold (m, n), or a fresh table for (m, n)."""
     if table is None:
@@ -365,27 +345,18 @@ def _entry(table: CoverageTable, local_rank: int, server_rank: int) -> float:
 
 
 def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: float) -> bool:
-    """Whether the entry reaches 1 - alpha; a settled entry is stored exact.
+    """Whether the entry reaches 1 - alpha.
 
-    A value more than ``LEVEL_MARGIN`` from the level is decided as it is,
-    as :func:`_meets_level` would, without its call.
+    A value more than ``LEVEL_MARGIN`` from the level is decided as it is.
+    A nearer one is settled: the exact coverage is compared with 1 - alpha
+    exactly and stored correctly rounded.
     """
     value, target = _entry(table, local_rank, server_rank), 1.0 - alpha
     if abs(value - target) > LEVEL_MARGIN:
         return value >= target
-    reached, table.entries[(local_rank, server_rank)] = _meets_level(
-        value, alpha, lambda: _settled(table.key.m, table.key.n, local_rank, server_rank)
-    )
-    return reached
-
-
-def coverage_column(key: TableKey, local_rank: int) -> np.ndarray:
-    """Coverage at ``local_rank`` for every server rank 1..m.
-
-    Quadrature values, never settled (see :func:`coverage_probability`).
-    """
-    RankPair(local_rank, 1).validate(key)
-    return np.array([_entry_engine(key.m, key.n, local_rank, k) for k in range(1, key.m + 1)])
+    exact = _settled(table.key.m, table.key.n, local_rank, server_rank)
+    table.entries[(local_rank, server_rank)] = float(exact)
+    return exact >= 1 - Fraction(alpha)
 
 
 def coverage_probability(key: TableKey, ranks: RankPair) -> float:
@@ -424,16 +395,17 @@ def select_ranks(
     probes. Where (1 - alpha)^n underflows every start is the bound, and
     the upward steps of the whole walk total at most m. Entries are read
     through ``table`` (a fresh one when none is given); each evaluates
-    ``betainc`` only inside its window (see :func:`_binomial_tail`). An
-    entry within ``LEVEL_MARGIN`` of 1 - alpha is settled exactly and
-    stored at its exact value, so every decision is the exact one and the
-    search may probe in any order. Ties are broken toward the smallest
-    local rank, then the smallest server rank. The chosen entry, on which
-    the guarantee rests, is recomputed and must match the stored value (see
-    :func:`_check_stored`); the stored value is the one returned. A single
-    agent (m = 1) covers with probability l / (n + 1), so there the split
-    rank (see :func:`fedcal.order_stats.split_rank`), the smallest l
-    reaching the level, is probed directly, with no walk.
+    ``betainc`` only on its window's run of nodes (see
+    :func:`_entry_engine`). An entry within ``LEVEL_MARGIN`` of 1 - alpha
+    is settled exactly and stored at its exact value, so every decision is
+    the exact one and the search may probe in any order. Ties are broken
+    toward the smallest local rank, then the smallest server rank. The
+    chosen entry, on which the guarantee rests, is recomputed and must
+    match the stored value (see :func:`_check_stored`); the stored value is
+    the one returned. A single agent (m = 1) covers with probability
+    l / (n + 1), so there the split rank (see
+    :func:`fedcal.order_stats.split_rank`), the smallest l reaching the
+    level, is probed directly, with no walk.
 
     Raises
     ------
@@ -443,7 +415,7 @@ def select_ranks(
     InvalidArgumentError
         If the chosen entry of ``table`` differs from its recomputed value.
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     table = _table_for(table, key.m, key.n)
     ranks, value = _walk_frontier(table, alpha)
     _check_stored(table, ranks)

@@ -4,6 +4,7 @@ The CLI maps every one of these to a nonzero exit status; library callers
 can catch them individually.
 """
 
+import numbers
 import operator
 
 
@@ -31,10 +32,15 @@ class ProtocolViolationError(FedcalError):
     """A simulated protocol run broke the one-message-per-agent rule."""
 
 
-def check_alpha(alpha: float) -> None:
-    """Reject a miscoverage level outside the open interval (0, 1)."""
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a Python float; a miscoverage level that is not a real
+    number, or that lies outside the open interval (0, 1), is refused."""
+    if not isinstance(alpha, numbers.Real):
+        raise InvalidArgumentError(f"alpha must be a real number, got {alpha!r}")
+    alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
+    return alpha
 
 
 def check_integer(value, name: str) -> int:

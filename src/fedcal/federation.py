@@ -69,7 +69,7 @@ class FederationSpec:
     def __post_init__(self) -> None:
         if check_integer(self.m, "m") < 1:
             raise InvalidArgumentError(f"need at least one agent, got m={self.m}")
-        check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", check_alpha(self.alpha))
         if check_integer(self.n, "n") < 1:
             raise InvalidArgumentError(f"every local size must be >= 1, got n={self.n}")
         if check_integer(self.seed, "the seed") < 0:

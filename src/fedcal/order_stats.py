@@ -75,8 +75,7 @@ def split_rank(n: int, alpha: float) -> int:
     """
     if check_integer(n, "n") < 0:
         raise InvalidArgumentError(f"n must be >= 0, got {n}")
-    check_alpha(alpha)
-    return math.ceil((n + 1) * (1 - Fraction(alpha)))
+    return math.ceil((n + 1) * (1 - Fraction(check_alpha(alpha))))
 
 
 def _kth_smallest(values: np.ndarray, rank: int) -> np.ndarray:

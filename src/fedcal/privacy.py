@@ -251,7 +251,7 @@ def select_gamma(
     InvalidArgumentError
         If the winner's entry in ``table`` differs from its recomputed value.
     """
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     table = _table_for(table, key.m, key.n)
     best: GammaSelection | None = None
     reason = ""  # why the latest, so largest, candidate failed
@@ -318,7 +318,7 @@ def _bind_private(alpha: float, config: DpConfig, table: CoverageTable | None):
     spawn)``, where ``spawn(m)`` gives the agents' m streams and is called
     once per call, after the checks and the gamma choice. Gamma is chosen
     at the first call of a shape and kept for later calls of that shape."""
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     chosen: dict[tuple[int, int], GammaSelection] = {}
 
     def calibrate(scores: Sequence[Sequence[float]], spawn) -> CalibrationResult:

@@ -9,10 +9,12 @@ batched Monte-Carlo, a straight transcription of the
 exponential-mechanism softmax, the per-agent private release, the
 per-row score-file reader, the simulator loop and the conditional
 Monte-Carlo that seed every stream through ``substream``, and the rank
-search as a plain gallop over entries that call ``betainc`` at every node.
-Gauss-Legendre quadrature of the order-statistic integrand is kept as the
-plain formula the library's engine evaluates. Expected values frozen in
-the tests were produced by these.
+search as a plain gallop over entries that call ``betainc`` at every node,
+with its own margin-then-settle rule. Gauss-Legendre quadrature of the
+order-statistic integrand is kept as the plain formula the library's
+engine evaluates. Expected values frozen in the tests were produced by
+these. ``engine_column`` alone reads the library: it lists the engine's
+entries of one local rank for the tests that compare whole columns.
 """
 
 import csv
@@ -29,11 +31,12 @@ from scipy.special import betainc, gammaln, logsumexp, roots_legendre
 from fedcal.conformal import split_cp_calibrate
 from fedcal.coverage_table import (
     CoverageTable,
+    LEVEL_MARGIN,
     RankPair,
     TableKey,
-    _meets_level,
     _rule_for,
     _settled,
+    coverage_probability,
     select_ranks,
 )
 from fedcal.errors import InfeasibleError, InvalidArgumentError, ResourceLimitError
@@ -105,6 +108,11 @@ def coverage_bruteforce_column(key: TableKey, local_rank: int) -> np.ndarray:
         per_j[j] = math.comb(m, j) * float(np.sum(w / denom[s]))
     tails = np.cumsum(per_j[::-1])[::-1]  # tails[k] = sum_{j >= k}
     return 1.0 - tails[1:] / (m * n + 1)
+
+
+def engine_column(key: TableKey, local_rank: int) -> np.ndarray:
+    """The library's coverage at ``local_rank`` for server ranks 1..m."""
+    return np.array([coverage_probability(key, RankPair(local_rank, k)) for k in range(1, key.m + 1)])
 
 
 def coverage_bruteforce(key: TableKey, ranks: RankPair) -> float:
@@ -233,8 +241,9 @@ def select_ranks_by_gallop(m: int, n: int, alpha: float):
 
     Each column's frontier is galloped up from the previous column's
     (offsets 0, 1, 3, 7, ...) and its last gap bisected. Entries are the
-    engine's quadrature with ``betainc`` at every node, and a value within
-    ``LEVEL_MARGIN`` of 1 - alpha is settled exactly by the engine's route.
+    engine's quadrature with ``betainc`` at every node. A value within
+    ``LEVEL_MARGIN`` of 1 - alpha is settled to the exact rational of
+    ``_settled``, by this function's own rule rather than the search's.
     Returns ((local_rank, server_rank), value, entries read).
     """
     t, w = _rule_for(m * n)
@@ -245,10 +254,12 @@ def select_ranks_by_gallop(m: int, n: int, alpha: float):
         if value is None:
             g = betainc(l, n - l + 1, t)
             value = min(max(float(1.0 - (betainc(k, m - k + 1, g) * w).sum()), 0.0), 1.0)
-        reached, entries[(l, k)] = _meets_level(
-            value, alpha, lambda: _settled(m, n, l, k)
-        )
-        return reached
+        if abs(value - (1.0 - alpha)) <= LEVEL_MARGIN:  # too near to decide in floats
+            exact = _settled(m, n, l, k)
+            entries[(l, k)] = float(exact)
+            return exact >= 1 - Fraction(alpha)
+        entries[(l, k)] = value
+        return value >= 1.0 - alpha
 
     if not reaches(n, m):
         raise InfeasibleError(f"no rank pair reaches {1 - alpha} for m={m}, n={n}")

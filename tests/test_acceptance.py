@@ -35,12 +35,12 @@ from fedcal import (
     split_rank,
     substream,
 )
-from fedcal.coverage_table import coverage_column
 from fedcal.federation import poisson_binomial_diagnostic
 from kit import synthetic_conditional_quantile, synthetic_dataset
 from oracles import (
     conditional_alpha_p_by_substream,
     coverage_bruteforce_column,
+    engine_column,
     max_report_coverage,
 )
 
@@ -63,7 +63,7 @@ def test_c01_fast_path_equals_bruteforce_everywhere_small():
             key = TableKey(m, n)
             for local_rank in range(1, n + 1):
                 brute = coverage_bruteforce_column(key, local_rank)
-                fast = coverage_column(key, local_rank)
+                fast = engine_column(key, local_rank)
                 worst = max(worst, float(np.max(np.abs(brute - fast))))
                 checked += fast.size
     elapsed = time.time() - start
@@ -78,7 +78,7 @@ def test_c02_top_rank_matches_gamma_closed_form():
     worst = 0.0
     for m in range(1, 51):
         for n in range(1, 51):
-            column = coverage_column(TableKey(m, n), n)
+            column = engine_column(TableKey(m, n), n)
             closed = np.array([max_report_coverage(m, n, k) for k in range(1, m + 1)])
             worst = max(worst, float(np.max(np.abs(column - closed))))
     elapsed = time.time() - start
@@ -97,7 +97,7 @@ def test_c03_boundary_collapses_exact():
         expected = np.arange(1, n + 1) / (n + 1)
         worst = max(worst, float(np.max(np.abs(np.array(column_by_l) - expected))))
     for m in range(1, 201):
-        column = coverage_column(TableKey(m, 1), 1)
+        column = engine_column(TableKey(m, 1), 1)
         expected = np.arange(1, m + 1) / (m + 1)
         worst = max(worst, float(np.max(np.abs(column - expected))))
     assert worst <= COLLAPSE_MATCH, f"max collapse error = {worst}"

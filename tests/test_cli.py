@@ -27,7 +27,6 @@ from fedcal import (
     substream,
 )
 from fedcal.cli import _require, main
-from fedcal.coverage_table import coverage_column
 from fedcal.federation import METHODS
 from fedcal.privacy import DEFAULT_GAMMA_GRID
 
@@ -81,10 +80,10 @@ class TestTableCommand:
         assert code == 0
         key = TableKey(10, 20)
         best = min(
-            (coverage_column(key, l)[k - 1], l, k)
+            (coverage_probability(key, RankPair(l, k)), l, k)
             for l in range(1, 21)
             for k in range(1, 11)
-            if coverage_column(key, l)[k - 1] >= 0.9
+            if coverage_probability(key, RankPair(l, k)) >= 0.9
         )
         assert f"l*={best[1]} k*={best[2]} M={best[0]:.15f}" in out
 

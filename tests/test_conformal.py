@@ -9,16 +9,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fedcal import (
+    BinGrid,
     CalibrationResult,
+    DpConfig,
+    FederationSpec,
     InvalidArgumentError,
     PredictionInterval,
     ScoreFunction,
+    TableKey,
+    fedcp2_qq_calibrate,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
     order_statistic,
     predict_interval,
     read_score_matrix_csv,
     read_scores_csv,
+    select_gamma,
+    select_ranks,
     split_cp_calibrate,
     split_rank,
 )
@@ -133,6 +140,15 @@ class TestPredictInterval:
         interval = predict_interval(0.0, result, sf)
         assert interval.lower == -math.inf and interval.upper == math.inf
 
+    def test_minus_infinite_threshold_keeps_no_response(self):
+        # no finite score is <= -inf, so the set is empty, not the whole line
+        result = CalibrationResult(q_hat=-math.inf, method="x", guaranteed_coverage=None)
+        for sf in (ScoreFunction.absolute_residual(lambda x: 5.0),
+                   ScoreFunction.cqr(lambda x: 1.0, lambda x: 4.0)):
+            interval = predict_interval(0.0, result, sf)
+            assert interval == PredictionInterval(math.inf, -math.inf)
+            assert not any(interval.contains(y) for y in (-math.inf, 1.0, 5.0, math.inf))
+
     def test_quantile_pair(self):
         sf = ScoreFunction.cqr(lambda x: 1.0, lambda x: 4.0)
         result = CalibrationResult(q_hat=0.5, method="centralized", guaranteed_coverage=0.9)
@@ -183,6 +199,41 @@ BAND_INPUTS = st.one_of(BAND_VALUES, arrays(np.float64, 4, elements=BAND_VALUES)
 
 def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
+
+
+_LEVEL_SCORES = np.random.default_rng(3).random((8, 60))
+_LEVEL_DP = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))
+# every entry point that takes a miscoverage level
+_LEVEL_ENTRIES = {
+    "split_rank": lambda alpha: split_rank(10, alpha),
+    "centralized": lambda alpha: split_cp_calibrate(_LEVEL_SCORES[0], alpha),
+    "fedcp-avg": lambda alpha: fedcp_avg_calibrate(_LEVEL_SCORES, alpha),
+    "fedcp-qq": lambda alpha: fedcp_qq_calibrate(_LEVEL_SCORES, alpha),
+    "fedcp2-qq": lambda alpha: fedcp2_qq_calibrate(
+        _LEVEL_SCORES, alpha, _LEVEL_DP, np.random.default_rng(0)
+    ),
+    "select_ranks": lambda alpha: select_ranks(TableKey(8, 60), alpha),
+    "select_gamma": lambda alpha: select_gamma(TableKey(8, 60), alpha, 5.0, 100),
+    "spec": lambda alpha: FederationSpec(m=8, n=60, alpha=alpha),
+}
+
+
+@pytest.mark.parametrize("entry", _LEVEL_ENTRIES)
+@pytest.mark.parametrize("level", [np.float32(0.2), np.float64(0.2)], ids=["float32", "float64"])
+def test_every_entry_reads_a_numpy_level_as_a_python_float(entry, level):
+    # 1.0 - np.float32(0.2) is np.float32(0.8), below the level 1 - 0.2000000030
+    call = _LEVEL_ENTRIES[entry]
+    got, expected = call(level), call(float(level))
+    assert got == expected
+    alpha = got.alpha if entry == "spec" else getattr(got, "params", {}).get("alpha", 0.0)
+    assert type(alpha) is float
+
+
+@pytest.mark.parametrize("entry", _LEVEL_ENTRIES)
+@pytest.mark.parametrize("level", ["0.1", None, 0.1j])
+def test_every_entry_refuses_a_level_that_is_not_a_real_number(entry, level):
+    with pytest.raises(InvalidArgumentError, match="^alpha must be a real number"):
+        _LEVEL_ENTRIES[entry](level)
 
 
 class TestScoreBand:

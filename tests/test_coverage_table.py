@@ -30,15 +30,14 @@ from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
-    _binomial_tail,
     _cdf_memo,
     _entry_engine,
     _legendre_rule,
     _local_cdf,
-    _meets_level,
+    _reaches,
+    _rule_for,
     _settled,
     _window,
-    coverage_column,
 )
 
 from oracles import (
@@ -49,6 +48,7 @@ from oracles import (
     coverage_by_quadrature,
     coverage_column_by_convolution,
     coverage_exact_fraction,
+    engine_column,
     max_report_coverage,
     mc_qq_coverage,
     search_differences,
@@ -91,20 +91,13 @@ class TestFastPath:
             key = TableKey(m, n)
             for l in range(1, n + 1):
                 brute = coverage_bruteforce_column(key, l)
-                fast = coverage_column(key, l)
+                fast = engine_column(key, l)
                 np.testing.assert_allclose(fast, brute, atol=1e-12)
 
     def test_matches_quadrature_on_medium_shapes(self):
         for (m, n, l, k) in [(10, 20, 18, 9), (20, 15, 14, 17), (7, 40, 36, 4), (50, 20, 18, 35)]:
             got = coverage_probability(TableKey(m, n), RankPair(l, k))
             assert got == pytest.approx(coverage_by_quadrature(m, n, l, k), abs=1e-11)
-
-    def test_entry_equals_its_column_element_bit_for_bit(self):
-        for m, n in [(1, 19), (10, 20), (40, 25), (7, 40)]:
-            key = TableKey(m, n)
-            for l in sorted({1, n // 2 + 1, n}):
-                entries = [coverage_probability(key, RankPair(l, k)) for k in range(1, m + 1)]
-                assert entries == coverage_column(key, l).tolist()
 
     def test_legendre_rule(self):
         for count in (2, 3, 7, 64):
@@ -115,13 +108,6 @@ class TestFastPath:
         t, v = _legendre_rule(4096)
         for degree in (0, 1, 7, 100, 1000, 8191):  # exact up to degree 2 * 4096 - 1
             assert abs(v @ t**degree - 1 / (degree + 1)) < 1e-15
-
-    def test_entries_bit_identical_to_their_column(self):
-        key = TableKey(9, 14)
-        for l in range(1, 15):
-            column = coverage_column(key, l)
-            for k in range(1, 10):
-                assert coverage_probability(key, RankPair(l, k)) == column[k - 1]
 
     def test_window_skips_most_nodes(self, monkeypatch):
         # at (20, 40), ranks (36, 18): 152 of the 512 nodes need betainc
@@ -136,7 +122,8 @@ class TestFastPath:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), m=st.integers(1, 10**5))
-    def test_windowed_tail_is_betainc_or_a_negligible_zero(self, data, m):
+    def test_tail_outside_the_window_is_a_negligible_zero_or_one(self, data, m):
+        # the engine reads the integrand as 0 where G < low and 1 where G > high
         k = data.draw(st.sampled_from([1, m]) | st.integers(1, m))
         low, high = _window(m, k)
         edges = st.sampled_from(
@@ -144,9 +131,29 @@ class TestFastPath:
             + [x for x in (np.nextafter(low, 0), np.nextafter(high, 1)) if x <= 1]
         )
         g = np.array(data.draw(st.lists(edges | st.floats(0.0, 1.0), min_size=1, max_size=40)))
-        expected = betainc(k, m - k + 1, g)
-        tail = _binomial_tail(m, k, g)
-        assert np.all((tail == expected) | ((tail == 0.0) & (expected <= 2.0**-80)))
+        tail = betainc(k, m - k + 1, g)
+        assert np.all(tail[g < low] <= 2.0**-80)
+        assert np.all(tail[g > high] == 1.0)
+
+    def test_window_run_is_the_masked_nodes_where_g_dips(self):
+        # at (21, 200), 4096 nodes, float G falls between adjacent nodes for
+        # some l >= 162, far below every window's low end; one searchsorted
+        # must still select exactly the nodes with low <= G <= high, so each
+        # entry equals the masked integrand's quadrature bit for bit
+        m, n = 21, 200
+        t, w = _rule_for(m * n)
+        dips = 0
+        for l in range(150, n + 1):
+            g = _local_cdf(n, l, t.size)
+            dips += int(np.count_nonzero(np.diff(g) < 0))
+            for k in range(1, m + 1):
+                low, high = _window(m, k)
+                inside = (g >= low) & (g <= high)
+                tail = (g > high).astype(float)
+                tail[inside] = betainc(k, m - k + 1, g[inside])
+                masked = min(max(float(1.0 - (tail * w).sum()), 0.0), 1.0)
+                assert _entry_engine(m, n, l, k) == masked, (l, k)
+        assert dips > 0
 
     def test_local_cdf_memo_holds_one_shapes_columns(self, monkeypatch):
         monkeypatch.setattr(coverage_table, "_CDF_FLOATS", 3 * 8)
@@ -170,7 +177,7 @@ class TestFastPath:
 
     def test_column_monotone_in_both_ranks(self):
         key = TableKey(6, 8)
-        grid = np.array([coverage_column(key, l) for l in range(1, 9)])
+        grid = np.array([engine_column(key, l) for l in range(1, 9)])
         assert np.all(np.diff(grid, axis=0) >= -1e-12)
         assert np.all(np.diff(grid, axis=1) >= -1e-12)
 
@@ -230,25 +237,27 @@ class TestCertifiedLevel:
         assert coverage == 0.75
         assert table.entries[(ranks.local_rank, ranks.server_rank)] == 0.75
 
-    def test_margin_decides_the_route(self):
+    def test_margin_decides_the_route(self, monkeypatch):
         calls = []
-
-        def settle():
-            calls.append(1)
-            return Fraction(9, 10)
-
-        assert _meets_level(0.9 + 2 * LEVEL_MARGIN, 0.1, settle) == (True, 0.9 + 2 * LEVEL_MARGIN)
-        assert _meets_level(0.9 - 2 * LEVEL_MARGIN, 0.1, settle) == (False, 0.9 - 2 * LEVEL_MARGIN)
-        assert calls == []
-        assert _meets_level(0.9 - LEVEL_MARGIN / 2, 0.1, settle) == (True, 0.9)
-        assert calls == [1]
-
-    def test_exact_route_below_the_level_is_infeasible(self):
-        # 1e-20 below 3/4: rounds to 0.75, yet misses the level 0.75
-        assert _meets_level(0.75, 0.25, lambda: Fraction(3, 4) - Fraction(1, 10**20)) == (
-            False,
-            0.75,
+        monkeypatch.setattr(
+            coverage_table, "_settled", lambda *entry: calls.append(entry) or Fraction(9, 10)
         )
+        below, near, above = 0.9 - 2 * LEVEL_MARGIN, 0.9 - LEVEL_MARGIN / 2, 0.9 + 2 * LEVEL_MARGIN
+        table = CoverageTable(TableKey(3, 4), entries={(1, 1): below, (1, 2): near, (1, 3): above})
+        assert not _reaches(table, 1, 1, 0.1) and _reaches(table, 1, 3, 0.1)
+        assert calls == []
+        assert _reaches(table, 1, 2, 0.1)
+        assert calls == [(3, 4, 1, 2)]
+        assert table.entries == {(1, 1): below, (1, 2): 0.9, (1, 3): above}
+
+    def test_exact_route_below_the_level_is_infeasible(self, monkeypatch):
+        # 1e-20 below 3/4: rounds to 0.75, yet misses the level 0.75
+        monkeypatch.setattr(
+            coverage_table, "_settled", lambda *entry: Fraction(3, 4) - Fraction(1, 10**20)
+        )
+        table = CoverageTable(TableKey(3, 4), entries={(2, 2): 0.75})
+        assert not _reaches(table, 2, 2, 0.25)
+        assert table.entries == {(2, 2): 0.75}
 
     @staticmethod
     def _small_entries(m):
@@ -309,7 +318,7 @@ class TestMaxReportClosedForm:
 
     def test_matches_engine_at_top_rank(self):
         for (m, n) in [(5, 10), (12, 7), (30, 3)]:
-            column = coverage_column(TableKey(m, n), n)
+            column = engine_column(TableKey(m, n), n)
             for k in range(1, m + 1):
                 assert column[k - 1] == pytest.approx(max_report_coverage(m, n, k), abs=1e-11)
 
@@ -336,7 +345,7 @@ class TestSelectRanks:
         ranks, coverage = select_ranks(key, 0.1)
         candidates = []
         for l in range(1, 21):
-            column = coverage_column(key, l)
+            column = engine_column(key, l)
             for k in range(1, 11):
                 if column[k - 1] >= 0.9:
                     candidates.append((column[k - 1], l, k))
@@ -387,8 +396,11 @@ class TestSelectRanks:
         inputs = [COLD_BAND[i] for i in rng.choice(len(COLD_BAND), 300, replace=False)]
         assert [problem for case in inputs for problem in search_differences(*case)] == []
 
-    @pytest.mark.parametrize("m, n, alpha", [(99, 101, 1e-4), (9999, 1, 0.1)])
-    def test_matches_the_plain_gallop_at_exact_ties(self, m, n, alpha):
+    @pytest.mark.parametrize(
+        "m, n, alpha", [(99, 101, 1e-4), (9999, 1, 0.1), (50, 100, 0.1), (100, 100, 0.05)]
+    )
+    def test_matches_the_plain_gallop_beyond_the_cold_band(self, m, n, alpha):
+        # exact ties, and the 4096- and 8192-node rules at ordinary levels
         assert search_differences(m, n, alpha) == []
 
     def test_underflowed_prediction_steps_up_from_the_floor(self):
@@ -463,9 +475,8 @@ class TestSelectRanks:
         lambda: TableKey(10, 20.5),
         lambda: coverage_probability(TableKey(3, 4), RankPair(2.5, 2)),
         lambda: coverage_probability(TableKey(3, 4), RankPair(2, 1.5)),
-        lambda: coverage_column(TableKey(3, 4), 2.5),
     ],
-    ids=["table-key", "table-key-n", "rank-pair", "rank-pair-server", "column-rank"],
+    ids=["table-key", "table-key-n", "rank-pair", "rank-pair-server"],
 )
 def test_non_integer_sizes_and_ranks_refused(call):
     with pytest.raises(InvalidArgumentError, match="must be an integer"):
