@@ -16,14 +16,12 @@ integral
 where I is the regularized incomplete beta function: G(t) is the chance
 that an agent's l-th smallest score falls below t, and the integrand the
 chance that at least k agents' do, i.e. that the threshold falls below t.
-The integrand is a polynomial of degree m*n in t, so Gauss-Legendre
-quadrature with m*n/2 + 2 nodes integrates it exactly up to rounding (a few
-units in the last place). Each entry calls ``betainc`` for the integrand
-only at the nodes where it is more than 2^-80 from both 0 and 1. Where a
-comparison with the level 1 - alpha is closer than that rounding can
-decide, the coverage, a rational number, is settled exactly. Coverage is
-nondecreasing in both ranks, which the rank search exploits so that only
-a thin frontier of (local_rank, server_rank) entries is ever evaluated.
+A 128-node Gauss-Legendre rule integrates it over the window of t where it
+is not within 2^-80 of 0 or 1. Where a comparison with the level 1 - alpha
+is closer than the rounding can decide, the coverage, a rational number,
+is settled exactly. Coverage is nondecreasing in both ranks, which the
+rank search exploits so that only a thin frontier of (local_rank,
+server_rank) entries is ever evaluated.
 
 The same integrand is the exact law of the coverage given the calibration
 set; ``conditional_miscoverage_quantile`` inverts it for the
@@ -54,6 +52,7 @@ from .errors import (
     ResourceLimitError,
     check_alpha,
     check_integer,
+    check_real,
 )
 from .order_stats import split_rank
 
@@ -68,7 +67,6 @@ __all__ = [
     "load_table",
 ]
 
-# m*n at most this: exact arithmetic and the quadrature rules stay tractable
 CELL_CAP = 10**6
 
 # stored entries are within rounding of the exact coverage, which is
@@ -152,11 +150,11 @@ class CoverageTable:
 # production path: Gauss-Legendre quadrature of the order-statistic integral
 # ---------------------------------------------------------------------------
 
-# A comparison with 1 - alpha closer than this margin is settled exactly.
-# Against exact rationals the quadrature erred by at most 4.8e-16 on the
-# shapes measured, up to (m, n) = (200, 200), (1, 10^5) and (10^5, 1);
-# _legendre_rule refuses a rule whose moment error exceeds half the margin.
+# A comparison with 1 - alpha closer than this is settled exactly. The engine
+# errs by at most a quarter of it, _legendre_rule's moments by at most half.
 LEVEL_MARGIN = 1e-11
+
+SETTLE_CELLS = 2500  # m*n above which only closed forms settle; (70, 70) takes 36 s
 
 
 @lru_cache(maxsize=8)
@@ -191,88 +189,81 @@ def _legendre_rule(count: int) -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _rule_for(degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """A rule exact for polynomials of ``degree``: the smallest power of two
-    >= degree // 2 + 2 nodes, so that a few cached rules serve every shape
-    (building one costs time quadratic in its size)."""
-    return _legendre_rule(1 << (degree // 2 + 1).bit_length())
+@lru_cache(maxsize=8)
+def _checked_rule(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``count``-node Gauss-Legendre rule on [0, 1],
+    and a check rule's weights less them: it interpolates on all but every
+    fourth node, exact to degree 3 count / 4 - 1. Read-only."""
+    t, w = _legendre_rule(count)
+    keep = np.arange(count) % 4 != 3
+    basis = np.polynomial.legendre.legvander(2.0 * t[keep] - 1.0, keep.sum() - 1)
+    check = -w
+    check[keep] += np.linalg.solve(basis.T, np.eye(1, keep.sum())[0])  # P_j integrates to [j == 0]
+    check.flags.writeable = False
+    return t, w, check
 
 
-# G columns of one (n, rule), keyed (n, local_rank, count), least recently
-# used first and at most _CDF_FLOATS floats (32 MiB): eight at the cell cap's
-# 2^19 nodes, and every column the rank and gamma searches of a small shape read
-_CDF_FLOATS = 1 << 22
-_cdf_memo: dict[tuple[int, int, int], np.ndarray] = {}
+@lru_cache(maxsize=1024)
+def _chernoff(m: int, k: int) -> float:
+    """ln G for a G < k/m with m KL(k/m || G) >= 80 ln 2, so that
+    P(Bin(m, G') >= k) <= exp(-m KL(k/m || G')) <= 2^-80 for all G' <= G.
 
-
-def _local_cdf(n: int, local_rank: int, count: int) -> np.ndarray:
-    """G(t) = P(local order statistic <= t) at the nodes of a ``count`` rule."""
-    key = (n, local_rank, count)
-    g = _cdf_memo.pop(key, None)
-    if g is None:
-        if _cdf_memo and next(iter(_cdf_memo))[::2] != (n, count):
-            _cdf_memo.clear()  # another shape
-        if _cdf_memo and (len(_cdf_memo) + 1) * count > _CDF_FLOATS:
-            del _cdf_memo[next(iter(_cdf_memo))]
-        g = betainc(local_rank, n - local_rank + 1, _legendre_rule(count)[0])
-        g.flags.writeable = False
-    _cdf_memo[key] = g
-    return g
-
-
-# a binomial tail bounded below 2^-80, or its complement so bounded, is read
-# as 0 or 1 with no ``betainc`` call; the 1e-6 covers the rounding of the
-# bound's lgamma sums, at most about 1e-8 at m = 10^6
-_LOG_NEGLIGIBLE = -80 * math.log(2) - 1e-6
-
-
-def _window(m: int, k: int) -> tuple[float, float]:
-    """(low, high): P(Bin(m, G) >= k) is below 2^-80 where G < low, and
-    within 2^-80 of 1 where G > high.
-
-    By the union bounds P(Bin(m, G) >= k) <= C(m, k) G^k and
-    P(Bin(m, G) < k) <= C(m, k - 1) (1 - G)^(m - k + 1), the binomial
-    coefficients taken from ``lgamma`` because m reaches 10^6.
+    Newton in x = ln G (1 - G as -expm1(x)) on an objective convex and
+    decreasing in x, from a start that drops its term -(1 - p) ln(1 - G), so
+    iterates stay below the root and only widen the window. Ten steps reach
+    it up to m = 10^6; at k = m the start is the root.
     """
-    log_tiny = _LOG_NEGLIGIBLE - math.lgamma(m + 1)
-    low = math.exp((log_tiny + math.lgamma(k + 1) + math.lgamma(m - k + 1)) / k)
-    rest = m - k + 1
-    high = 1.0 - math.exp((log_tiny + math.lgamma(k) + math.lgamma(rest + 1)) / rest)
-    return low, high
+    p, q, tiny = k / m, (m - k) / m, 80 * math.log(2) / m
+    base = q * math.log(q) if q else 0.0  # (1 - p) ln(1 - p)
+    x = math.log(p) - (tiny - base) / p
+    for _ in range(10):
+        rest = -math.expm1(x)  # 1 - G
+        excess = p * (math.log(p) - x) + base - q * math.log(rest) - tiny
+        x += excess / (p - q * math.exp(x) / rest)
+    return x
 
 
 @lru_cache(maxsize=4096)
 def _entry_engine(m: int, n: int, l: int, k: int) -> float:
     """Coverage at ranks (l, k) by quadrature, memoised for the process.
 
-    The integrand P(at least k of the m agents covered) = I_G(k, m - k + 1)
-    calls ``betainc`` only on the run of nodes with G inside the rank's
-    :func:`_window`, reading 0 below it and 1 above. Float G falls between
-    some adjacent nodes (near 1e-300 at 32768 nodes and n = 200), but only
-    far below every window, so one ``searchsorted`` finds the run.
+    The integrand P(Bin(m, G(t)) >= k) = I_G(k, m - k + 1) is within 2^-80
+    of 0 where G < low = exp(:func:`_chernoff` (m, k)), and of 1 where
+    1 - G < rest = exp(:func:`_chernoff` (m, m - k + 1)), since
+    P(Bin(m, G) < k) = P(Bin(m, 1 - G) >= m - k + 1): for t < a and t > b,
+    a = I^-1(l, n - l + 1; low) and, reflecting I, 1 - b = I^-1(n - l + 1,
+    l; rest). So, up to 2 * 2^-80, coverage = 1 - (1 - b) - (b - a) *
+    sum_i w_i I_{G(t_i)}(k, m - k + 1) on a rule mapped to [a, b]: 128 nodes
+    where :func:`_checked_rule`'s check agrees within ``LEVEL_MARGIN / 4``,
+    else doubled up to 4096. That error, plus the ``LEVEL_MARGIN / 2`` that
+    :func:`_check_stored` allows, keeps every float decision exact.
     """
-    t, w = _rule_for(m * n)
-    g = _local_cdf(n, l, t.size)
-    low, high = _window(m, k)
-    lo, hi = g.searchsorted((low, np.nextafter(high, 2.0)))
-    integrand = np.zeros(t.size)
-    integrand[hi:] = 1.0
-    integrand[lo:hi] = betainc(k, m - k + 1, g[lo:hi])
-    coverage = float(1.0 - (integrand * w).sum())
+    low, rest = math.exp(_chernoff(m, k)), math.exp(_chernoff(m, m - k + 1))
+    a, tail = betaincinv((l, n - l + 1), (n - l + 1, l), (low, rest))  # tail = 1 - b
+    width = 1.0 - tail - a
+    for count in (128, 256, 512, 1024, 2048, 4096):
+        t, w, check = _checked_rule(count)
+        integrand = betainc(k, m - k + 1, betainc(l, n - l + 1, a + width * t))
+        if abs(width * (check @ integrand)) <= LEVEL_MARGIN / 4:
+            break
+    else:
+        raise InternalError(f"rules disagree at ranks ({l}, {k}) for (m, n) = ({m}, {n})")
+    coverage = float(1.0 - (tail + width * (w @ integrand)))
     if coverage < -1e-9 or coverage > 1.0 + 1e-9:
         raise InternalError(f"coverage left [0, 1] at ranks ({l}, {k}) for (m, n) = ({m}, {n})")
     return min(max(coverage, 0.0), 1.0)
 
 
 @lru_cache(maxsize=256)
-def _settled(m: int, n: int, l: int, k: int) -> Fraction:
-    """Exact coverage at ranks (l, k).
+def _settled(m: int, n: int, l: int, k: int) -> Fraction | None:
+    """Exact coverage at ranks (l, k), or None where that is too costly.
 
     Closed forms cover the shapes of systematic exact ties: l / (n + 1) for
     one agent, :func:`_max_report_exact` for l = n and, mirrored, l = 1.
-    Otherwise it integrates P(at most k - 1 covered), or 1 - P(at most
-    m - k uncovered) if that counts fewer: sum_r Q[r] r! (T-r)! / (T+1)!
-    over the coefficients Q of :func:`_count_polynomial`, T = m n.
+    Otherwise, up to ``SETTLE_CELLS`` cells, it integrates P(at most k - 1
+    covered), or 1 - P(at most m - k uncovered) if that counts fewer:
+    sum_r Q[r] r! (T-r)! / (T+1)! over the coefficients Q of
+    :func:`_count_polynomial`, T = m n.
     """
     if m == 1:
         return Fraction(l, n + 1)
@@ -280,6 +271,8 @@ def _settled(m: int, n: int, l: int, k: int) -> Fraction:
         return _max_report_exact(m, n, k)
     if l == 1:
         return 1 - _max_report_exact(m, n, m - k + 1)
+    if m * n > SETTLE_CELLS:
+        return None
     covered = k - 1 <= m - k
     total = m * n
     weight, numerator = math.factorial(total), 0  # weight = r! (T-r)!
@@ -349,12 +342,14 @@ def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: flo
 
     A value more than ``LEVEL_MARGIN`` from the level is decided as it is.
     A nearer one is settled: the exact coverage is compared with 1 - alpha
-    exactly and stored correctly rounded.
+    exactly and stored correctly rounded; one too costly to settle fails.
     """
     value, target = _entry(table, local_rank, server_rank), 1.0 - alpha
     if abs(value - target) > LEVEL_MARGIN:
         return value >= target
     exact = _settled(table.key.m, table.key.n, local_rank, server_rank)
+    if exact is None:
+        return False
     table.entries[(local_rank, server_rank)] = float(exact)
     return exact >= 1 - Fraction(alpha)
 
@@ -362,11 +357,11 @@ def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: flo
 def coverage_probability(key: TableKey, ranks: RankPair) -> float:
     """Coverage of the quantile-of-quantiles set at ``ranks``.
 
-    The quadrature value, a few units in the last place from the exact
-    coverage. This function compares with no level, so it never settles:
-    where the rank search settled an entry against 1 - alpha it reports
-    (and stores) the exact value correctly rounded, which can differ from
-    this one in the last bits (0.9 against 0.8999999999999999 at
+    The quadrature value, usually a few units in the last place from the
+    exact coverage. This function compares with no level, so it never
+    settles: where the rank search settled an entry against 1 - alpha it
+    reports (and stores) the exact value correctly rounded, which can differ
+    from this one in the last bits (0.9 against 0.8999999999999999 at
     (m, n) = (1, 19)).
     """
     ranks.validate(key)
@@ -385,25 +380,26 @@ def select_ranks(
 ) -> tuple[RankPair, float]:
     """Rank pair whose coverage is minimal among those >= 1 - alpha.
 
-    Walks the feasibility frontier from (n, m) downward: as the local rank
-    l decreases the smallest feasible server rank can only grow, so the
+    Walks the feasibility frontier from (n, m) downward: as the local rank l
+    decreases the smallest feasible server rank can only grow, so the
     previous column's answer bounds each column's search from below. Each
-    column probes the predicted frontier ceil((m + 1) P(Bin(n, 1 - alpha)
-    >= l)), raised to that bound and usually within one rank of the answer,
-    then steps down while the next lower rank still reaches the level, or
-    up until a rank does, so a start d ranks off costs at most d + 2
-    probes. Where (1 - alpha)^n underflows every start is the bound, and
-    the upward steps of the whole walk total at most m. Entries are read
-    through ``table`` (a fresh one when none is given); each evaluates
-    ``betainc`` only on its window's run of nodes (see
-    :func:`_entry_engine`). An entry within ``LEVEL_MARGIN`` of 1 - alpha
-    is settled exactly and stored at its exact value, so every decision is
-    the exact one and the search may probe in any order. Ties are broken
-    toward the smallest local rank, then the smallest server rank. The
-    chosen entry, on which the guarantee rests, is recomputed and must
-    match the stored value (see :func:`_check_stored`); the stored value is
-    the one returned. A single agent (m = 1) covers with probability
-    l / (n + 1), so there the split rank (see
+    column probes the predicted frontier ceil((m + 1) P(Bin(n, 1 - alpha) >=
+    l)), raised to that bound and usually within one rank of the answer,
+    then steps down while the next lower rank still reaches the level, or up
+    until a rank does, so a start d ranks off costs at most d + 2 probes.
+    Where (1 - alpha)^n underflows every start is the bound, and the upward
+    steps of the whole walk total at most m. Entries are read through
+    ``table`` (a fresh one when none is given). An entry within
+    ``LEVEL_MARGIN`` of 1 - alpha is settled exactly and stored at its exact
+    value, so every decision is the exact one and the search may probe in
+    any order. Above ``SETTLE_CELLS`` cells a near-tie that no closed form
+    (m = 1, l = n, l = 1) settles counts as missing the level: the chosen
+    pair still reaches it, but a pair of smaller coverage may be passed
+    over. Ties are broken toward the smallest local rank, then the smallest
+    server rank. The chosen entry, on which the guarantee rests, is
+    recomputed and must match the stored value (see :func:`_check_stored`);
+    the stored value is the one returned. A single agent (m = 1) covers with
+    probability l / (n + 1), so there the split rank (see
     :func:`fedcal.order_stats.split_rank`), the smallest l reaching the
     level, is probed directly, with no walk.
 
@@ -470,12 +466,11 @@ def _check_stored(table: CoverageTable, ranks: RankPair) -> None:
     """Reject a stored entry that recomputing it does not confirm.
 
     A loaded cache passes :meth:`CoverageTable.validate`, which cannot
-    catch a forged value that stays monotone. Quadrature and settled values
-    agree to about 5e-16, so an accepted value lies within
-    ``LEVEL_MARGIN / 2`` of the exact coverage. The search compared with
-    the level by float only values more than ``LEVEL_MARGIN`` away from it
-    and settled the rest exactly, so its verdict on an accepted entry is
-    the exact one.
+    catch a forged value that stays monotone. The engine is within
+    ``LEVEL_MARGIN / 4`` of the exact coverage, so an accepted value lies
+    within ``3 * LEVEL_MARGIN / 4`` of it. The search compared only values
+    more than ``LEVEL_MARGIN`` from the level by float and settled the
+    rest, so its verdict on an accepted entry is the exact one.
     """
     l, k = ranks.local_rank, ranks.server_rank
     stored = table.entries[(l, k)]
@@ -505,7 +500,7 @@ def conditional_miscoverage_quantile(key: TableKey, ranks: RankPair, delta: floa
     least uniform, so the value is still a (conservative) bound.
     """
     ranks.validate(key)
-    if not 0.0 < delta < 1.0:
+    if not 0.0 < check_real(delta, "delta") < 1.0:
         raise InvalidArgumentError(f"delta must be in (0, 1), got {delta}")
     l, k = ranks.local_rank, ranks.server_rank
     g = betaincinv(k, key.m - k + 1, delta)

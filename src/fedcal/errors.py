@@ -35,12 +35,17 @@ class ProtocolViolationError(FedcalError):
 def check_alpha(alpha: float) -> float:
     """``alpha`` as a Python float; a miscoverage level that is not a real
     number, or that lies outside the open interval (0, 1), is refused."""
-    if not isinstance(alpha, numbers.Real):
-        raise InvalidArgumentError(f"alpha must be a real number, got {alpha!r}")
-    alpha = float(alpha)
+    alpha = check_real(alpha, "alpha")
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must be in (0, 1), got {alpha}")
     return alpha
+
+
+def check_real(value, name: str) -> float:
+    """``value`` as a Python float; a value that is not a real number is refused."""
+    if not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def check_integer(value, name: str) -> int:

@@ -33,7 +33,7 @@ from .coverage_table import (
     _table_for,
     _walk_frontier,
 )
-from .errors import InfeasibleError, InvalidArgumentError, check_alpha, check_integer
+from .errors import InfeasibleError, InvalidArgumentError, check_alpha, check_integer, check_real
 from .order_stats import _kth_smallest, as_block, as_sample
 
 __all__ = [
@@ -80,7 +80,7 @@ class BinGrid:
 
     @classmethod
     def uniform(cls, s_max: float, bins: int = 100) -> "BinGrid":
-        if not (math.isfinite(s_max) and s_max > 0.0):
+        if not (math.isfinite(check_real(s_max, "s_max")) and s_max > 0.0):
             raise InvalidArgumentError(f"s_max must be positive and finite, got {s_max}")
         if check_integer(bins, "bins") < 1:
             raise InvalidArgumentError(f"need at least one bin, got {bins}")
@@ -111,7 +111,7 @@ class BinGrid:
 
 def _check_epsilon(epsilon: float) -> None:
     # NaN fails every comparison, so test for the valid range rather than against it
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
+    if not (math.isfinite(check_real(epsilon, "epsilon")) and epsilon > 0.0):
         raise InvalidArgumentError(f"epsilon must be positive and finite, got {epsilon}")
 
 
@@ -205,7 +205,7 @@ def rank_correction(epsilon: float, bins: int, agents: int, gamma_alpha: float) 
     _check_epsilon(epsilon)
     if min(check_integer(bins, "bins"), check_integer(agents, "agents")) < 1:
         raise InvalidArgumentError("bins and agents must both be >= 1")
-    if not 0.0 < gamma_alpha < 1.0:
+    if not 0.0 < check_real(gamma_alpha, "gamma*alpha") < 1.0:
         raise InvalidArgumentError(f"gamma*alpha must be in (0, 1), got {gamma_alpha}")
     # 1 - (1-x)^(1/m) via expm1/log1p keeps precision for tiny gamma_alpha
     tail = -math.expm1(math.log1p(-gamma_alpha) / agents)

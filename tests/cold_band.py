@@ -2,8 +2,9 @@
 
 For each of the 3,636 (m, n, alpha) with 10 <= m, n <= 100,
 400 <= m*n <= 1000 and alpha in {0.05, 0.1, 0.2}, ``select_ranks`` must
-choose the pair and value of the plain gallop over full-``betainc``
-entries in ``oracles``, and every entry both read must be bit-identical.
+choose the pair of the plain gallop over full-rule entries in ``oracles``,
+and the chosen value and every entry both read must lie within
+``oracles.SEARCH_TOLERANCE`` (1e-14) of the gallop's.
 Prints each difference and exits 1 if there is any. Pytest does not
 collect this file; run it from the repository root with
 

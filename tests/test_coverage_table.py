@@ -30,14 +30,12 @@ from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
-    _cdf_memo,
+    SETTLE_CELLS,
+    _chernoff,
     _entry_engine,
     _legendre_rule,
-    _local_cdf,
     _reaches,
-    _rule_for,
     _settled,
-    _window,
 )
 
 from oracles import (
@@ -110,70 +108,40 @@ class TestFastPath:
             assert abs(v @ t**degree - 1 / (degree + 1)) < 1e-15
 
     def test_window_skips_most_nodes(self, monkeypatch):
-        # at (20, 40), ranks (36, 18): 152 of the 512 nodes need betainc
+        # at (20, 40), ranks (36, 18): G and the integrand are each read once,
+        # at the 128 nodes mapped to the window, which the check rule shares;
+        # a rule exact on all of [0, 1] has 512
         sizes = []
-        _local_cdf(40, 36, 512)  # G is memoised, so only the tail calls betainc below
         monkeypatch.setattr(
             coverage_table, "betainc", lambda a, b, x: sizes.append(np.size(x)) or betainc(a, b, x)
         )
         _entry_engine.cache_clear()
         _entry_engine(20, 40, 36, 18)
-        assert sizes == [152]
+        assert sizes == [128, 128]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), m=st.integers(1, 10**5))
     def test_tail_outside_the_window_is_a_negligible_zero_or_one(self, data, m):
-        # the engine reads the integrand as 0 where G < low and 1 where G > high
+        # the engine reads the integrand as 0 where G < low and as 1 where
+        # 1 - G < rest, the complement passed explicitly
         k = data.draw(st.sampled_from([1, m]) | st.integers(1, m))
-        low, high = _window(m, k)
+        low, rest = math.exp(_chernoff(m, k)), math.exp(_chernoff(m, m - k + 1))
+        high = 1.0 - rest
+        nearby = (np.nextafter(low, 0), np.nextafter(high, 1), np.nextafter(rest, 0))
         edges = st.sampled_from(
-            [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 - 2**-53, low, high]
-            + [x for x in (np.nextafter(low, 0), np.nextafter(high, 1)) if x <= 1]
+            [0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 - 2**-53, low, high, rest]
+            + [x for x in nearby if x <= 1]
         )
         g = np.array(data.draw(st.lists(edges | st.floats(0.0, 1.0), min_size=1, max_size=40)))
         tail = betainc(k, m - k + 1, g)
         assert np.all(tail[g < low] <= 2.0**-80)
         assert np.all(tail[g > high] == 1.0)
+        # with g read as 1 - G: P(Bin(m, G) < k) = P(Bin(m, 1 - G) >= m - k + 1)
+        assert np.all(betainc(m - k + 1, k, g[g < rest]) <= 2.0**-80)
 
-    def test_window_run_is_the_masked_nodes_where_g_dips(self):
-        # at (21, 200), 4096 nodes, float G falls between adjacent nodes for
-        # some l >= 162, far below every window's low end; one searchsorted
-        # must still select exactly the nodes with low <= G <= high, so each
-        # entry equals the masked integrand's quadrature bit for bit
-        m, n = 21, 200
-        t, w = _rule_for(m * n)
-        dips = 0
-        for l in range(150, n + 1):
-            g = _local_cdf(n, l, t.size)
-            dips += int(np.count_nonzero(np.diff(g) < 0))
-            for k in range(1, m + 1):
-                low, high = _window(m, k)
-                inside = (g >= low) & (g <= high)
-                tail = (g > high).astype(float)
-                tail[inside] = betainc(k, m - k + 1, g[inside])
-                masked = min(max(float(1.0 - (tail * w).sum()), 0.0), 1.0)
-                assert _entry_engine(m, n, l, k) == masked, (l, k)
-        assert dips > 0
-
-    def test_local_cdf_memo_holds_one_shapes_columns(self, monkeypatch):
-        monkeypatch.setattr(coverage_table, "_CDF_FLOATS", 3 * 8)
-        _cdf_memo.clear()
-        for l in (1, 2, 3, 1, 4):  # reading l = 1 again makes l = 2 the oldest
-            _local_cdf(5, l, 8)
-        assert list(_cdf_memo) == [(5, 3, 8), (5, 1, 8), (5, 4, 8)]
-        _local_cdf(5, 1, 4)  # another rule
-        assert list(_cdf_memo) == [(5, 1, 4)]
-        _local_cdf(6, 1, 4)  # another local sample size
-        assert list(_cdf_memo) == [(6, 1, 4)]
-
-    def test_searches_of_one_shape_compute_each_local_cdf_once(self):
-        key = TableKey(8, 60)
-        table = CoverageTable(key=key)
-        _cdf_memo.clear()
-        _entry_engine.cache_clear()
-        select_ranks(key, 0.2, table=table)
-        select_ranks(key, 0.1, table=table)
-        assert len(_cdf_memo) == len({l for l, _ in table.entries})
+    def test_chernoff_root_at_the_top_rank_is_exact(self):
+        for m in (1, 2, 7, 1000, 10**6):
+            assert _chernoff(m, m) == -80 * math.log(2) / m
 
     def test_column_monotone_in_both_ranks(self):
         key = TableKey(6, 8)
@@ -202,6 +170,19 @@ class TestFastPath:
             for k in range(1, m + 1):
                 got = coverage_probability(TableKey(m, 1), RankPair(1, k))
                 assert got == pytest.approx(k / (m + 1), abs=1e-13)
+
+    @pytest.mark.parametrize("size", [10**3, 10**4, 10**5, 10**6])
+    def test_closed_forms_at_large_shapes(self, size):
+        # l / (n + 1) for one agent, and the local-rank-n product for m agents
+        # of n = 10^6 / m scores, to 1e-14 at up to 10^6 cells
+        for l in sorted({1, 2, size // 3, size // 2, 9 * size // 10, size - 1, size}):
+            got = coverage_probability(TableKey(1, size), RankPair(l, 1))
+            assert abs(got - l / (size + 1)) <= 1e-14, l
+        m = min(size, 10**5)
+        n = 10**6 // m
+        for k in sorted({1, 2, m // 3, m // 2, 9 * m // 10, m - 1, m}):
+            got = coverage_probability(TableKey(m, n), RankPair(n, k))
+            assert abs(got - max_report_coverage(m, n, k)) <= 1e-14, k
 
     def test_rank_bounds_validated(self):
         with pytest.raises(InvalidArgumentError):
@@ -258,6 +239,28 @@ class TestCertifiedLevel:
         table = CoverageTable(TableKey(3, 4), entries={(2, 2): 0.75})
         assert not _reaches(table, 2, 2, 0.25)
         assert table.entries == {(2, 2): 0.75}
+
+    def test_near_tie_above_the_settlement_budget_counts_as_missing(self, monkeypatch):
+        # at (60, 60), above SETTLE_CELLS, a tie that no closed form settles
+        # is not expanded: the entry fails, and the search takes another
+        # pair that reaches the level
+        key = TableKey(60, 60)
+        assert key.m * key.n > SETTLE_CELLS
+        ranks, value = select_ranks(key, 0.1)
+        l, k = ranks.local_rank, ranks.server_rank
+        assert l not in (1, key.n)
+        alpha = 1.0 - value
+
+        def expand(*args):
+            raise AssertionError("the general expansion ran")
+
+        monkeypatch.setattr(coverage_table, "_count_polynomial", expand)
+        table = CoverageTable(key=key)
+        tied, reached = select_ranks(key, alpha, table=table)
+        assert abs(table.entries[(l, k)] - (1.0 - alpha)) <= LEVEL_MARGIN
+        assert tied != ranks
+        assert reached >= 1.0 - alpha
+        assert table.entries[(tied.local_rank, tied.server_rank)] == reached
 
     @staticmethod
     def _small_entries(m):
@@ -418,6 +421,19 @@ class TestSelectRanks:
         table = CoverageTable(key=TableKey(20, 40))
         select_ranks(table.key, 0.1, table=table)
         assert len(table.entries) <= 20
+
+    def test_large_shape_builds_no_rule_above_256_nodes(self, monkeypatch):
+        sizes = []
+        rule = coverage_table._legendre_rule
+        monkeypatch.setattr(
+            coverage_table, "_legendre_rule", lambda count: sizes.append(count) or rule(count)
+        )
+        coverage_table._checked_rule.cache_clear()
+        _entry_engine.cache_clear()
+        table = CoverageTable(key=TableKey(1000, 1000))
+        select_ranks(table.key, 0.1, table=table)
+        assert len(table.entries) > 100
+        assert 0 < max(sizes) <= 256
 
     def test_infeasible_alpha_raises(self):
         # the all-maximum entry has coverage mn/(mn+1); below that nothing works

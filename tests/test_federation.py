@@ -482,6 +482,30 @@ def test_non_integer_count_or_rank_refused(name):
         call()
 
 
+_GRID = BinGrid.uniform(1.0, 10)
+NON_REAL_CALLS = {
+    "delta": (
+        lambda x: conditional_miscoverage_quantile(TableKey(2, 2), RankPair(1, 1), x), "delta"
+    ),
+    "dp epsilon": (lambda x: DpConfig(epsilon=x, grid=_GRID), "epsilon"),
+    "grid s_max": (lambda x: BinGrid.uniform(x, 10), "s_max"),
+    "correction gamma*alpha": (lambda x: rank_correction(5.0, 10, 3, x), r"gamma\*alpha"),
+    "correction epsilon": (lambda x: rank_correction(x, 10, 3, 0.1), "epsilon"),
+    "release epsilon": (
+        lambda x: privacy.private_quantile([0.5], 0.5, x, _GRID, np.random.default_rng(0)),
+        "epsilon",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["0.1", 0.1j, None], ids=["str", "complex", "none"])
+@pytest.mark.parametrize("name", sorted(NON_REAL_CALLS))
+def test_non_real_argument_refused(name, value):
+    call, argument = NON_REAL_CALLS[name]
+    with pytest.raises(InvalidArgumentError, match=f"^{argument} must be a real number"):
+        call(value)
+
+
 class TestFederationSpec:
     def test_negative_seed_refused(self):
         with pytest.raises(InvalidArgumentError, match="seed"):
