@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
@@ -301,7 +302,9 @@ def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
     the integers 0..m-1, each present, and each agent's scores keep their
     order in the file. Otherwise each path contributes one agent in order,
     one score per line. Every score must be a finite number. A bad row is
-    reported as ``InvalidArgumentError`` naming ``path:line``.
+    reported as ``InvalidArgumentError`` naming ``path:line``. ``paths``
+    must be a sequence of paths: a lone ``str``, ``bytes`` or path object
+    is refused.
 
     A plain file (unquoted ASCII numbers, lines ending in LF or CRLF) is
     parsed in one call to numpy's C parser. A file with quoted cells,
@@ -309,6 +312,8 @@ def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
     other text numpy refuses, or with a bad row, is walked row by row.
     Both read the same syntax and raise the same errors.
     """
+    if isinstance(paths, (str, bytes, os.PathLike)):
+        raise InvalidArgumentError(f"pass a list of score files, not the single path {paths!r}")
     paths = list(paths)
     if not paths:
         raise InvalidArgumentError("no score files given")

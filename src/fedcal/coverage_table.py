@@ -18,10 +18,12 @@ that an agent's l-th smallest score falls below t, and the integrand the
 chance that at least k agents' do, i.e. that the threshold falls below t.
 A 128-node Gauss-Legendre rule integrates it over the window of t where it
 is not within 2^-80 of 0 or 1. Where a comparison with the level 1 - alpha
-is closer than the rounding can decide, the coverage, a rational number,
-is settled exactly. Coverage is nondecreasing in both ranks, which the
-rank search exploits so that only a thin frontier of (local_rank,
-server_rank) entries is ever evaluated.
+is closer than the rounding can decide, a closed form settles the
+coverage exactly if one applies (one agent, an extreme local rank, or the
+centre of the table, where coverage is 1/2 by symmetry); otherwise the
+entry counts as missing the level. Coverage is nondecreasing in both
+ranks, which the rank search exploits so that only a thin frontier of
+(local_rank, server_rank) entries is ever evaluated.
 
 The same integrand is the exact law of the coverage given the calibration
 set; ``conditional_miscoverage_quantile`` inverts it for the
@@ -38,8 +40,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, reduce
-from itertools import accumulate
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -150,11 +151,10 @@ class CoverageTable:
 # production path: Gauss-Legendre quadrature of the order-statistic integral
 # ---------------------------------------------------------------------------
 
-# A comparison with 1 - alpha closer than this is settled exactly. The engine
-# errs by at most a quarter of it, _legendre_rule's moments by at most half.
+# A comparison with 1 - alpha closer than this is settled exactly or fails.
+# The engine errs by at most a quarter of it, _legendre_rule's moments by at
+# most half.
 LEVEL_MARGIN = 1e-11
-
-SETTLE_CELLS = 2500  # m*n above which only closed forms settle; (70, 70) takes 36 s
 
 
 @lru_cache(maxsize=8)
@@ -256,14 +256,13 @@ def _entry_engine(m: int, n: int, l: int, k: int) -> float:
 
 @lru_cache(maxsize=256)
 def _settled(m: int, n: int, l: int, k: int) -> Fraction | None:
-    """Exact coverage at ranks (l, k), or None where that is too costly.
+    """Exact coverage at ranks (l, k) where a closed form gives it, else None.
 
-    Closed forms cover the shapes of systematic exact ties: l / (n + 1) for
-    one agent, :func:`_max_report_exact` for l = n and, mirrored, l = 1.
-    Otherwise, up to ``SETTLE_CELLS`` cells, it integrates P(at most k - 1
-    covered), or 1 - P(at most m - k uncovered) if that counts fewer:
-    sum_r Q[r] r! (T-r)! / (T+1)! over the coefficients Q of
-    :func:`_count_polynomial`, T = m n.
+    One agent covers with probability l / (n + 1), and local rank n gives
+    :func:`_max_report_exact`. Reflecting every score (s -> -s) turns the
+    (l, k) threshold into minus the (n + 1 - l, m + 1 - k) one, so
+    coverage(l, k) + coverage(n + 1 - l, m + 1 - k) = 1: that gives l = 1
+    from l = n, and exactly 1/2 at the centre 2 l = n + 1, 2 k = m + 1.
     """
     if m == 1:
         return Fraction(l, n + 1)
@@ -271,17 +270,9 @@ def _settled(m: int, n: int, l: int, k: int) -> Fraction | None:
         return _max_report_exact(m, n, k)
     if l == 1:
         return 1 - _max_report_exact(m, n, m - k + 1)
-    if m * n > SETTLE_CELLS:
-        return None
-    covered = k - 1 <= m - k
-    total = m * n
-    weight, numerator = math.factorial(total), 0  # weight = r! (T-r)!
-    for r, coefficient in enumerate(_count_polynomial(m, n, l, min(k - 1, m - k), covered)):
-        numerator += coefficient * weight
-        if r < total:
-            weight = weight * (r + 1) // (total - r)
-    integral = Fraction(numerator, math.factorial(total + 1))
-    return integral if covered else 1 - integral
+    if 2 * l == n + 1 and 2 * k == m + 1:
+        return Fraction(1, 2)
+    return None
 
 
 def _max_report_exact(m: int, n: int, k: int) -> Fraction:
@@ -291,26 +282,6 @@ def _max_report_exact(m: int, n: int, k: int) -> Fraction:
     for i in range(k, m + 1):
         coverage *= Fraction(n * i, n * i + 1)
     return coverage
-
-
-def _count_polynomial(m: int, n: int, l: int, limit: int, covered: bool) -> list[int]:
-    """P(at most ``limit`` agents covered, or uncovered if not ``covered``)
-    in the basis t^r (1-t)^(T-r), T = m n, where G has the integer
-    coefficients C(n, i) for i >= l, 1 - G those for i < l, and products
-    convolve them. With X the counted side, j of the m agents count with
-    C(m, j) X^j Y^(m-j).
-    """
-    binomials = np.array([math.comb(n, i) for i in range(n + 1)], dtype=object)
-    counted = (np.arange(n + 1) >= l) == covered
-    x, y = np.where(counted, binomials, 0), np.where(counted, 0, binomials)
-    one = np.array([1], dtype=object)
-    x_powers = list(accumulate([x] * limit, np.convolve, initial=one))
-    y_power = reduce(np.convolve, [y] * (m - limit), one)
-    polynomial = 0
-    for j in range(limit, -1, -1):  # Y^(m-j) grows as j falls
-        polynomial = polynomial + math.comb(m, j) * np.convolve(x_powers[j], y_power)
-        y_power = np.convolve(y_power, y) if j else y_power
-    return polynomial.tolist()
 
 
 def _table_for(table: CoverageTable | None, m: int, n: int) -> CoverageTable:
@@ -341,8 +312,9 @@ def _reaches(table: CoverageTable, local_rank: int, server_rank: int, alpha: flo
     """Whether the entry reaches 1 - alpha.
 
     A value more than ``LEVEL_MARGIN`` from the level is decided as it is.
-    A nearer one is settled: the exact coverage is compared with 1 - alpha
-    exactly and stored correctly rounded; one too costly to settle fails.
+    A nearer one is settled: where :func:`_settled` gives the exact
+    coverage it is compared with 1 - alpha exactly and stored correctly
+    rounded; where no closed form applies the entry fails.
     """
     value, target = _entry(table, local_rank, server_rank), 1.0 - alpha
     if abs(value - target) > LEVEL_MARGIN:
@@ -390,18 +362,18 @@ def select_ranks(
     Where (1 - alpha)^n underflows every start is the bound, and the upward
     steps of the whole walk total at most m. Entries are read through
     ``table`` (a fresh one when none is given). An entry within
-    ``LEVEL_MARGIN`` of 1 - alpha is settled exactly and stored at its exact
-    value, so every decision is the exact one and the search may probe in
-    any order. Above ``SETTLE_CELLS`` cells a near-tie that no closed form
-    (m = 1, l = n, l = 1) settles counts as missing the level: the chosen
-    pair still reaches it, but a pair of smaller coverage may be passed
-    over. Ties are broken toward the smallest local rank, then the smallest
-    server rank. The chosen entry, on which the guarantee rests, is
-    recomputed and must match the stored value (see :func:`_check_stored`);
-    the stored value is the one returned. A single agent (m = 1) covers with
-    probability l / (n + 1), so there the split rank (see
-    :func:`fedcal.order_stats.split_rank`), the smallest l reaching the
-    level, is probed directly, with no walk.
+    ``LEVEL_MARGIN`` of 1 - alpha that a closed form settles (m = 1, l = n,
+    l = 1, or the centre 2 l = n + 1, 2 k = m + 1, where coverage is 1/2) is
+    stored at its exact value, so that decision is the exact one and the
+    search may probe in any order. A near-tie that no closed form settles
+    counts as missing the level: the chosen pair still reaches it, but a
+    pair of smaller coverage may be passed over. Ties are broken toward the
+    smallest local rank, then the smallest server rank. The chosen entry, on
+    which the guarantee rests, is recomputed and must match the stored value
+    (see :func:`_check_stored`); the stored value is the one returned. A
+    single agent (m = 1) covers with probability l / (n + 1), so there the
+    split rank (see :func:`fedcal.order_stats.split_rank`), the smallest l
+    reaching the level, is probed directly, with no walk.
 
     Raises
     ------
@@ -469,8 +441,8 @@ def _check_stored(table: CoverageTable, ranks: RankPair) -> None:
     catch a forged value that stays monotone. The engine is within
     ``LEVEL_MARGIN / 4`` of the exact coverage, so an accepted value lies
     within ``3 * LEVEL_MARGIN / 4`` of it. The search compared only values
-    more than ``LEVEL_MARGIN`` from the level by float and settled the
-    rest, so its verdict on an accepted entry is the exact one.
+    more than ``LEVEL_MARGIN`` from the level by float and settled or
+    refused the rest, so an accepted entry it chose does reach the level.
     """
     l, k = ranks.local_rank, ranks.server_rank
     stored = table.entries[(l, k)]

@@ -42,15 +42,18 @@ def check_alpha(alpha: float) -> float:
 
 
 def check_real(value, name: str) -> float:
-    """``value`` as a Python float; a value that is not a real number is refused."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a Python float; a value that is not a real number, or is
+    a bool, is refused."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
 
 def check_integer(value, name: str) -> int:
-    """``value`` as an int; a float or any other non-integer is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int; a bool, a float or any other non-integer is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")

@@ -209,6 +209,11 @@ def rank_correction(epsilon: float, bins: int, agents: int, gamma_alpha: float) 
         raise InvalidArgumentError(f"gamma*alpha must be in (0, 1), got {gamma_alpha}")
     # 1 - (1-x)^(1/m) via expm1/log1p keeps precision for tiny gamma_alpha
     tail = -math.expm1(math.log1p(-gamma_alpha) / agents)
+    if tail == 0.0:
+        raise InvalidArgumentError(
+            f"gamma*alpha = {gamma_alpha} is too small for {agents} agents: "
+            "the correction would be infinite"
+        )
     return math.ceil((2.0 / epsilon) * math.log(bins / tail))
 
 

@@ -245,7 +245,7 @@ def select_ranks_by_gallop(m: int, n: int, alpha: float):
     node, so they are exact up to rounding. A value
     within ``LEVEL_MARGIN`` of 1 - alpha is settled to the exact rational
     of ``_settled``, by this function's own rule rather than the search's;
-    where ``_settled`` declines (a large shape with no closed form) the
+    where ``_settled`` declines (an entry no closed form covers) the
     entry counts as missing the level and keeps its quadrature value.
     Returns ((local_rank, server_rank), value, entries read).
     """

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +332,15 @@ class TestCsvIngestion:
     def test_no_paths_refused(self):
         with pytest.raises(InvalidArgumentError, match="no score files given"):
             read_score_matrix_csv([])
+
+    @pytest.mark.parametrize("as_path", [str, Path, lambda p: bytes(p)], ids=["str", "path", "bytes"])
+    def test_single_path_refused(self, tmp_path, as_path):
+        # a lone path would be iterated over: a str by its characters, bytes
+        # by their values, each opened as a file descriptor
+        path = tmp_path / "scores.csv"
+        path.write_text("agent,score\n0,1.0\n1,2.0\n")
+        with pytest.raises(InvalidArgumentError, match="pass a list of score files"):
+            read_score_matrix_csv(as_path(path))
 
     def test_agent_column_format(self, tmp_path):
         path = tmp_path / "all.csv"

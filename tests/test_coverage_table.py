@@ -30,7 +30,6 @@ from fedcal import coverage_table
 from fedcal.coverage_table import (
     LEVEL_MARGIN,
     MONOTONE_TOL,
-    SETTLE_CELLS,
     _chernoff,
     _entry_engine,
     _legendre_rule,
@@ -184,6 +183,34 @@ class TestFastPath:
             got = coverage_probability(TableKey(m, n), RankPair(n, k))
             assert abs(got - max_report_coverage(m, n, k)) <= 1e-14, k
 
+    @pytest.mark.parametrize("m, n", [(200, 200), (1000, 1000), (10**5, 10), (10, 10**5), (999, 1001)])
+    def test_reflected_entries_sum_to_one(self, m, n):
+        # coverage(l, k) + coverage(n + 1 - l, m + 1 - k) = 1 (reflect every
+        # score) checks the engine where no exact oracle reaches: entries
+        # on the frontier of seeded levels, within LEVEL_MARGIN / 2
+        key, rng = TableKey(m, n), np.random.default_rng(m + 7 * n)
+        checked = 0
+        for _ in range(200):
+            if checked == 8:
+                break
+            l, level = int(rng.integers(1, n + 1)), float(rng.uniform(0.02, 0.98))
+            low, high = 1, m  # the smallest k whose coverage reaches the level
+            if coverage_probability(key, RankPair(l, m)) < level:
+                continue
+            while low < high:
+                middle = (low + high) // 2
+                if coverage_probability(key, RankPair(l, middle)) >= level:
+                    high = middle
+                else:
+                    low = middle + 1
+            here = coverage_probability(key, RankPair(l, low))
+            if not 0.01 < here < 0.99:
+                continue
+            mirrored = coverage_probability(key, RankPair(n + 1 - l, m + 1 - low))
+            assert abs(here + mirrored - 1.0) <= LEVEL_MARGIN / 2, (l, low)
+            checked += 1
+        assert checked == 8
+
     def test_rank_bounds_validated(self):
         with pytest.raises(InvalidArgumentError):
             coverage_probability(TableKey(3, 4), RankPair(5, 1))
@@ -240,27 +267,37 @@ class TestCertifiedLevel:
         assert not _reaches(table, 2, 2, 0.25)
         assert table.entries == {(2, 2): 0.75}
 
-    def test_near_tie_above_the_settlement_budget_counts_as_missing(self, monkeypatch):
-        # at (60, 60), above SETTLE_CELLS, a tie that no closed form settles
-        # is not expanded: the entry fails, and the search takes another
-        # pair that reaches the level
-        key = TableKey(60, 60)
-        assert key.m * key.n > SETTLE_CELLS
+    @pytest.mark.parametrize("m, n", [(60, 60), (20, 40)])
+    def test_near_tie_no_closed_form_settles_counts_as_missing(self, m, n):
+        # at 1 - alpha equal to the coverage of an entry that no closed form
+        # settles, above 2500 cells and below, the entry fails, and the
+        # search takes another pair that reaches the level
+        key = TableKey(m, n)
         ranks, value = select_ranks(key, 0.1)
         l, k = ranks.local_rank, ranks.server_rank
-        assert l not in (1, key.n)
+        assert 1 < l < n and (2 * l, 2 * k) != (n + 1, m + 1)
+        assert _settled(m, n, l, k) is None
         alpha = 1.0 - value
-
-        def expand(*args):
-            raise AssertionError("the general expansion ran")
-
-        monkeypatch.setattr(coverage_table, "_count_polynomial", expand)
         table = CoverageTable(key=key)
         tied, reached = select_ranks(key, alpha, table=table)
         assert abs(table.entries[(l, k)] - (1.0 - alpha)) <= LEVEL_MARGIN
         assert tied != ranks
         assert reached >= 1.0 - alpha
         assert table.entries[(tied.local_rank, tied.server_rank)] == reached
+
+    @pytest.mark.parametrize(
+        "m, n, pair",
+        [(49, 51, (26, 25)), (51, 51, (26, 26)), (61, 61, (31, 31)), (101, 99, (50, 51)), (3, 1001, (501, 2))],
+    )
+    def test_median_tie_settles_at_the_centre(self, m, n, pair):
+        # at alpha = 0.5 the centre entry covers exactly 1/2, the smallest
+        # coverage any feasible pair can have, and its closed form settles it
+        assert (2 * pair[0], 2 * pair[1]) == (n + 1, m + 1)
+        table = CoverageTable(key=TableKey(m, n))
+        ranks, value = select_ranks(TableKey(m, n), 0.5, table=table)
+        assert (ranks.local_rank, ranks.server_rank) == pair
+        assert value == 0.5
+        assert table.entries[pair] == 0.5
 
     @staticmethod
     def _small_entries(m):
@@ -272,22 +309,51 @@ class TestCertifiedLevel:
             for k in range(1, m + 1)
         ]
 
+    @staticmethod
+    def _closed_form(m, n, l, k):
+        # which of _settled's closed forms applies, if any
+        if m == 1:
+            return "one agent"
+        if l == n:
+            return "top local rank"
+        if l == 1:
+            return "bottom local rank"
+        if (2 * l, 2 * k) == (n + 1, m + 1):
+            return "centre"
+        return None
+
     @pytest.mark.parametrize("m", range(1, 13))
     def test_settled_matches_exact_rationals(self, m):
+        # a value wherever a closed form applies, equal to the exact rational,
+        # and None wherever none does
         for case in self._small_entries(m):
-            assert _settled(*case) == coverage_exact_fraction(*case), case
+            settled = _settled(*case)
+            if self._closed_form(*case) is None:
+                assert settled is None, case
+            else:
+                assert settled == coverage_exact_fraction(*case), case
 
     def test_settled_sweep_reaches_every_route(self):
-        # the sweep above takes the closed forms and both sides of the count
-        # polynomial, covered (k - 1 <= m - k) and uncovered
+        # the sweep above takes all four closed forms, and entries none settles
         cases = [case for m in range(1, 13) for case in self._small_entries(m)]
         assert len(cases) == 264
-        polynomial_sides = {k - 1 <= m - k for (m, n, l, k) in cases if m > 1 and 1 < l < n}
-        assert polynomial_sides == {True, False}
+        routes = {self._closed_form(*case) for case in cases}
+        assert routes == {"one agent", "top local rank", "bottom local rank", "centre", None}
+        assert any(_settled(*case) is None for case in cases)
+
+    def test_reflected_entries_sum_to_one_exactly(self):
+        # reflecting every score maps the (l, k) threshold to minus the
+        # (n + 1 - l, m + 1 - k) one, so the two coverages sum to 1
+        for (m, n, l, k) in [case for size in range(1, 13) for case in self._small_entries(size)]:
+            mirrored = coverage_exact_fraction(m, n, n + 1 - l, m + 1 - k)
+            assert coverage_exact_fraction(m, n, l, k) + mirrored == 1, (m, n, l, k)
 
     def test_closed_forms_match_exact_rationals(self):
-        # one agent, l = n, n = 1 and l = 1 take closed forms
-        for (m, n, l, k) in [(1, 6, 4, 1), (3, 4, 4, 2), (4, 3, 3, 1), (5, 1, 1, 3), (3, 4, 1, 2), (4, 3, 1, 4)]:
+        # one agent, l = n, n = 1, l = 1 and the centre take closed forms
+        for (m, n, l, k) in [
+            (1, 6, 4, 1), (3, 4, 4, 2), (4, 3, 3, 1), (5, 1, 1, 3), (3, 4, 1, 2), (4, 3, 1, 4),
+            (3, 3, 2, 2), (5, 3, 2, 3),
+        ]:
             assert _settled(m, n, l, k) == coverage_exact_fraction(m, n, l, k)
 
     @pytest.mark.parametrize(
@@ -491,8 +557,10 @@ class TestSelectRanks:
         lambda: TableKey(10, 20.5),
         lambda: coverage_probability(TableKey(3, 4), RankPair(2.5, 2)),
         lambda: coverage_probability(TableKey(3, 4), RankPair(2, 1.5)),
+        lambda: TableKey(True, 5),
+        lambda: coverage_probability(TableKey(3, 4), RankPair(True, 2)),
     ],
-    ids=["table-key", "table-key-n", "rank-pair", "rank-pair-server"],
+    ids=["table-key", "table-key-n", "rank-pair", "rank-pair-server", "table-key-bool", "rank-pair-bool"],
 )
 def test_non_integer_sizes_and_ranks_refused(call):
     with pytest.raises(InvalidArgumentError, match="must be an integer"):

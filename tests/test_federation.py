@@ -498,7 +498,7 @@ NON_REAL_CALLS = {
 }
 
 
-@pytest.mark.parametrize("value", ["0.1", 0.1j, None], ids=["str", "complex", "none"])
+@pytest.mark.parametrize("value", ["0.1", 0.1j, None, True], ids=["str", "complex", "none", "bool"])
 @pytest.mark.parametrize("name", sorted(NON_REAL_CALLS))
 def test_non_real_argument_refused(name, value):
     call, argument = NON_REAL_CALLS[name]

@@ -236,6 +236,11 @@ class TestRankCorrection:
         with pytest.raises(InvalidArgumentError):
             rank_correction(1.0, 100, 10, 0.0)
 
+    def test_underflowing_tail_refused(self):
+        # 1 - (1 - 5e-324)^(1/10) underflows to 0: the correction would be infinite
+        with pytest.raises(InvalidArgumentError, match="correction would be infinite"):
+            rank_correction(5.0, 100, 10, 5e-324)
+
 
 class TestSelectGamma:
     def test_matches_exhaustive_candidate_scan(self):
