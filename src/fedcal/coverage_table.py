@@ -44,7 +44,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .errors import (
     InfeasibleError,
@@ -238,6 +237,12 @@ def _entry_engine(m: int, n: int, l: int, k: int) -> float:
     else doubled up to 4096. That error, plus the ``LEVEL_MARGIN / 2`` that
     :func:`_check_stored` allows, keeps every float decision exact.
     """
+    # scipy.special takes longer to import than the rest of the CLI, and only
+    # the coverage engine, the private distribution and the Monte-Carlo
+    # penalty use it, so each of them imports it itself: the first call loads
+    # it, and later calls only look it up
+    from scipy.special import betainc, betaincinv
+
     low, rest = math.exp(_chernoff(m, k)), math.exp(_chernoff(m, m - k + 1))
     a, tail = betaincinv((l, n - l + 1), (n - l + 1, l), (low, rest))  # tail = 1 - b
     width = 1.0 - tail - a
@@ -396,7 +401,7 @@ def _walk_frontier(table: CoverageTable, alpha: float) -> tuple[RankPair, float]
     if not _reaches(table, n, m, alpha):
         raise InfeasibleError(
             f"coverage {table.entries[(n, m)]:.6f} at ranks ({n}, {m}) is below "
-            f"{1.0 - alpha}; no rank pair reaches the requested level for m={m}, n={n}"
+            f"1 - {alpha!r}; no rank pair reaches the requested level for m={m}, n={n}"
         )
     if m == 1:
         # one agent covers with probability l / (n + 1), increasing in l, so
@@ -474,6 +479,8 @@ def conditional_miscoverage_quantile(key: TableKey, ranks: RankPair, delta: floa
     ranks.validate(key)
     if not 0.0 < check_real(delta, "delta") < 1.0:
         raise InvalidArgumentError(f"delta must be in (0, 1), got {delta}")
+    from scipy.special import betaincinv  # on first use, as in _entry_engine
+
     l, k = ranks.local_rank, ranks.server_rank
     g = betaincinv(k, key.m - k + 1, delta)
     return float(1.0 - betaincinv(l, key.n - l + 1, g))

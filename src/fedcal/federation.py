@@ -23,7 +23,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-from scipy.special import betainc
 
 from .conformal import (
     CalibrationResult,
@@ -527,6 +526,8 @@ def heterogeneity_tv_penalty(
     and the binomial with their mean. The i.i.d. coverage minus this
     penalty lower-bounds the heterogeneous coverage.
     """
+    from scipy.special import betainc  # on first use, as in coverage_table._entry_engine
+
     offsets = _agent_shifts(shifts, key.m)
     RankPair(local_rank, 1).validate(key)
     if check_integer(draws, "draws") < 1:

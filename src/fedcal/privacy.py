@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import softmax
 
 from .conformal import CalibrationResult, _one_shot_round
 from .coverage_table import (
@@ -175,6 +174,8 @@ def private_quantile_distribution(
     scores: Sequence[float], q: float, epsilon: float, grid: BinGrid
 ) -> np.ndarray:
     """Exact output distribution of :func:`private_quantile` over the B edges."""
+    from scipy.special import softmax  # on first use, as in coverage_table._entry_engine
+
     return softmax(_logits(_one_agent(scores, q, epsilon, grid), q, epsilon, grid.bins)[0])
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -110,9 +111,11 @@ class TestFastPath:
         # at (20, 40), ranks (36, 18): G and the integrand are each read once,
         # at the 128 nodes mapped to the window, which the check rule shares;
         # a rule exact on all of [0, 1] has 512
+        # the engine imports betainc from scipy.special when called, so the spy
+        # replaces it there
         sizes = []
         monkeypatch.setattr(
-            coverage_table, "betainc", lambda a, b, x: sizes.append(np.size(x)) or betainc(a, b, x)
+            scipy.special, "betainc", lambda a, b, x: sizes.append(np.size(x)) or betainc(a, b, x)
         )
         _entry_engine.cache_clear()
         _entry_engine(20, 40, 36, 18)
@@ -505,6 +508,11 @@ class TestSelectRanks:
         # the all-maximum entry has coverage mn/(mn+1); below that nothing works
         with pytest.raises(InfeasibleError):
             select_ranks(TableKey(2, 2), 0.1)
+
+    def test_infeasible_message_names_a_level_below_one(self):
+        # 1.0 - 1e-300 rounds to 1.0; the message names the level exactly
+        with pytest.raises(InfeasibleError, match=r"is below 1 - 1e-300; no rank pair"):
+            select_ranks(TableKey(5, 20), 1e-300)
 
     def test_table_reuse_avoids_engine(self):
         key = TableKey(5, 12)
