@@ -9,6 +9,7 @@ file; explicit flags win, unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -95,8 +96,8 @@ def _read_config(path: str) -> dict:
     values: dict = {}
     with open(path, encoding="utf-8-sig") as handle:
         for line_no, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):  # only whole lines are comments
                 continue
             if "=" not in line:
                 raise InvalidArgumentError(f"{path}:{line_no}: expected key=value")
@@ -142,12 +143,12 @@ def _require(options: dict, *names: str) -> None:
         )
 
 
-def _cache_path(options: dict, m: int, n: int) -> Path:
+def _cache_path(options: dict, key: TableKey) -> Path | None:
+    """The cache file that ``--cache`` or FEDCAL_CACHE_DIR names, else None."""
     if options.get("cache"):
         return Path(options["cache"])
-    name = f"qq_table_m{m}_n{n}.txt"
     env_dir = os.environ.get(CACHE_DIR_ENV)
-    return Path(env_dir) / name if env_dir else Path(name)
+    return Path(env_dir) / f"qq_table_m{key.m}_n{key.n}.txt" if env_dir else None
 
 
 def _method(options: dict) -> Method:
@@ -156,20 +157,24 @@ def _method(options: dict) -> Method:
     return METHODS[options["method"]]
 
 
-def _load_or_new_table(path: Path, key: TableKey) -> tuple[CoverageTable, int]:
-    if path.exists():
-        table = load_table(path)
-        if (table.key.m, table.key.n) != (key.m, key.n):
-            raise InvalidArgumentError(
-                f"cache {path} holds (m={table.key.m}, n={table.key.n}), "
-                f"requested (m={key.m}, n={key.n})"
-            )
-        return table, len(table.entries)
-    return CoverageTable(key=key), 0
-
-
-def _save_if_grown(table: CoverageTable, path: Path, loaded_entries: int) -> None:
-    if len(table.entries) != loaded_entries:
+@contextlib.contextmanager
+def _cached_table(options: dict, key: TableKey):
+    """Yield (table, path) for the cache file of ``key``: the table it holds,
+    or a new one when it does not exist, and save it there on a clean exit if
+    it grew. With no cache file named, yield (None, None) and write nothing."""
+    path = _cache_path(options, key)
+    if path is None:
+        yield None, None
+        return
+    table = load_table(path) if path.exists() else CoverageTable(key=key)
+    if (table.key.m, table.key.n) != (key.m, key.n):
+        raise InvalidArgumentError(
+            f"cache {path} holds (m={table.key.m}, n={table.key.n}), "
+            f"requested (m={key.m}, n={key.n})"
+        )
+    loaded = len(table.entries)
+    yield table, path
+    if len(table.entries) != loaded:
         path.parent.mkdir(parents=True, exist_ok=True)
         save_table(table, path)
 
@@ -178,12 +183,11 @@ def _cmd_table(args: argparse.Namespace) -> int:
     options = _resolve(args)
     _require(options, "m", "n", "alpha")
     key = TableKey(options["m"], options["n"])
-    path = _cache_path(options, key.m, key.n)
-    table, loaded_entries = _load_or_new_table(path, key)
-    ranks, coverage = select_ranks(key, options["alpha"], table=table)
-    _save_if_grown(table, path, loaded_entries)
+    with _cached_table(options, key) as (table, path):
+        ranks, coverage = select_ranks(key, options["alpha"], table=table)
     print(f"l*={ranks.local_rank} k*={ranks.server_rank} M={coverage:.15f}")
-    print(f"cache={path}")
+    if path is not None:
+        print(f"cache={path}")
     return 0
 
 
@@ -199,19 +203,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
     _require(options, "alpha", "method")
     method = _method(options)
     agents = read_score_matrix_csv(args.scores)
-    table, path, loaded = None, None, 0
+    cache = contextlib.nullcontext((None, None))
     if method.table:  # a table method needs a balanced block, whose shape keys the cache
         agents = as_block(agents)
-        if options.get("cache") or os.environ.get(CACHE_DIR_ENV):
-            key = TableKey(*agents.shape)
-            path = _cache_path(options, key.m, key.n)
-            table, loaded = _load_or_new_table(path, key)
-    dp, spawn = None, None
-    if method.private:
-        dp, spawn = _dp_config(options), np.random.default_rng(options["seed"]).spawn
-    result = method.bind(options["alpha"], table=table, dp_config=dp)(agents, spawn)
-    if path is not None:
-        _save_if_grown(table, path, loaded)
+        cache = _cached_table(options, TableKey(*agents.shape))
+    with cache as (table, _):
+        dp, spawn = None, None
+        if method.private:
+            dp, spawn = _dp_config(options), np.random.default_rng(options["seed"]).spawn
+        result = method.bind(options["alpha"], table=table, dp_config=dp)(agents, spawn)
     print(f"method={result.method}")
     print(f"q_hat={result.q_hat:.17g}")
     guarantee = result.guaranteed_coverage

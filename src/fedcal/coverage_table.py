@@ -283,10 +283,8 @@ def _settled(m: int, n: int, l: int, k: int) -> Fraction | None:
 def _max_report_exact(m: int, n: int, k: int) -> Fraction:
     """Exact coverage when every agent reports its maximum (local rank n):
     prod_{i=k}^{m} n i / (n i + 1)."""
-    coverage = Fraction(1)
-    for i in range(k, m + 1):
-        coverage *= Fraction(n * i, n * i + 1)
-    return coverage
+    factors = range(k, m + 1)  # one Fraction of two products: one gcd, not one per factor
+    return Fraction(math.prod(n * i for i in factors), math.prod(n * i + 1 for i in factors))
 
 
 def _table_for(table: CoverageTable | None, m: int, n: int) -> CoverageTable:

@@ -178,16 +178,16 @@ _MASK32 = 0xFFFFFFFF
 _KEYS_PER_PASS = 1 << 16
 
 
-def _hash(value, const: int, mult: int):
-    """SeedSequence's multiply-xorshift step on 32-bit words (a Python int or
-    a uint32 array), with the next hash constant."""
+def _hash(value: np.ndarray, const: int, mult: int):
+    """SeedSequence's multiply-xorshift step on uint32 words, with the next
+    hash constant."""
     const_next = const * mult & _MASK32
     value = (value ^ const) * const_next & _MASK32
     return value ^ value >> 16, const_next
 
 
-def _mix(x, y):
-    """SeedSequence's mix of two 32-bit words (Python ints or uint32 arrays)."""
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two arrays of uint32 words."""
     value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
     return value ^ value >> 16
 
@@ -196,45 +196,30 @@ def _stream_states(seed: int, keys: np.ndarray) -> np.ndarray:
     """Row i is ``SeedSequence(seed, spawn_key=keys[i]).generate_state(4,
     np.uint64)``, the state ``substream`` seeds PCG64 with.
 
-    ``keys`` is a (count, d) array of non-negative integers. numpy's
-    entropy mixing and ``generate_state`` run once over all keys whose
-    elements are below 2^32, one word each; any other key, whose elements
-    take several words, goes through ``SeedSequence`` itself.
+    ``keys`` is a (count, d) array of integers in [0, 2^32), one 32-bit word
+    each. numpy mixes every word of the seed into its pool before any word
+    of the spawn key, and a missing pool word is a zero pad, so the keys
+    start from ``SeedSequence(seed).pool`` with the hash constant after its
+    4 * max(words, 4) steps; only the key words are mixed here, in bulk.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise InvalidArgumentError(f"the seed must be >= 0, got {seed}")
-    states = np.empty((len(keys), 4), dtype=np.uint64)
-    fits = np.all((keys >= 0) & (keys <= _MASK32), axis=1)
-    for i in np.flatnonzero(~fits):
-        key = tuple(int(k) for k in keys[i])
-        states[i] = np.random.SeedSequence(seed, spawn_key=key).generate_state(4, np.uint64)
-    # the seed's 32-bit words, low first, zero-padded to the pool size of 4
-    # because a spawn key follows
-    entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy += [0] * (4 - len(entropy))
-    pool, const = [], _INIT_A
-    for word in entropy[:4]:
-        word, const = _hash(word, const, _MULT_A)
-        pool.append(word)
-    for src in range(4):
+    if not np.all((keys >= 0) & (keys <= _MASK32)):
+        raise InternalError("every spawn-key element must lie in [0, 2^32)")
+    const = _INIT_A * pow(_MULT_A, 4 * max(-(-seed.bit_length() // 32), 4), 1 << 32) & _MASK32
+    pool = [np.full(len(keys), word, dtype=np.uint32) for word in np.random.SeedSequence(seed).pool]
+    for key_word in keys.astype(np.uint32).T:
         for dst in range(4):
-            if src != dst:
-                word, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], word)
-    # the seed's words beyond the pool, then the key's, each mixed into every pool word
-    words = keys[fits].astype(np.uint32).T
-    pool = [np.full(words.shape[1], word, dtype=np.uint32) for word in pool]
-    for extra in [*entropy[4:], *words]:
-        for dst in range(4):
-            word, const = _hash(extra, const, _MULT_A)
+            word, const = _hash(key_word, const, _MULT_A)
             pool[dst] = _mix(pool[dst], word)
+    states = np.empty((len(keys), 4), dtype=np.uint64)
     const, halves = _INIT_B, []
     for i in range(8):
         word, const = _hash(pool[i % 4], const, _MULT_B)
         halves.append(word.astype(np.uint64))
     for j in range(4):  # 64-bit word j is 32-bit words 2j (low) and 2j + 1 (high)
-        states[fits, j] = halves[2 * j] | halves[2 * j + 1] << 32
+        states[:, j] = halves[2 * j] | halves[2 * j + 1] << 32
     return states
 
 

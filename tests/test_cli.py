@@ -145,6 +145,14 @@ class TestTableCommand:
         assert code == 0
         assert (tmp_path / "cachedir" / "qq_table_m2_n9.txt").exists()
 
+    def test_no_cache_file_without_flag_or_env_var(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("FEDCAL_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, "table", "--m", "5", "--n", "20", "--alpha", "0.1")
+        assert (code, err) == (0, "")
+        assert "cache=" not in out
+        assert list(tmp_path.iterdir()) == []
+
     def test_cache_loadable_as_library_table(self, tmp_path, capsys):
         cache = tmp_path / "t.txt"
         _run(capsys, "table", "--m", "4", "--n", "8", "--alpha", "0.15", "--cache", str(cache))
@@ -558,6 +566,17 @@ class TestConfigFile:
                               "--cache", str(tmp_path / "t.txt"))
         assert (code, err) == (0, "")
         assert "l*=18 k*=1" in out
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        cache = tmp_path / "run#2" / "t.txt"
+        config.write_text(f"# a whole-line comment\n  # indented too\ncache = {cache}\n")
+        code, out, err = _run(capsys, "table", "--config", str(config),
+                              "--m", "1", "--n", "19", "--alpha", "0.1")
+        assert (code, err) == (0, "")
+        assert f"cache={cache}\n" in out
+        assert cache.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["run#2", "run.cfg"]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
