@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -94,18 +95,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_config(path: str) -> dict:
     values: dict = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):  # only whole lines are comments
-                continue
-            if "=" not in line:
-                raise InvalidArgumentError(f"{path}:{line_no}: expected key=value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in _OPTION_TYPES:
-                raise InvalidArgumentError(f"{path}:{line_no}: unknown key {key!r}")
-            values[key] = value
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):  # only whole lines are comments
+                    continue
+                if "=" not in line:
+                    raise InvalidArgumentError(f"{path}:{line_no}: expected key=value")
+                key, value = (part.strip() for part in line.split("=", 1))
+                key = key.replace("-", "_")
+                if key not in _OPTION_TYPES:
+                    raise InvalidArgumentError(f"{path}:{line_no}: unknown key {key!r}")
+                values[key] = value
+    except UnicodeDecodeError as exc:
+        raise InvalidArgumentError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return values
 
 
@@ -221,13 +225,14 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
             print(f"{name}={result.params[name]}")
     if options.get("out"):
         payload = {
-            "q_hat": result.q_hat,
+            # JSON has no infinity: an infinite threshold (too few scores) is null
+            "q_hat": result.q_hat if math.isfinite(result.q_hat) else None,
             "method": result.method,
             "guaranteed_coverage": guarantee,
             "params": result.params,
         }
         with open(options["out"], "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, default=float)
+            json.dump(payload, handle, indent=2, default=float, allow_nan=False)
             handle.write("\n")
     return 0
 

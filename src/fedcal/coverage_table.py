@@ -202,40 +202,22 @@ def _checked_rule(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return t, w, check
 
 
-@lru_cache(maxsize=1024)
-def _chernoff(m: int, k: int) -> float:
-    """ln G for a G < k/m with m KL(k/m || G) >= 80 ln 2, so that
-    P(Bin(m, G') >= k) <= exp(-m KL(k/m || G')) <= 2^-80 for all G' <= G.
-
-    Newton in x = ln G (1 - G as -expm1(x)) on an objective convex and
-    decreasing in x, from a start that drops its term -(1 - p) ln(1 - G), so
-    iterates stay below the root and only widen the window. Ten steps reach
-    it up to m = 10^6; at k = m the start is the root.
-    """
-    p, q, tiny = k / m, (m - k) / m, 80 * math.log(2) / m
-    base = q * math.log(q) if q else 0.0  # (1 - p) ln(1 - p)
-    x = math.log(p) - (tiny - base) / p
-    for _ in range(10):
-        rest = -math.expm1(x)  # 1 - G
-        excess = p * (math.log(p) - x) + base - q * math.log(rest) - tiny
-        x += excess / (p - q * math.exp(x) / rest)
-    return x
-
-
 @lru_cache(maxsize=4096)
 def _entry_engine(m: int, n: int, l: int, k: int) -> float:
     """Coverage at ranks (l, k) by quadrature, memoised for the process.
 
-    The integrand P(Bin(m, G(t)) >= k) = I_G(k, m - k + 1) is within 2^-80
-    of 0 where G < low = exp(:func:`_chernoff` (m, k)), and of 1 where
-    1 - G < rest = exp(:func:`_chernoff` (m, m - k + 1)), since
-    P(Bin(m, G) < k) = P(Bin(m, 1 - G) >= m - k + 1): for t < a and t > b,
-    a = I^-1(l, n - l + 1; low) and, reflecting I, 1 - b = I^-1(n - l + 1,
-    l; rest). So, up to 2 * 2^-80, coverage = 1 - (1 - b) - (b - a) *
-    sum_i w_i I_{G(t_i)}(k, m - k + 1) on a rule mapped to [a, b]: 128 nodes
-    where :func:`_checked_rule`'s check agrees within ``LEVEL_MARGIN / 4``,
-    else doubled up to 4096. That error, plus the ``LEVEL_MARGIN / 2`` that
-    :func:`_check_stored` allows, keeps every float decision exact.
+    The integrand P(Bin(m, G(t)) >= k) = I_G(k, m - k + 1), the threshold's
+    law, is below 2^-81 where G < low = I^-1(k, m - k + 1; 2^-81), and, as
+    P(Bin(m, G) < k) = I_{1-G}(m - k + 1, k), above 1 - 2^-81 where 1 - G <
+    rest = I^-1(m - k + 1, k; 2^-81). ``betaincinv`` errs there by at most
+    7.6e-10 relative up to m = 10^6, so each dropped tail stays below 2^-80:
+    for t < a and t > b, a = I^-1(l, n - l + 1; low) and, reflecting I,
+    1 - b = I^-1(n - l + 1, l; rest). So, up to 2 * 2^-80, coverage =
+    1 - (1 - b) - (b - a) * sum_i w_i I_{G(t_i)}(k, m - k + 1) on a rule
+    mapped to [a, b]: 128 nodes where :func:`_checked_rule`'s check agrees
+    within ``LEVEL_MARGIN / 4``, else doubled up to 4096. That error, plus
+    the ``LEVEL_MARGIN / 2`` that :func:`_check_stored` allows, keeps every
+    float decision exact.
     """
     # scipy.special takes longer to import than the rest of the CLI, and only
     # the coverage engine, the private distribution and the Monte-Carlo
@@ -243,7 +225,7 @@ def _entry_engine(m: int, n: int, l: int, k: int) -> float:
     # it, and later calls only look it up
     from scipy.special import betainc, betaincinv
 
-    low, rest = math.exp(_chernoff(m, k)), math.exp(_chernoff(m, m - k + 1))
+    low, rest = betaincinv((k, m - k + 1), (m - k + 1, k), 2.0**-81)
     a, tail = betaincinv((l, n - l + 1), (n - l + 1, l), (low, rest))  # tail = 1 - b
     width = 1.0 - tail - a
     for count in (128, 256, 512, 1024, 2048, 4096):

@@ -389,7 +389,10 @@ def coverage_experiment(
     ``method`` is any ``METHODS`` name, ``centralized`` included, which
     calibrates on the m agents' pooled scores: only :func:`run_one_shot`,
     which simulates a protocol round, refuses a method that exceeds one
-    uplink message per agent.
+    uplink message per agent. For the private method the agents'
+    calibration scores are clipped at ``dp_config.grid.s_max``, as
+    :class:`~fedcal.privacy.BinGrid` asks of its caller; test scores stay
+    raw, so a threshold at the top edge covers only those up to s_max.
     """
     if check_integer(replications, "replications") < 1:
         raise InvalidArgumentError(f"replications must be >= 1, got {replications}")
@@ -407,6 +410,8 @@ def coverage_experiment(
     children = m if entry.private else 0
     for rep, streams in enumerate(_replication_streams(spec.seed, replications, m + 1, children)):
         agents = _replication(sampler, streams[:m], spec.n) + offsets
+        if entry.private:
+            agents = np.minimum(agents, dp_config.grid.s_max)
         result = calibrate(agents, lambda _: streams[m + 1 :])
         test = sampler.sample(streams[m], test_size)
         # np.mean's float64 sum of 0s and 1s is this exact count, so both

@@ -525,12 +525,17 @@ def coverage_rows_by_substream(
     """``coverage_experiment``'s rows, each stream built by ``substream``.
 
     ``centralized``, which ``run_one_shot`` refuses, is split calibration
-    on the replication's pooled (m, n) block."""
+    on the replication's pooled (m, n) block. The private method's
+    calibration scores are clipped at the grid's s_max, its test scores
+    are not."""
     offsets = _agent_shifts(shifts, spec.m)[:, None]
+    private = method.replace("_", "-") == "fedcp2-qq"
     table = CoverageTable(key=TableKey(spec.m, spec.n))
     rows: list[dict] = []
     for rep in range(replications):
         agents = _replication_by_substream(sampler, spec.seed, rep, spec.m, spec.n) + offsets
+        if private:
+            agents = np.clip(agents, None, dp_config.grid.s_max)
         if method == "centralized":
             result = split_cp_calibrate(agents.ravel(), spec.alpha)
         else:

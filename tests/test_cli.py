@@ -234,6 +234,21 @@ class TestCalibrateCommand:
         assert payload["q_hat"] == 18.0
         assert payload["method"] == "centralized"
 
+    def test_infinite_threshold_is_null_in_strict_json(self, tmp_path, capsys):
+        # three scores cannot reach 0.9: q_hat is +inf, which JSON cannot spell
+        path = tmp_path / "three.csv"
+        path.write_text("agent,score\n0,0.5\n0,1.5\n0,2.5\n")
+        out_path = tmp_path / "result.json"
+        code, out, _ = _run(capsys, "calibrate", str(path), "--alpha", "0.1",
+                            "--method", "centralized", "--out", str(out_path))
+        assert code == 0 and "q_hat=inf\n" in out
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out_path.read_text(), parse_constant=refuse)
+        assert payload["q_hat"] is None
+
     def test_malformed_csv_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("1.0\noops\n")
@@ -541,6 +556,15 @@ class TestSimulateCommand:
         assert (code, err) == (0, "")
         assert _digest(out) == self.FROZEN_SAMPLER_ROWS[(sampler, method, seed)]
 
+    @pytest.mark.parametrize("sampler", ["exponential", "outlier"])
+    def test_private_method_clips_unbounded_samplers(self, capsys, sampler):
+        # their scores pass --smax 8; the simulator clips them, as BinGrid asks
+        code, out, err = _run(capsys, "simulate", "--m", "30", "--n", "30", "--alpha", "0.1",
+                              "--method", "fedcp2-qq", "--reps", "200", "--seed", "1",
+                              "--sampler", sampler, "--epsilon", "5", "--smax", "8")
+        assert (code, err) == (0, "")
+        assert out.startswith("method=fedcp2-qq reps=200 ")
+
     def test_bad_value_names_the_flag(self, capsys):
         code, out, err = _run(capsys, "simulate", "--m", "3", "--n", "10", "--alpha", "0.2",
                               "--method", "fedcp-qq", "--reps", "2", "--test-size", "1.5")
@@ -577,6 +601,14 @@ class TestConfigFile:
         assert f"cache={cache}\n" in out
         assert cache.exists()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["run#2", "run.cfg"]
+
+    def test_undecodable_config_reported(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfe m=5")
+        code, out, err = _run(capsys, "table", "--config", str(config),
+                              "--n", "5", "--alpha", "0.1")
+        assert (code, out) == (1, "")
+        assert err == f"error: {config}: not UTF-8 text (invalid start byte)\n"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -9,7 +9,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import betainc, roots_legendre
+from scipy.special import betainc, betaincinv, roots_legendre
 
 from fedcal import (
     CoverageTable,
@@ -29,9 +29,9 @@ from fedcal import (
 
 from fedcal import coverage_table
 from fedcal.coverage_table import (
+    CELL_CAP,
     LEVEL_MARGIN,
     MONOTONE_TOL,
-    _chernoff,
     _entry_engine,
     _legendre_rule,
     _reaches,
@@ -53,6 +53,24 @@ from oracles import (
     select_ranks_by_convolution,
     select_ranks_by_gallop,
 )
+
+
+def _window_ends(m, k):
+    """The (low, rest) that ``_entry_engine`` computes for its window at
+    server rank k of m, read from its first ``betaincinv`` call (the engine
+    imports betaincinv from scipy.special when called, so the spy replaces
+    it there)."""
+    ends = []
+
+    def spy(a, b, y):
+        ends.append(betaincinv(a, b, y))
+        return ends[-1]
+
+    _entry_engine.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scipy.special, "betaincinv", spy)
+        _entry_engine(m, 1, 1, k)
+    return ends[0]
 
 
 class TestBruteForce:
@@ -122,12 +140,12 @@ class TestFastPath:
         assert sizes == [128, 128]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(data=st.data(), m=st.integers(1, 10**5))
+    @given(data=st.data(), m=st.integers(1, CELL_CAP))
     def test_tail_outside_the_window_is_a_negligible_zero_or_one(self, data, m):
         # the engine reads the integrand as 0 where G < low and as 1 where
         # 1 - G < rest, the complement passed explicitly
         k = data.draw(st.sampled_from([1, m]) | st.integers(1, m))
-        low, rest = math.exp(_chernoff(m, k)), math.exp(_chernoff(m, m - k + 1))
+        low, rest = _window_ends(m, k)
         high = 1.0 - rest
         nearby = (np.nextafter(low, 0), np.nextafter(high, 1), np.nextafter(rest, 0))
         edges = st.sampled_from(
@@ -141,9 +159,11 @@ class TestFastPath:
         # with g read as 1 - G: P(Bin(m, G) < k) = P(Bin(m, 1 - G) >= m - k + 1)
         assert np.all(betainc(m - k + 1, k, g[g < rest]) <= 2.0**-80)
 
-    def test_chernoff_root_at_the_top_rank_is_exact(self):
+    def test_lower_window_end_at_the_top_rank_is_closed_form(self):
+        # P(Bin(m, G) >= m) = G^m, so the 2^-81 quantile is 2^(-81 / m)
         for m in (1, 2, 7, 1000, 10**6):
-            assert _chernoff(m, m) == -80 * math.log(2) / m
+            low, _ = _window_ends(m, m)
+            assert abs(low - 2.0 ** (-81 / m)) <= 4 * np.spacing(2.0 ** (-81 / m)), m
 
     def test_column_monotone_in_both_ranks(self):
         key = TableKey(6, 8)

@@ -316,6 +316,16 @@ class TestCoverageExperiment:
         assert got == coverage_rows_by_substream(*args, dp_config=dp, shifts=shifts)
         assert all(type(row["coverage"]) is float for row in got)
 
+    def test_private_rows_clip_calibration_scores_at_s_max(self):
+        # the simulator is BinGrid's caller, so it clips the agents' scores;
+        # e^-2 of the exponential scores lie above s_max = 2, test scores stay raw
+        spec = FederationSpec(m=6, n=44, alpha=0.2, seed=3)
+        dp = DpConfig(epsilon=5.0, grid=BinGrid.uniform(2.0, 100))
+        args = (spec, 9, "fedcp2-qq", ExponentialScores(), 50)
+        got = coverage_experiment(*args, dp_config=dp).rows
+        assert got == coverage_rows_by_substream(*args, dp_config=dp)
+        assert max(row["q_hat"] for row in got) <= 2.0
+
     @pytest.mark.parametrize("method, gamma_searches", [("fedcp-qq", 0), ("fedcp2-qq", 1)])
     def test_ranks_and_gamma_are_searched_once_per_experiment(
         self, monkeypatch, method, gamma_searches
