@@ -16,7 +16,6 @@ from .conformal import (
     fedcp_qq_calibrate,
     predict_interval,
     read_score_matrix_csv,
-    read_scores_csv,
     split_cp_calibrate,
 )
 from .coverage_table import (
@@ -50,14 +49,12 @@ from .federation import (
     substream,
     write_rows_csv,
 )
-from .order_stats import order_statistic, quantile_of_quantiles, split_rank
+from .order_stats import quantile_of_quantiles, split_rank
 from .privacy import (
     BinGrid,
     DpConfig,
     GammaSelection,
     fedcp2_qq_calibrate,
-    private_quantile,
-    private_quantile_distribution,
     rank_correction,
     select_gamma,
 )

@@ -39,7 +39,6 @@ __all__ = [
     "fedcp_qq_calibrate",
     "fedcp_avg_calibrate",
     "predict_interval",
-    "read_scores_csv",
     "read_score_matrix_csv",
 ]
 
@@ -172,7 +171,7 @@ def split_cp_calibrate(scores: Sequence[float], alpha: float) -> CalibrationResu
     when that rank exceeds n (the guarantee then holds vacuously).
     """
     alpha = check_alpha(alpha)
-    sample = as_sample(scores, allow_empty=False)
+    sample = as_sample(scores)
     rank = split_rank(sample.size, alpha)
     return CalibrationResult(
         q_hat=float(_kth_smallest(sample, rank)),
@@ -283,14 +282,6 @@ def predict_interval(x, result: CalibrationResult, sf: ScoreFunction) -> Predict
 # ---------------------------------------------------------------------------
 
 
-def read_scores_csv(path) -> np.ndarray:
-    """Scores from a one-column CSV, optionally headed by a 'score' line.
-
-    The file rules are those of :func:`read_score_matrix_csv`.
-    """
-    return _read_score_file(path, agent_column=False)[0]
-
-
 def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
     """Per-agent scores from one file per agent, or one agent/score file.
 
@@ -319,7 +310,7 @@ def read_score_matrix_csv(paths: Sequence) -> list[np.ndarray]:
         raise InvalidArgumentError("no score files given")
     if len(paths) == 1:
         return _read_score_file(paths[0], agent_column=True)
-    return [read_scores_csv(p) for p in paths]
+    return [_read_score_file(p, agent_column=False)[0] for p in paths]
 
 
 _HEADERS = {("score",), ("agent", "score")}

@@ -1,4 +1,4 @@
-"""Locally private quantile release and the private federated calibrator.
+"""The locally private federated calibrator and its quantile mechanism.
 
 Each agent publishes one bin edge drawn from an exponential mechanism whose
 utility counts how badly an edge misses the requested quantile of the
@@ -8,10 +8,13 @@ randomness in two ways: it targets a slightly inflated coverage level
 for a correspondingly deeper order statistic (the rank correction), so the
 final guarantee is the plain 1 - alpha.
 
-Sampling happens in log space via the Gumbel-max trick; the softmax weights
-are formed as ``utility / sensitivity`` directly, which stays finite even at
-the degenerate quantile q = 1 that the rank correction can produce on small
-samples (there the weight reduces to the count of scores above each edge).
+The mechanism runs on the whole (m, n) block of bin indices at once:
+:func:`_logits` gives every agent's log-weights over the edges, from that
+agent's row alone, and :func:`_release` samples one edge per agent by the
+Gumbel-max trick. The weights are formed as ``utility / sensitivity``
+directly, which stays finite even at the degenerate quantile q = 1 that the
+rank correction can produce on small samples (there the weight reduces to
+the count of scores above each edge).
 """
 
 from __future__ import annotations
@@ -33,14 +36,12 @@ from .coverage_table import (
     _walk_frontier,
 )
 from .errors import InfeasibleError, InvalidArgumentError, check_alpha, check_integer, check_real
-from .order_stats import _kth_smallest, as_block, as_sample
+from .order_stats import _kth_smallest, as_block
 
 __all__ = [
     "BinGrid",
     "DpConfig",
     "DEFAULT_GAMMA_GRID",
-    "private_quantile_distribution",
-    "private_quantile",
     "rank_correction",
     "GammaSelection",
     "select_gamma",
@@ -48,8 +49,8 @@ __all__ = [
 ]
 
 # 20 log-spaced mixing candidates; the search objective is flat enough that
-# a coarse grid suffices
-DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(np.geomspace(1e-3, 0.5, 20))
+# a coarse grid suffices. Python floats, so that messages print plain numbers
+DEFAULT_GAMMA_GRID: tuple[float, ...] = tuple(np.geomspace(1e-3, 0.5, 20).tolist())
 
 
 @dataclass(frozen=True)
@@ -162,40 +163,6 @@ def _release(index: np.ndarray, q: float, epsilon: float, grid: BinGrid, streams
     return grid._array[np.argmax(noise, axis=1) + 1]
 
 
-def _one_agent(scores, q: float, epsilon: float, grid: BinGrid) -> np.ndarray:
-    """Checked inputs of the one-agent mechanism, as a (1, n) bin-index block."""
-    _check_epsilon(epsilon)
-    if not 0.0 < q <= 1.0:
-        raise InvalidArgumentError(f"quantile level must be in (0, 1], got {q}")
-    return grid.bin_index(as_sample(scores))[None, :]
-
-
-def private_quantile_distribution(
-    scores: Sequence[float], q: float, epsilon: float, grid: BinGrid
-) -> np.ndarray:
-    """Exact output distribution of :func:`private_quantile` over the B edges."""
-    from scipy.special import softmax  # on first use, as in coverage_table._entry_engine
-
-    return softmax(_logits(_one_agent(scores, q, epsilon, grid), q, epsilon, grid.bins)[0])
-
-
-def private_quantile(
-    scores: Sequence[float],
-    q: float,
-    epsilon: float,
-    grid: BinGrid,
-    rng: np.random.Generator,
-) -> float:
-    """One private release of (approximately) the q-quantile of ``scores``.
-
-    Output is always one of the grid edges, sampled with probability
-    proportional to exp(-epsilon * utility / (2 * sensitivity)). Given its
-    random generator the call is deterministic, so per-agent generator
-    streams make federated runs reproducible.
-    """
-    return float(_release(_one_agent(scores, q, epsilon, grid), q, epsilon, grid, [rng])[0])
-
-
 def rank_correction(epsilon: float, bins: int, agents: int, gamma_alpha: float) -> int:
     """Extra order-statistic depth compensating the mechanism's downward slack.
 
@@ -255,9 +222,14 @@ def select_gamma(
         If no candidate is feasible; the message names why the largest
         candidate failed.
     InvalidArgumentError
-        If the winner's entry in ``table`` differs from its recomputed value.
+        If ``epsilon`` is not positive and finite or ``bins`` is below 1,
+        both checked before any search, or if the winner's entry in
+        ``table`` differs from its recomputed value.
     """
     alpha = check_alpha(alpha)
+    _check_epsilon(epsilon)
+    if check_integer(bins, "bins") < 1:
+        raise InvalidArgumentError(f"need at least one bin, got {bins}")
     table = _table_for(table, key.m, key.n)
     best: GammaSelection | None = None
     reason = ""  # why the latest, so largest, candidate failed

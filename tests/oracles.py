@@ -12,8 +12,12 @@ through ``substream``, and the rank search as a plain gallop over entries
 that integrate the whole of [0, 1] on a rule exact for their degree, with
 its own margin-then-settle rule. Gauss-Legendre quadrature of the
 order-statistic integrand over all of [0, 1] is kept as the plain formula
-behind the library's engine. Expected values frozen in the tests were
-produced by these. ``engine_column`` alone reads the library: it lists the
+behind the library's engine. The package exports no one-agent release, so
+the mechanism oracles are compared with the code the private round runs:
+the softmax of one row of ``fedcal.privacy._logits`` and a one-row
+``fedcal.privacy._release``. Likewise the per-row reader of a one-column
+file is compared with ``read_score_matrix_csv``'s per-agent-files path.
+Expected values frozen in the tests were produced by these. ``engine_column`` alone reads the library: it lists the
 engine's entries of one local rank for the tests that compare whole
 columns.
 """
@@ -410,7 +414,8 @@ def private_release_by_agent(agents, q, epsilon, grid, rng) -> list[float]:
 
 
 def read_scores_csv_by_rows(path) -> np.ndarray:
-    """Scores from a one-column CSV, optionally headed by a 'score' line."""
+    """Scores from a one-column CSV, optionally headed by a 'score' line:
+    one agent's file of ``read_score_matrix_csv([path, ...])``."""
     return _one_column_scores(path, _read_rows(path))
 
 

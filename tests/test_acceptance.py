@@ -26,8 +26,6 @@ from fedcal import (
     fedcp2_qq_calibrate,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
-    private_quantile,
-    private_quantile_distribution,
     rank_correction,
     run_one_shot,
     select_ranks,
@@ -36,12 +34,14 @@ from fedcal import (
     substream,
 )
 from fedcal.federation import poisson_binomial_diagnostic
+from fedcal.privacy import _release
 from kit import synthetic_conditional_quantile, synthetic_dataset
 from oracles import (
     conditional_alpha_p_by_substream,
     coverage_bruteforce_column,
     engine_column,
     max_report_coverage,
+    mechanism_softmax,
 )
 
 EXACT_MATCH = 1e-10
@@ -205,7 +205,8 @@ def test_c06_synthetic_pipeline_matches_centralized_quality():
 
 
 def test_c07_mechanism_frequencies_match_their_law():
-    """Empirical output frequencies of the private quantile match the softmax."""
+    """Empirical output frequencies of the block release match the softmax,
+    transcribed independently in ``oracles.mechanism_softmax``."""
     start = time.time()
     draws = 100_000
     fixtures = [
@@ -217,12 +218,13 @@ def test_c07_mechanism_frequencies_match_their_law():
         ([0.42, 0.44, 0.46, 0.9], BinGrid.uniform(1.0, 4), 0.3, 0.5),
     ]
     for index, (scores, grid, q, epsilon) in enumerate(fixtures):
-        expected = private_quantile_distribution(scores, q, epsilon, grid)
+        expected = mechanism_softmax(scores, grid.edges, q, epsilon)
         rng = np.random.default_rng(MASTER_SEED + index)
         counts = np.zeros(grid.bins)
         edge_to_bin = {edge: b for b, edge in enumerate(grid.edges[1:])}
+        agent = grid.bin_index(scores)[None]  # one agent's row of bin indices
         for _ in range(draws):
-            counts[edge_to_bin[private_quantile(scores, q, epsilon, grid, rng)]] += 1
+            counts[edge_to_bin[_release(agent, q, epsilon, grid, [rng])[0]]] += 1
         frequencies = counts / draws
         se = np.sqrt(expected * (1.0 - expected) / draws)
         gap = np.abs(frequencies - expected)

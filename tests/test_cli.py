@@ -85,7 +85,7 @@ def _three_agents(tmp_path):
 )
 def test_no_scipy_module_loads_without_the_coverage_engine(tmp_path, statement, argv):
     # scipy.special takes longer to import than the rest of the CLI; only a
-    # coverage entry or a private distribution loads it
+    # coverage entry loads it
     if argv and argv[0] == "calibrate":
         argv = argv + _three_agents(tmp_path)
     _, loaded = _fresh(statement, argv)

@@ -21,10 +21,8 @@ from fedcal import (
     fedcp2_qq_calibrate,
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
-    order_statistic,
     predict_interval,
     read_score_matrix_csv,
-    read_scores_csv,
     select_gamma,
     select_ranks,
     split_cp_calibrate,
@@ -74,7 +72,7 @@ class TestFedcpQQCalibrate:
         rng = np.random.default_rng(8)
         sample = rng.normal(size=25)
         result = fedcp_qq_calibrate([sample] * 6, 0.1)
-        assert result.q_hat == order_statistic(sample, result.params["local_rank"])
+        assert result.q_hat == np.sort(sample)[result.params["local_rank"] - 1]
 
     def test_guarantee_meets_request(self):
         rng = np.random.default_rng(3)
@@ -237,6 +235,29 @@ def test_every_entry_refuses_a_level_that_is_not_a_real_number(entry, level):
         _LEVEL_ENTRIES[entry](level)
 
 
+_SCORE_ENTRIES = {
+    "centralized": lambda row: split_cp_calibrate(row, 0.1),
+    "fedcp-qq": lambda row: fedcp_qq_calibrate([row, row], 0.1),
+    "fedcp-avg": lambda row: fedcp_avg_calibrate([row, row], 0.1),
+}
+
+
+@pytest.mark.parametrize("entry", _SCORE_ENTRIES)
+@pytest.mark.parametrize("score", ["a", 1 + 2j], ids=["str", "complex"])
+def test_every_calibrator_refuses_a_score_that_is_not_a_real(entry, score):
+    with pytest.raises(InvalidArgumentError, match=r"^score sample must hold real numbers \("):
+        _SCORE_ENTRIES[entry]([score] + [0.5] * 19)
+
+
+@pytest.mark.parametrize("entry", _SCORE_ENTRIES)
+def test_every_calibrator_reads_numeric_strings_and_bools(entry):
+    scores = [0.5 * i for i in range(20)]
+    text = [repr(s) for s in scores]
+    assert _SCORE_ENTRIES[entry](text) == _SCORE_ENTRIES[entry](scores)
+    bools = [i % 2 == 0 for i in range(20)]
+    assert _SCORE_ENTRIES[entry](bools) == _SCORE_ENTRIES[entry]([float(b) for b in bools])
+
+
 class TestScoreBand:
     """Both scores are one band formula: the absolute residual is the
     zero-width band (f(x), f(x)). The expected values below are the
@@ -312,12 +333,12 @@ class TestCsvIngestion:
     def test_single_column_with_header(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("score\n1.5\n2.5\n0.5\n")
-        np.testing.assert_array_equal(read_scores_csv(path), [1.5, 2.5, 0.5])
+        np.testing.assert_array_equal(read_score_matrix_csv([path, path])[0], [1.5, 2.5, 0.5])
 
     def test_single_column_without_header(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("1.0\n2.0\n")
-        np.testing.assert_array_equal(read_scores_csv(path), [1.0, 2.0])
+        np.testing.assert_array_equal(read_score_matrix_csv([path, path])[0], [1.0, 2.0])
 
     def test_per_agent_files(self, tmp_path):
         paths = []
@@ -356,13 +377,13 @@ class TestCsvIngestion:
         np.testing.assert_array_equal(agents[0], [1.0, 3.0])
         np.testing.assert_array_equal(agents[1], [2.0, 4.0])
         path.write_text("\nscore\n1.5\n")
-        np.testing.assert_array_equal(read_scores_csv(path), [1.5])
+        np.testing.assert_array_equal(read_score_matrix_csv([path, path])[0], [1.5])
 
     def test_malformed_line_reported_with_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0\nnot-a-number\n")
         with pytest.raises(InvalidArgumentError, match=":2"):
-            read_scores_csv(path)
+            read_score_matrix_csv([path, path])[0]
 
     @pytest.mark.parametrize(
         "text, line",
@@ -409,7 +430,7 @@ class TestCsvIngestion:
             with pytest.raises(InvalidArgumentError, match=r"empty\.csv: no scores found"):
                 read_score_matrix_csv([path])
             with pytest.raises(InvalidArgumentError, match=r"empty\.csv: no scores found"):
-                read_scores_csv(path)
+                read_score_matrix_csv([path, path])[0]
 
     def test_plain_files_take_the_one_call_path(self, tmp_path, monkeypatch):
         def walk(*args):
@@ -429,7 +450,7 @@ class TestCsvIngestion:
             assert got.tobytes() == expected.tobytes()
         column = tmp_path / "one.csv"
         column.write_text("\n".join(map(repr, scores[0].tolist())) + "\n", encoding="utf-8")
-        assert read_scores_csv(column).tobytes() == scores[0].tobytes()
+        assert read_score_matrix_csv([column, column])[0].tobytes() == scores[0].tobytes()
 
     def test_a_parse_that_warns_is_walked(self, tmp_path, monkeypatch):
         # numpy 1.x reads the id '3.0' as 3 and only warns; a warning, even
@@ -470,7 +491,7 @@ class TestCsvIngestion:
         path = tmp_path / "wide.csv"
         path.write_text("score\n0.5\n" + " " * 140_000 + "0.7\n")
         with pytest.raises(InvalidArgumentError, match=r"wide\.csv:3: field larger than field limit"):
-            read_scores_csv(path)
+            read_score_matrix_csv([path, path])[0]
 
 
 _BLANK_ROWS = ["", "  ", "\t", " , ", ",", '""']
@@ -590,6 +611,6 @@ class TestCsvAgainstRowReader:
         assert _outcome(lambda: read_score_matrix_csv([path])) == _outcome(
             lambda: read_score_matrix_csv_by_rows([path])
         )
-        assert _outcome(lambda: [read_scores_csv(path)]) == _outcome(
+        assert _outcome(lambda: [read_score_matrix_csv([path, path])[0]]) == _outcome(
             lambda: [read_scores_csv_by_rows(path)]
         )

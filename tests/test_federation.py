@@ -27,7 +27,6 @@ from fedcal import (
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
     heterogeneity_tv_penalty,
-    order_statistic,
     quantile_of_quantiles,
     rank_correction,
     run_one_shot,
@@ -153,7 +152,7 @@ class TestRunOneShot:
         result, transcript = run_one_shot(spec, agents, "fedcp_qq")
         rank = transcript.downlink["local_rank"]
         for agent_id, payload in transcript.uplinks:
-            assert payload == order_statistic(agents[agent_id], rank)
+            assert payload == np.sort(agents[agent_id])[rank - 1]
         direct = fedcp_qq_calibrate(agents, 0.1)
         assert result == direct
 
@@ -163,7 +162,7 @@ class TestRunOneShot:
         result, transcript = run_one_shot(spec, agents, "fedcp_avg")
         rank = transcript.downlink["local_rank"]
         for agent_id, payload in transcript.uplinks:
-            assert payload == order_statistic(agents[agent_id], rank)
+            assert payload == np.sort(agents[agent_id])[rank - 1]
         assert result.q_hat == pytest.approx(float(np.mean(transcript.payloads)), rel=1e-15)
         assert result == fedcp_avg_calibrate(agents, 0.2)
 
@@ -480,7 +479,6 @@ NON_INTEGER_CALLS = {
     ),
     "count": (lambda: synthetic_dataset(10.0, np.random.default_rng(0)), "count"),
     "split rank n": (lambda: split_rank(10.0, 0.1), "n"),
-    "order statistic rank": (lambda: order_statistic([1.0, 2.0, 3.0], 2.5), "rank"),
     "local rank": (lambda: quantile_of_quantiles([[1.0, 2.0], [3.0, 4.0]], 1.0, 1), "local rank"),
     "server rank": (
         lambda: quantile_of_quantiles([[1.0, 2.0], [3.0, 4.0]], 1, 2.0), "server rank"
@@ -504,8 +502,11 @@ NON_REAL_CALLS = {
     "grid s_max": (lambda x: BinGrid.uniform(x, 10), "s_max"),
     "correction gamma*alpha": (lambda x: rank_correction(5.0, 10, 3, x), r"gamma\*alpha"),
     "correction epsilon": (lambda x: rank_correction(x, 10, 3, 0.1), "epsilon"),
+    # the release's budget reaches the mechanism only through a DpConfig
     "release epsilon": (
-        lambda x: privacy.private_quantile([0.5], 0.5, x, _GRID, np.random.default_rng(0)),
+        lambda x: fedcp2_qq_calibrate(
+            [[0.5]], 0.5, DpConfig(epsilon=x, grid=_GRID), np.random.default_rng(0)
+        ),
         "epsilon",
     ),
 }
@@ -549,7 +550,7 @@ class TestConditionalCoverage:
             agents = [
                 UniformScores().sample(substream(3, rep, j), 10) for j in range(4)
             ]
-            values = sorted(order_statistic(a, 9) for a in agents)
+            values = sorted(np.sort(a)[8] for a in agents)
             assert alpha_p[rep] == pytest.approx(1.0 - values[3], abs=1e-15)
 
     def test_mean_miscoverage_at_most_alpha(self):

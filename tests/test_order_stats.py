@@ -3,35 +3,37 @@ import math
 import numpy as np
 import pytest
 
-from fedcal import InvalidArgumentError, order_statistic, quantile_of_quantiles, split_rank
-from fedcal.order_stats import as_block
+from fedcal import InvalidArgumentError, fedcp_qq_calibrate, quantile_of_quantiles, split_rank
+from fedcal.order_stats import _kth_smallest, as_block, as_sample
 
 
 class TestOrderStatistic:
+    """The one k-th-smallest kernel every order statistic goes through."""
+
     def test_sorted_middle_element(self):
-        assert order_statistic([3.0, 1.0, 2.0], 2) == 2.0
+        assert _kth_smallest(np.array([3.0, 1.0, 2.0]), 2) == 2.0
 
     def test_rank_past_end_is_inf(self):
-        assert order_statistic([1.0], 2) == math.inf
+        assert _kth_smallest(np.array([1.0]), 2) == math.inf
 
     def test_empty_sample_is_inf(self):
-        assert order_statistic([], 1) == math.inf
+        assert _kth_smallest(np.array([]), 1) == math.inf
 
     def test_duplicates_keep_distinct_ranks(self):
-        assert order_statistic([5.0, 5.0, 1.0], 2) == 5.0
+        assert _kth_smallest(np.array([5.0, 5.0, 1.0]), 2) == 5.0
 
     def test_zero_rank_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            order_statistic([1.0, 2.0], 0)
+        with pytest.raises(InvalidArgumentError, match="local rank must be >= 1, got 0"):
+            quantile_of_quantiles([[1.0, 2.0]], 0, 1)
 
     def test_nan_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            order_statistic([1.0, math.nan], 1)
+        with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+            as_sample([1.0, math.nan])
 
     def test_input_not_mutated(self):
-        values = [3.0, 1.0, 2.0]
-        order_statistic(values, 1)
-        assert values == [3.0, 1.0, 2.0]
+        values = np.array([3.0, 1.0, 2.0])
+        _kth_smallest(values, 1)
+        np.testing.assert_array_equal(values, [3.0, 1.0, 2.0])
 
     def test_matches_full_sort_on_random_data(self):
         rng = np.random.default_rng(7)
@@ -39,7 +41,7 @@ class TestOrderStatistic:
             sample = rng.normal(size=rng.integers(1, 30))
             ordered = np.sort(sample)
             for rank in (1, len(sample) // 2 + 1, len(sample)):
-                assert order_statistic(sample, rank) == ordered[rank - 1]
+                assert _kth_smallest(sample, rank) == ordered[rank - 1]
 
 
 class TestSplitRank:
@@ -87,6 +89,8 @@ class TestAsBlock:
             ([[1.0], [2.0, 3.0], [4.0, 5.0, 6.0]], r"local sizes \[1, 2, 3\]"),
             # a bad agent is reported before unequal sizes
             ([[1.0, 2.0], [math.nan]], "NaN or infinite"),
+            ([[1 + 2j, 1.0]], "must hold real numbers"),
+            ([[1.0, 2.0], ["a"]], "must hold real numbers"),
         ],
     )
     def test_refusals_name_the_problem(self, agents, message):
@@ -105,13 +109,26 @@ class TestQuantileOfQuantiles:
     def test_all_agents_overflow_to_inf(self):
         assert quantile_of_quantiles([[1.0], [2.0]], 2, 1) == math.inf
 
-    def test_unequal_sizes_match_per_agent_order_statistics(self):
+    def test_balanced_blocks_match_per_agent_order_statistics(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
-            agents = [rng.normal(size=rng.integers(1, 9)) for _ in range(rng.integers(1, 6))]
-            l, k = int(rng.integers(1, 10)), int(rng.integers(1, len(agents) + 1))
-            local = sorted(order_statistic(a, l) for a in agents)
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 9))
+            agents = rng.normal(size=(m, n))
+            l, k = int(rng.integers(1, n + 1)), int(rng.integers(1, m + 1))
+            local = sorted(np.sort(a)[l - 1] for a in agents)
             assert quantile_of_quantiles(agents, l, k) == local[k - 1]
+
+    def test_unequal_agents_refused(self):
+        with pytest.raises(InvalidArgumentError, match=r"local sizes \[1, 2\]"):
+            quantile_of_quantiles([[1.0, 2.0], [3.0]], 1, 1)
+
+    def test_is_the_reduction_of_the_fedcp_qq_round(self):
+        rng = np.random.default_rng(13)
+        for m, n, alpha in [(1, 19, 0.1), (5, 12, 0.2), (8, 60, 0.1), (30, 30, 0.1)]:
+            block = rng.exponential(size=(m, n))
+            result = fedcp_qq_calibrate(block, alpha)
+            l, k = result.params["local_rank"], result.params["server_rank"]
+            assert result.q_hat == quantile_of_quantiles(block, l, k)
 
     def test_server_rank_above_m_rejected(self):
         with pytest.raises(InvalidArgumentError):

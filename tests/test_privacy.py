@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import softmax
 
 from fedcal import (
     BinGrid,
@@ -13,8 +14,6 @@ from fedcal import (
     coverage_probability,
     fedcp2_qq_calibrate,
     load_table,
-    private_quantile,
-    private_quantile_distribution,
     quantile_of_quantiles,
     rank_correction,
     save_table,
@@ -22,9 +21,19 @@ from fedcal import (
     select_ranks,
 )
 from fedcal.coverage_table import RankPair, _entry_engine
-from fedcal.privacy import _release
+from fedcal.privacy import DEFAULT_GAMMA_GRID, _logits, _release
 
 from oracles import mechanism_softmax, private_quantile_one_agent, private_release_by_agent
+
+
+def mechanism_law(scores, q, epsilon, grid):
+    """One agent's exact release law: the softmax of its row of logits."""
+    return softmax(_logits(grid.bin_index(scores)[None], q, epsilon, grid.bins)[0])
+
+
+def release_one(scores, q, epsilon, grid, rng):
+    """One agent's edge, drawn by the block release from ``rng``."""
+    return float(_release(grid.bin_index(scores)[None], q, epsilon, grid, [rng])[0])
 
 
 class TestBinGrid:
@@ -69,7 +78,7 @@ class TestPrivateQuantileDistribution:
     def test_balanced_two_bin_fixture_is_uniform(self):
         # two scores in each bin: both edges carry identical weight
         grid = BinGrid(edges=(0.0, 0.5, 1.0))
-        probs = private_quantile_distribution([0.1, 0.2, 0.6, 0.7], 0.5, 1.0, grid)
+        probs = mechanism_law([0.1, 0.2, 0.6, 0.7], 0.5, 1.0, grid)
         np.testing.assert_allclose(probs, [0.5, 0.5], atol=1e-15)
 
     def test_matches_direct_softmax_on_random_fixtures(self):
@@ -80,7 +89,7 @@ class TestPrivateQuantileDistribution:
             scores = rng.uniform(1e-9, 1.0, size=int(rng.integers(1, 40)))
             q = float(rng.uniform(0.05, 0.95))
             eps = float(rng.uniform(0.1, 8.0))
-            got = private_quantile_distribution(scores, q, eps, grid)
+            got = mechanism_law(scores, q, eps, grid)
             expected = mechanism_softmax(scores, grid.edges, q, eps)
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
@@ -88,19 +97,12 @@ class TestPrivateQuantileDistribution:
         # at q = 1 the weight collapses to the count above each edge
         grid = BinGrid.uniform(1.0, 5)
         scores = [0.15, 0.35, 0.55, 0.75, 0.95]
-        probs = private_quantile_distribution(scores, 1.0, 2.0, grid)
+        probs = mechanism_law(scores, 1.0, 2.0, grid)
         above = np.array([4, 3, 2, 1, 0], dtype=float)
         expected = np.exp(-2.0 * above / 2.0)
         expected /= expected.sum()
         np.testing.assert_allclose(probs, expected, atol=1e-12)
         assert np.argmax(probs) == 4
-
-    def test_level_out_of_range_rejected(self):
-        grid = BinGrid.uniform(1.0, 2)
-        with pytest.raises(InvalidArgumentError):
-            private_quantile_distribution([0.5], 0.0, 1.0, grid)
-        with pytest.raises(InvalidArgumentError):
-            private_quantile_distribution([0.5], 1.1, 1.0, grid)
 
 
 @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
@@ -109,8 +111,7 @@ def test_epsilon_must_be_finite_and_positive(epsilon):
     calls = [
         lambda: DpConfig(epsilon=epsilon, grid=grid),
         lambda: rank_correction(epsilon, 100, 10, 0.05),
-        lambda: private_quantile_distribution([0.2, 0.7], 0.5, epsilon, grid),
-        lambda: private_quantile([0.2, 0.7], 0.5, epsilon, grid, np.random.default_rng(0)),
+        lambda: select_gamma(TableKey(5, 50), 0.1, epsilon, 20),
     ]
     for call in calls:
         with pytest.raises(InvalidArgumentError, match="epsilon"):
@@ -121,10 +122,10 @@ class TestPrivateQuantileSampling:
     def test_empirical_frequencies_match_distribution(self):
         grid = BinGrid.uniform(1.0, 4)
         scores = [0.1, 0.3, 0.35, 0.6, 0.9, 0.95]
-        expected = private_quantile_distribution(scores, 0.7, 2.0, grid)
+        expected = mechanism_law(scores, 0.7, 2.0, grid)
         rng = np.random.default_rng(31415)
         draws = 40_000
-        edges = [private_quantile(scores, 0.7, 2.0, grid, rng) for _ in range(draws)]
+        edges = [release_one(scores, 0.7, 2.0, grid, rng) for _ in range(draws)]
         counts = np.array([edges.count(e) for e in grid.edges[1:]]) / draws
         se = np.sqrt(expected * (1 - expected) / draws)
         assert np.all(np.abs(counts - expected) <= 3 * se + 1e-9)
@@ -132,7 +133,7 @@ class TestPrivateQuantileSampling:
     def test_large_epsilon_is_deterministic(self):
         grid = BinGrid(edges=(0.0, 0.5, 1.0))
         rng = np.random.default_rng(0)
-        outputs = {private_quantile([0.1, 0.2, 0.3], 0.5, 1e9, grid, rng) for _ in range(200)}
+        outputs = {release_one([0.1, 0.2, 0.3], 0.5, 1e9, grid, rng) for _ in range(200)}
         assert outputs == {0.5}
 
     def test_mode_tracks_requested_quantile(self):
@@ -140,7 +141,7 @@ class TestPrivateQuantileSampling:
         # whose below/above counts straddle the requested level
         grid = BinGrid.uniform(1.0, 10)
         scores = [0.05 + 0.1 * i for i in range(10)]
-        probs = private_quantile_distribution(scores, 0.9, 50.0, grid)
+        probs = mechanism_law(scores, 0.9, 50.0, grid)
         assert np.argmax(probs) in (8, 9)
         assert probs[8] + probs[9] >= 0.99
 
@@ -149,7 +150,7 @@ class TestPrivateQuantileSampling:
         rng = np.random.default_rng(5)
         for _ in range(100):
             scores = rng.uniform(1e-6, 2.0, size=9)
-            value = private_quantile(scores, 0.6, 0.5, grid, rng)
+            value = release_one(scores, 0.6, 0.5, grid, rng)
             assert value in grid.edges[1:]
 
 
@@ -202,7 +203,7 @@ class TestBlockReleaseMatchesPerAgentLoop:
             q = float(rng.uniform(0.01, 1.0))
             epsilon = float(rng.uniform(0.1, 10.0))
             seed = int(rng.integers(2**32))
-            got = private_quantile(scores, q, epsilon, grid, np.random.default_rng(seed))
+            got = release_one(scores, q, epsilon, grid, np.random.default_rng(seed))
             expected = private_quantile_one_agent(
                 scores, q, epsilon, grid, np.random.default_rng(seed)
             )
@@ -212,8 +213,10 @@ class TestBlockReleaseMatchesPerAgentLoop:
         grid = BinGrid.uniform(1.0, 4)
         with pytest.raises(InvalidArgumentError, match="clip"):
             grid.bin_index([0.5, math.nan])
-        with pytest.raises(InvalidArgumentError):
-            private_quantile([0.5, math.nan], 0.5, 1.0, grid, np.random.default_rng(0))
+        with pytest.raises(InvalidArgumentError, match="NaN or infinite"):
+            fedcp2_qq_calibrate(
+                [[0.5, math.nan]], 0.5, DpConfig(epsilon=1.0, grid=grid), np.random.default_rng(0)
+            )
 
 
 class TestRankCorrection:
@@ -288,6 +291,26 @@ class TestSelectGamma:
         ]
         assert coverages[0] > coverages[1] > coverages[2]
         assert coverages[-1] >= 0.9
+
+    def test_infeasible_message_prints_the_level_as_a_plain_number(self):
+        assert all(type(gamma) is float for gamma in DEFAULT_GAMMA_GRID)
+        with pytest.raises(InfeasibleError) as excinfo:
+            select_gamma(TableKey(2, 3), 0.1, 2.0, 50)
+        assert "np.float64(" not in str(excinfo.value)
+        assert "is below 1 - 0.05263157894736836;" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "epsilon, bins, message",
+        [
+            (-1.0, 10, "epsilon must be positive"),
+            (math.nan, 10, "epsilon must be positive"),
+            (2.0, 0, "need at least one bin, got 0"),
+        ],
+    )
+    def test_arguments_checked_before_the_search(self, epsilon, bins, message):
+        # no rank pair of one score reaches 0.9, so a late check would raise InfeasibleError
+        with pytest.raises(InvalidArgumentError, match=message):
+            select_gamma(TableKey(1, 1), 0.1, epsilon, bins)
 
     def test_infeasible_when_n_too_small(self):
         with pytest.raises(InfeasibleError, match="too small"):
