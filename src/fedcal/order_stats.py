@@ -26,10 +26,20 @@ __all__ = [
 ]
 
 
+def _as_float(values) -> np.ndarray:
+    """``values`` as a float64 array. numpy reads a complex array as its real
+    part with only a warning, so this raises TypeError for one, as numpy
+    does for a complex Python number."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise TypeError(f"dtype {arr.dtype} is not real")
+    return arr if arr.dtype == np.float64 else np.asarray(values, dtype=float)
+
+
 def as_sample(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate a score sample: a nonempty 1-d array of finite reals."""
     try:
-        arr = np.asarray(values, dtype=float)
+        arr = _as_float(values)
     except (TypeError, ValueError) as exc:  # a string or complex number numpy cannot read
         raise InvalidArgumentError(f"score sample must hold real numbers ({exc})") from None
     if arr.ndim != 1:
@@ -49,11 +59,17 @@ def as_block(agents: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     error names what is wrong.
     """
     try:
-        block = np.asarray(agents, dtype=float)
+        block = _as_float(agents)
     except (TypeError, ValueError):  # unequal rows, or a score that is not a real
         block = None
     if block is None or block.ndim != 2 or block.size == 0:
-        if len(agents) == 0:
+        try:
+            count = len(agents)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"scores must be a sequence of agents, got {type(agents).__name__}"
+            ) from None
+        if count == 0:
             raise InvalidArgumentError("a score matrix needs at least one agent")
         sizes = sorted({as_sample(a).size for a in agents})  # raises on a bad agent
         raise InvalidArgumentError(f"balanced score matrix required, got local sizes {sizes}")

@@ -4,11 +4,12 @@ the score-file reader.
 Every function here recomputes a quantity along a route the library does
 not use: exact rationals over literal index tuples, the same enumeration
 in floats, the closed-form product at local rank n, the threshold's law as
-a rational polynomial, truncated-binomial convolutions in log space,
-batched Monte-Carlo, a straight transcription of the exponential-mechanism
-softmax, the per-agent private release, the per-row score-file reader, the
-simulator loop and the conditional Monte-Carlo that seed every stream
-through ``substream``, and the rank search as a plain gallop over entries
+a rational polynomial, the same law as binomial tails integrated in
+30-digit mpmath with no value from scipy, truncated-binomial convolutions
+in log space, batched Monte-Carlo, a straight transcription of the
+exponential-mechanism softmax, the per-agent private release, the per-row
+score-file reader, the simulator loop and the conditional Monte-Carlo that
+seed every stream through ``substream``, and the rank search as a plain gallop over entries
 that integrate the whole of [0, 1] on a rule exact for their degree, with
 its own margin-then-settle rule. Gauss-Legendre quadrature of the
 order-statistic integrand over all of [0, 1] is kept as the plain formula
@@ -166,6 +167,81 @@ def coverage_by_quadrature(m: int, n: int, l: int, k: int) -> float:
     g = betainc(l, n - l + 1, t)
     integrand = betainc(k, m - k + 1, g)
     return 1.0 - 0.5 * float(np.dot(w, integrand))
+
+
+# ---------------------------------------------------------------------------
+# coverage in 30 digits: mpmath and integer arithmetic, no value from scipy
+# ---------------------------------------------------------------------------
+
+
+def binomial_tail_mp(size: int, rank: int, p):
+    """P(Bin(size, p) >= rank) = I_p(rank, size - rank + 1) for an mpmath
+    number p, to about 30 digits.
+
+    The pmf is summed from ``rank`` away from the mode, where its terms only
+    shrink, in fixed point 64 bits finer than mpmath's precision; when the
+    mode lies in the tail, one minus the other tail. The first term is
+    C(size, i) p^i (1 - p)^(size - i) in mpmath. At size 10 this is the whole
+    finite sum; at size 10^5 it stops after about 1,100 terms, where
+    ``mpmath.betainc``'s hypergeometric series does not converge at ranks
+    (73611, 26390) and takes 12 s a call at (90063, 9938).
+    """
+    from mpmath import mp, mpf
+
+    if rank <= 0 or p >= 1:
+        return mpf(1)
+    if rank > size or p <= 0:
+        return mpf(0)
+    upper = rank > size * p  # the tail i >= rank lies above the mode
+    i = rank if upper else rank - 1
+    bits = mp.prec + 64
+    term = int(mp.ldexp(mp.binomial(size, i) * p**i * (1 - p) ** (size - i), bits))
+    ratio = int(mp.ldexp(p / (1 - p) if upper else (1 - p) / p, bits))
+    total = term
+    while term:
+        if upper:  # pmf(i + 1) = pmf(i) (size - i) / (i + 1) p / (1 - p)
+            term = term * ratio * (size - i) // ((i + 1) << bits)
+            i += 1
+        else:  # pmf(i - 1) = pmf(i) i / (size - i + 1) (1 - p) / p
+            term = term * ratio * i // ((size - i + 1) << bits)
+            i -= 1
+        total += term
+    tail = mp.ldexp(total, -bits)
+    return tail if upper else 1 - tail
+
+
+def coverage_mp(m: int, n: int, l: int, k: int):
+    """Coverage at ranks (l, k) to about 30 digits, as an mpmath number.
+
+    1 - integral over [0, 1] of H(G(t)) dt at ``mp.dps = 30``, with
+    G(t) = P(Bin(n, t) >= l) and H(u) = P(Bin(m, u) >= k) from
+    :func:`binomial_tail_mp` and the integral from ``mpmath.quad``. Quad's
+    panels end where H(G(t)) crosses 10^-24, 10^-16, 10^-8, 10^-3, 1/2 and
+    their complements, each point placed by 50 bisection steps on t. Raises
+    AssertionError if quad's own error estimate exceeds 10^-25.
+    """
+    from mpmath import mp, mpf
+
+    with mp.workdps(30):
+
+        def law(t):  # the threshold's law: P(F(q_hat) <= t)
+            return binomial_tail_mp(m, k, binomial_tail_mp(n, l, t))
+
+        def crossing(level):
+            low, high = mpf(0), mpf(1)
+            for _ in range(50):
+                middle = (low + high) / 2
+                if law(middle) < level:
+                    low = middle
+                else:
+                    high = middle
+            return low
+
+        tails = [mpf(10) ** -e for e in (24, 16, 8, 3)]
+        levels = tails + [mpf(1) / 2] + [1 - p for p in reversed(tails)]
+        integral, error = mp.quad(law, [0] + [crossing(p) for p in levels] + [1], error=True)
+        assert error <= mpf(10) ** -25, f"quad's error estimate is {error}"
+        return 1 - integral
 
 
 def _log_binom_pmf(n: int, t: float) -> np.ndarray:

@@ -250,6 +250,14 @@ def test_every_calibrator_refuses_a_score_that_is_not_a_real(entry, score):
 
 
 @pytest.mark.parametrize("entry", _SCORE_ENTRIES)
+def test_every_calibrator_refuses_a_complex_array(entry):
+    # numpy would read it as its real part, with only a ComplexWarning
+    row = np.array([1 + 2j] + [0.5] * 19)
+    with pytest.raises(InvalidArgumentError, match=r"^score sample must hold real numbers \(dtype complex"):
+        _SCORE_ENTRIES[entry](row)
+
+
+@pytest.mark.parametrize("entry", _SCORE_ENTRIES)
 def test_every_calibrator_reads_numeric_strings_and_bools(entry):
     scores = [0.5 * i for i in range(20)]
     text = [repr(s) for s in scores]

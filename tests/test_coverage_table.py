@@ -40,12 +40,14 @@ from fedcal.coverage_table import (
 
 from oracles import (
     COLD_BAND,
+    binomial_tail_mp,
     conditional_coverage_cdf_fraction,
     coverage_bruteforce,
     coverage_bruteforce_column,
     coverage_by_quadrature,
     coverage_column_by_convolution,
     coverage_exact_fraction,
+    coverage_mp,
     engine_column,
     max_report_coverage,
     mc_qq_coverage,
@@ -138,6 +140,58 @@ class TestFastPath:
         _entry_engine.cache_clear()
         _entry_engine(20, 40, 36, 18)
         assert sizes == [128, 128]
+
+    def test_ladder_stops_at_512_nodes(self, monkeypatch):
+        # a check that never agrees: the engine doubles 128 to 512, then gives up
+        sizes = []
+        rule = coverage_table._checked_rule
+
+        def disagreeing(count):
+            sizes.append(count)
+            t, w, check = rule(count)
+            return t, w, check + 1.0
+
+        monkeypatch.setattr(coverage_table, "_checked_rule", disagreeing)
+        with pytest.raises(InternalError, match=r"rules disagree at ranks \(36, 18\)"):
+            _entry_engine.__wrapped__(20, 40, 36, 18)
+        assert sizes == [128, 256, 512]
+
+    def test_check_accepts_only_entries_near_a_1024_node_rule(self, monkeypatch):
+        # entries cold searches read at shapes of m n >= 2000: a seeded 1000,
+        # plus every one at (10^5, 10). Each is integrated on its own window
+        # with one rule: 128 nodes, the 7-of-8 check rule, and 1024 nodes.
+        # The check's estimate |128 - check| can fall short of the real error
+        # |128 - 1024| (by 3.0e-14 at (10^5, 10), ranks (5, 10^5)), but every
+        # entry it accepts must be within the engine's LEVEL_MARGIN / 4
+        read = set()
+        for m, n in [(50, 100), (200, 200), (500, 500), (1000, 1000), (100, 10**4), (10**5, 10)]:
+            for alpha in (0.05, 0.1, 0.2):
+                table = CoverageTable(key=TableKey(m, n))
+                select_ranks(table.key, alpha, table=table)
+                read.update((m, n, l, k) for l, k in table.entries)
+        tall = sorted(entry for entry in read if entry[:2] == (10**5, 10))
+        rest = sorted(read.difference(tall))
+        picks = np.random.default_rng(33).choice(len(rest), 1000, replace=False)
+        sample = tall + [rest[i] for i in picks]
+
+        t, w, check = coverage_table._checked_rule(128)
+        fine = _legendre_rule(1024)
+        now = {}
+        monkeypatch.setattr(coverage_table, "_checked_rule", lambda count: now["rule"])
+
+        def on(t, w, entry):
+            now["rule"] = (t, w, np.zeros_like(w))
+            return _entry_engine.__wrapped__(*entry)
+
+        accepted = 0
+        for entry in sample:
+            value = on(t, w, entry)
+            estimate, error = abs(value - on(t, w + check, entry)), abs(value - on(*fine, entry))
+            assert error - estimate < 1e-13, entry
+            if estimate <= LEVEL_MARGIN / 4:
+                accepted += 1
+                assert error <= LEVEL_MARGIN / 4, entry
+        assert accepted >= 1000
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), m=st.integers(1, CELL_CAP))
@@ -255,6 +309,54 @@ class TestConvolutionOracle:
                 ranks, _ = select_ranks(TableKey(m, n), 0.1)
                 expected = select_ranks_by_convolution(m, n, 0.1)
                 assert (ranks.local_rank, ranks.server_rank) == expected, (m, n)
+
+
+# the pair chosen at alpha = 0.1 and the frontier entries of the local ranks
+# on either side, then (10^5, 10, 5, 10^5), where the 7-of-8 check
+# underestimates the 128-node rule's error
+THIRTY_DIGIT_SHAPES = {
+    (200, 200): [(182, 75), (181, 94), (183, 58)],
+    (1000, 1000): [(897, 649), (896, 687), (898, 610)],
+    (10**5, 10): [(9, 73611), (8, 92982), (10, 34869)],
+    (10, 10**5): [(90063, 3), (90062, 4), (90064, 3)],
+}
+THIRTY_DIGIT_ENTRIES = [
+    (m, n, l, k) for (m, n), pairs in THIRTY_DIGIT_SHAPES.items() for l, k in pairs
+] + [(10**5, 10, 5, 10**5)]
+
+
+class TestThirtyDigitOracle:
+    """The engine against ``coverage_mp``, which takes no value from scipy."""
+
+    def test_binomial_tail_matches_mpmath_betainc(self):
+        from mpmath import mp, mpf
+
+        with mp.workdps(30):
+            for a, b, x in [(9, 2, "0.8"), (182, 19, "0.9"), (75, 126, "0.37"), (649, 352, "0.649")]:
+                exact = mp.betainc(a, b, 0, mpf(x), regularized=True)
+                assert abs(binomial_tail_mp(a + b - 1, a, mpf(x)) - exact) < 1e-29, (a, b)
+
+    def test_matches_exact_rationals(self):
+        from mpmath import mp, mpf
+
+        with mp.workdps(30):
+            for m, n, l, k in [(1, 5, 3, 1), (3, 4, 2, 2), (4, 5, 4, 3)]:
+                exact = coverage_exact_fraction(m, n, l, k)
+                error = coverage_mp(m, n, l, k) - mpf(exact.numerator) / exact.denominator
+                assert abs(error) < 1e-28, (m, n, l, k)
+
+    def test_entries_are_each_choice_and_its_frontier_neighbours(self):
+        for (m, n), (chosen, *beside) in THIRTY_DIGIT_SHAPES.items():
+            key = TableKey(m, n)
+            assert select_ranks(key, 0.1)[0] == RankPair(*chosen)
+            for l, k in beside:
+                assert coverage_probability(key, RankPair(l, k - 1)) < 0.9
+                assert coverage_probability(key, RankPair(l, k)) >= 0.9
+
+    @pytest.mark.parametrize("m, n, l, k", THIRTY_DIGIT_ENTRIES)
+    def test_engine_within_a_quarter_margin(self, m, n, l, k):
+        assert abs(_entry_engine(m, n, l, k) - coverage_mp(m, n, l, k)) <= LEVEL_MARGIN / 4
+
 
 class TestCertifiedLevel:
     """Entries equal to 1 - alpha, where a float compare can go either way."""

@@ -91,6 +91,12 @@ class TestAsBlock:
             ([[1.0, 2.0], [math.nan]], "NaN or infinite"),
             ([[1 + 2j, 1.0]], "must hold real numbers"),
             ([[1.0, 2.0], ["a"]], "must hold real numbers"),
+            # numpy reads a complex array as its real part, with only a warning
+            (np.array([[1 + 2j, 1.0]]), r"must hold real numbers \(dtype complex128 is not real\)"),
+            ([np.array([1.0, 2.0]), np.array([3.0, 1j])], "must hold real numbers"),
+            (5.0, "^scores must be a sequence of agents, got float$"),
+            (None, "^scores must be a sequence of agents, got NoneType$"),
+            (iter([[1.0]]), "^scores must be a sequence of agents, got list_iterator$"),
         ],
     )
     def test_refusals_name_the_problem(self, agents, message):
