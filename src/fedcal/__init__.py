@@ -45,7 +45,6 @@ from .federation import (
     UniformScores,
     coverage_experiment,
     heterogeneity_tv_penalty,
-    run_one_shot,
     substream,
     write_rows_csv,
 )

@@ -216,13 +216,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         if method.private:
             dp, spawn = _dp_config(options), np.random.default_rng(options["seed"]).spawn
         result = method.bind(options["alpha"], table=table, dp_config=dp)(agents, spawn)
-    print(f"method={result.method}")
-    print(f"q_hat={result.q_hat:.17g}")
     guarantee = result.guaranteed_coverage
-    print(f"guaranteed_coverage={'none' if guarantee is None else format(guarantee, '.15f')}")
-    for name in ("local_rank", "server_rank", "gamma", "correction", "quantile", "epsilon"):
-        if name in result.params:
-            print(f"{name}={result.params[name]}")
+    # the file first: a failed write prints no result
     if options.get("out"):
         payload = {
             # JSON has no infinity: an infinite threshold (too few scores) is null
@@ -234,6 +229,12 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
         with open(options["out"], "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, default=float, allow_nan=False)
             handle.write("\n")
+    print(f"method={result.method}")
+    print(f"q_hat={result.q_hat:.17g}")
+    print(f"guaranteed_coverage={'none' if guarantee is None else format(guarantee, '.15f')}")
+    for name in ("local_rank", "server_rank", "gamma", "correction", "quantile", "epsilon"):
+        if name in result.params:
+            print(f"{name}={result.params[name]}")
     return 0
 
 
@@ -258,14 +259,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         options["test_size"],
         dp_config=dp,
     )
-    print(
+    report = (
         f"method={method} reps={options['reps']} "
         f"mean_coverage={summary.mean_coverage:.6f} se={summary.coverage_se:.6f} "
         f"mean_length={summary.mean_length:.6f}"
     )
-    if options.get("out"):
+    if options.get("out"):  # the file first: a failed write prints no result
         write_rows_csv(summary.rows, options["out"])
-        print(f"rows={options['out']}")
+        report += f"\nrows={options['out']}"
+    print(report)
     return 0
 
 

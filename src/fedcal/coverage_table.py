@@ -221,9 +221,9 @@ def _entry_engine(m: int, n: int, l: int, k: int) -> float:
     float decision exact.
     """
     # scipy.special takes longer to import than the rest of the CLI, and only
-    # the coverage engine and the Monte-Carlo penalty use it, so each of them
-    # imports it itself: the first call loads it, and later calls only look
-    # it up
+    # the coverage engine, conditional_miscoverage_quantile and the
+    # Monte-Carlo penalty use it, so each of them imports it itself: the
+    # first call loads it, and later calls only look it up
     from scipy.special import betainc, betaincinv
 
     low, rest = betaincinv((k, m - k + 1), (m - k + 1, k), 2.0**-81)

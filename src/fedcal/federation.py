@@ -1,16 +1,15 @@
 """One-shot protocol simulation and heterogeneity diagnostics.
 
 ``METHODS`` is the one registry of calibration methods, keyed by their
-command-line names; the CLI, :func:`run_one_shot` and the simulator all
-bind through it. Every federated calibration returns its round's
-transcript on the result, so the single-round property (exactly one
-uplink message per agent) is asserted rather than assumed;
-:func:`run_one_shot` returns that transcript alongside the result. All
-randomness derives from a master seed via counter-style spawn keys, one
-stream per (replication, agent), so results are reproducible under any
-execution order. The simulator seeds those streams, and the private
-round's agent streams, in one vectorised pass; each is still exactly the
-``substream`` of its key.
+command-line names; the CLI and the simulator both bind through it. Every
+federated calibration returns its round's transcript on the result, so
+the single-round property (exactly one uplink message per agent) is
+asserted rather than assumed; the centralized baseline runs no round and
+carries no transcript. All randomness derives from a master seed via
+counter-style spawn keys, one stream per (replication, agent), so results
+are reproducible under any execution order. The simulator seeds those
+streams, and the private round's agent streams, in one vectorised pass;
+each is still exactly the ``substream`` of its key.
 """
 
 from __future__ import annotations
@@ -31,10 +30,9 @@ from .conformal import (
     fedcp_avg_calibrate,
     split_cp_calibrate,
 )
-from .coverage_table import CoverageTable, RankPair, TableKey
-from .errors import InternalError, InvalidArgumentError, ProtocolViolationError
+from .coverage_table import RankPair, TableKey
+from .errors import InternalError, InvalidArgumentError
 from .errors import check_alpha, check_integer
-from .order_stats import as_block
 from .privacy import DpConfig, _bind_private
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "OutlierScores",
     "SAMPLERS",
     "substream",
-    "run_one_shot",
     "ExperimentResult",
     "coverage_experiment",
     "write_rows_csv",
@@ -283,21 +280,18 @@ class Method:
     shape, so a caller running many rounds binds once. ``spawn(m)`` gives
     the private round's m agent streams and is ignored by the others.
     ``table`` marks the methods whose coverage table the CLI may load from
-    and save to a cache, ``private`` those that need a DpConfig and
-    ``spawn``, and ``one_shot`` those that fit one uplink message per agent,
-    which :func:`run_one_shot` requires.
+    and save to a cache, and ``private`` those that need a DpConfig and
+    ``spawn``.
     """
 
     bind: Callable[..., Callable[..., CalibrationResult]]
     table: bool = False
     private: bool = False
-    one_shot: bool = True
 
 
 METHODS: dict[str, Method] = {
     "centralized": Method(
-        lambda alpha, **_: lambda agents, spawn: split_cp_calibrate(np.concatenate(agents), alpha),
-        one_shot=False,
+        lambda alpha, **_: lambda agents, spawn: split_cp_calibrate(np.concatenate(agents), alpha)
     ),
     "fedcp-qq": Method(lambda alpha, *, table, **_: _bind_qq(alpha, table), table=True),
     "fedcp-avg": Method(
@@ -320,42 +314,6 @@ def _method_entry(method: str, dp_config: DpConfig | None) -> Method:
     if entry.private and dp_config is None:
         raise InvalidArgumentError("the private method needs a DpConfig")
     return entry
-
-
-def run_one_shot(
-    spec: FederationSpec,
-    scores: Sequence[Sequence[float]],
-    method: str,
-    *,
-    table: CoverageTable | None = None,
-    dp_config: DpConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[CalibrationResult, Transcript]:
-    """Run one calibration round and return it with its transcript.
-
-    ``method`` is a ``METHODS`` name; underscores may stand for its hyphens.
-    The returned result is bit-identical to calling the corresponding
-    calibrator directly, and the transcript is its ``result.transcript``.
-    Methods that cannot operate on one message per agent are rejected, and
-    so are scores that are not ``spec.m`` agents of ``spec.n`` each.
-    """
-    agents = as_block(scores)
-    if agents.shape != (spec.m, spec.n):
-        raise InvalidArgumentError(
-            f"expected {spec.m} agents of {spec.n} scores each, "
-            f"got {agents.shape[0]} of {agents.shape[1]}"
-        )
-    entry = _method_entry(method, dp_config)
-    if not entry.one_shot:
-        raise ProtocolViolationError(
-            f"{method} calibration needs every local score, which exceeds "
-            "one uplink message per agent"
-        )
-    if entry.private and rng is None:
-        rng = np.random.default_rng(spec.seed)
-    calibrate = entry.bind(spec.alpha, table=table, dp_config=dp_config)
-    result = calibrate(agents, None if rng is None else rng.spawn)
-    return result, result.transcript
 
 
 @dataclass
@@ -387,10 +345,8 @@ def coverage_experiment(
     reproduce identical output.
 
     ``method`` is any ``METHODS`` name, ``centralized`` included, which
-    calibrates on the m agents' pooled scores: only :func:`run_one_shot`,
-    which simulates a protocol round, refuses a method that exceeds one
-    uplink message per agent. For the private method the agents'
-    calibration scores are clipped at ``dp_config.grid.s_max``, as
+    calibrates on the m agents' pooled scores. For the private method the
+    agents' calibration scores are clipped at ``dp_config.grid.s_max``, as
     :class:`~fedcal.privacy.BinGrid` asks of its caller; test scores stay
     raw, so a threshold at the top edge covers only those up to s_max.
     """

@@ -138,7 +138,9 @@ def _logits(index: np.ndarray, q: float, epsilon: float, bins: int) -> np.ndarra
 
     The raw utility is max(#below/q, #above/(1-q)) with sensitivity
     max(1/q, 1/(1-q)); dividing through first avoids the 1/(1-q) blow-up
-    near q = 1.
+    near q = 1. Each row is shifted so that its best edge's log-weight is
+    exactly 0, which leaves the Gumbel-max draw's law unchanged: at a huge
+    epsilon the other edges' weights overflow to -inf, never the best's.
     """
     m, n = index.shape
     # row j counts into slots j*(B+1) + 1 .. j*(B+1) + B, one per bin
@@ -147,10 +149,12 @@ def _logits(index: np.ndarray, q: float, epsilon: float, bins: int) -> np.ndarra
     at_or_below = np.cumsum(counts, axis=1)
     below = at_or_below - counts  # discretized scores strictly below each edge
     above = n - at_or_below  # strictly above each edge
-    scale = -0.5 * epsilon
     if q >= 0.5:
-        return scale * np.maximum(below * ((1.0 - q) / q), above)
-    return scale * np.maximum(below, above * (q / (1.0 - q)))
+        utility = np.maximum(below * ((1.0 - q) / q), above)
+    else:
+        utility = np.maximum(below, above * (q / (1.0 - q)))
+    with np.errstate(over="ignore"):
+        return -0.5 * epsilon * (utility - utility.min(axis=1, keepdims=True))
 
 
 def _release(index: np.ndarray, q: float, epsilon: float, grid: BinGrid, streams) -> np.ndarray:

@@ -34,7 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import betainc, gammaln, logsumexp, roots_legendre
 
-from fedcal.conformal import split_cp_calibrate
+from fedcal.conformal import fedcp_avg_calibrate, fedcp_qq_calibrate, split_cp_calibrate
 from fedcal.coverage_table import (
     CoverageTable,
     LEVEL_MARGIN,
@@ -46,8 +46,9 @@ from fedcal.coverage_table import (
     select_ranks,
 )
 from fedcal.errors import InfeasibleError, InvalidArgumentError, ResourceLimitError
-from fedcal.federation import _agent_shifts, run_one_shot, substream
+from fedcal.federation import _agent_shifts, substream
 from fedcal.order_stats import _kth_smallest
+from fedcal.privacy import fedcp2_qq_calibrate
 
 
 def coverage_exact_fraction(m: int, n: int, l: int, k: int) -> Fraction:
@@ -605,29 +606,29 @@ def coverage_rows_by_substream(
 ) -> list[dict]:
     """``coverage_experiment``'s rows, each stream built by ``substream``.
 
-    ``centralized``, which ``run_one_shot`` refuses, is split calibration
-    on the replication's pooled (m, n) block. The private method's
-    calibration scores are clipped at the grid's s_max, its test scores
-    are not."""
+    Each replication calls the method's library calibrator, all of them
+    sharing one coverage table; ``centralized`` is split calibration on the
+    replication's pooled (m, n) block. The private method's calibration
+    scores are clipped at the grid's s_max, its test scores are not, and
+    its agents' noise comes from ``substream(seed, rep, m + 1).spawn(m)``."""
     offsets = _agent_shifts(shifts, spec.m)[:, None]
-    private = method.replace("_", "-") == "fedcp2-qq"
+    name = method.replace("_", "-")
+    private = name == "fedcp2-qq"
     table = CoverageTable(key=TableKey(spec.m, spec.n))
     rows: list[dict] = []
     for rep in range(replications):
         agents = _replication_by_substream(sampler, spec.seed, rep, spec.m, spec.n) + offsets
         if private:
             agents = np.clip(agents, None, dp_config.grid.s_max)
-        if method == "centralized":
+        if name == "centralized":
             result = split_cp_calibrate(agents.ravel(), spec.alpha)
+        elif name == "fedcp-qq":
+            result = fedcp_qq_calibrate(agents, spec.alpha, table=table)
+        elif name == "fedcp-avg":
+            result = fedcp_avg_calibrate(agents, spec.alpha)
         else:
-            result, _ = run_one_shot(
-                spec,
-                agents,
-                method,
-                table=table,
-                dp_config=dp_config,
-                rng=substream(spec.seed, rep, spec.m + 1),
-            )
+            rng = substream(spec.seed, rep, spec.m + 1)
+            result = fedcp2_qq_calibrate(agents, spec.alpha, dp_config, rng, table=table)
         test = sampler.sample(substream(spec.seed, rep, spec.m), test_size)
         coverage = float(np.mean(test <= result.q_hat))
         rows.append(

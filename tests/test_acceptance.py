@@ -18,7 +18,6 @@ from fedcal import (
     CoverageTable,
     DpConfig,
     FederationSpec,
-    ProtocolViolationError,
     RankPair,
     TableKey,
     conditional_miscoverage_quantile,
@@ -27,7 +26,6 @@ from fedcal import (
     fedcp_avg_calibrate,
     fedcp_qq_calibrate,
     rank_correction,
-    run_one_shot,
     select_ranks,
     split_cp_calibrate,
     split_rank,
@@ -357,17 +355,15 @@ def test_c12_every_simulated_round_is_one_shot():
     rounds = 0
     for (m, n) in [(2, 40), (5, 50), (8, 64), (10, 100)]:
         agents = (1.0 - rng.uniform(size=(m, n))).tolist()
-        spec = FederationSpec(m=m, n=n, alpha=0.1, seed=1)
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 20))
-        for method in ("fedcp_qq", "fedcp_avg", "fedcp2_qq"):
-            _, transcript = run_one_shot(spec, agents, method, dp_config=cfg)
+        for result in (
+            fedcp_qq_calibrate(agents, 0.1),
+            fedcp_avg_calibrate(agents, 0.1),
+            fedcp2_qq_calibrate(agents, 0.1, cfg, np.random.default_rng(1)),
+        ):
+            transcript = result.transcript
             assert len(transcript.uplinks) == m
             assert sorted(a for a, _ in transcript.uplinks) == list(range(m))
             rounds += 1
-    with pytest.raises(ProtocolViolationError):
-        run_one_shot(
-            FederationSpec(m=2, n=5, alpha=0.1, seed=0),
-            [[1.0] * 5, [2.0] * 5],
-            "centralized",
-        )
-    _report(12, f"{rounds} simulated rounds audited; centralized correctly rejected")
+    assert split_cp_calibrate([1.0] * 5 + [2.0] * 5, 0.1).transcript is None
+    _report(12, f"{rounds} simulated rounds audited; the centralized result carries no transcript")

@@ -14,14 +14,14 @@ from fedcal import (
     BinGrid,
     CoverageTable,
     DpConfig,
-    FederationSpec,
     InvalidArgumentError,
-    ProtocolViolationError,
     RankPair,
     TableKey,
     coverage_probability,
+    fedcp2_qq_calibrate,
+    fedcp_avg_calibrate,
+    fedcp_qq_calibrate,
     load_table,
-    run_one_shot,
     save_table,
     split_cp_calibrate,
     substream,
@@ -184,6 +184,13 @@ class TestCalibrateCommand:
         assert code == 0
         assert "q_hat=18" in out
         assert "guaranteed_coverage=0.9" in out
+
+    def test_failed_out_write_prints_no_result(self, tmp_path, capsys):
+        paths = _write_agent_files(tmp_path, [range(1, 20)] * 2)
+        code, out, err = _run(capsys, "calibrate", *paths, "--alpha", "0.1",
+                              "--method", "fedcp-qq", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     def test_identical_agents_federated(self, tmp_path, capsys):
         scores = list(np.round(np.random.default_rng(0).uniform(size=25), 6))
@@ -400,23 +407,20 @@ class TestMethodRegistry:
         assert list(METHODS) == ["centralized", "fedcp-qq", "fedcp-avg", "fedcp2-qq"]
         agents = (1.0 - np.random.default_rng(3).uniform(size=(6, 50))).round(6).tolist()
         paths = _write_agent_files(tmp_path, agents)
-        spec = FederationSpec(m=6, n=50, alpha=0.2, seed=0)
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 100))
+        calibrators = {
+            "centralized": lambda: split_cp_calibrate(np.concatenate(agents), 0.2),
+            "fedcp-qq": lambda: fedcp_qq_calibrate(agents, 0.2),
+            "fedcp-avg": lambda: fedcp_avg_calibrate(agents, 0.2),
+            "fedcp2-qq": lambda: fedcp2_qq_calibrate(agents, 0.2, cfg, np.random.default_rng(11)),
+        }
         for name, method in METHODS.items():
             out = tmp_path / f"{name}.json"
             code, _, _ = _run(capsys, "calibrate", *paths, "--alpha", "0.2", "--method", name,
                               "--epsilon", "5", "--bins", "100", "--smax", "1", "--seed", "11",
                               "--out", str(out))
             assert code == 0
-            if not method.one_shot:
-                with pytest.raises(ProtocolViolationError):
-                    run_one_shot(spec, agents, name)
-                calibrate = method.bind(0.2, table=None, dp_config=None)
-                assert calibrate(agents, None).transcript is None
-                continue
-            result, transcript = run_one_shot(
-                spec, agents, name, dp_config=cfg, rng=np.random.default_rng(11)
-            )
+            result = calibrators[name]()
             expected = {
                 "q_hat": result.q_hat,
                 "method": result.method,
@@ -424,11 +428,12 @@ class TestMethodRegistry:
                 "params": result.params,
             }
             assert json.loads(out.read_text()) == json.loads(json.dumps(expected, default=float))
-            assert [agent for agent, _ in transcript.uplinks] == list(range(6))
-            direct = method.bind(0.2, table=None, dp_config=cfg)(
-                agents, np.random.default_rng(11).spawn
-            )
-            assert transcript == direct.transcript
+            bound = method.bind(0.2, table=None, dp_config=cfg)
+            assert bound(agents, np.random.default_rng(11).spawn) == result
+            if name == "centralized":
+                assert result.transcript is None
+            else:
+                assert [agent for agent, _ in result.transcript.uplinks] == list(range(6))
 
 
 class TestSimulateCommand:
@@ -442,6 +447,12 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 1
         assert "mean_coverage=" in out
+
+    def test_failed_out_write_prints_no_result(self, tmp_path, capsys):
+        code, out, err = _run(capsys, "simulate", "--m", "5", "--n", "12", "--alpha", "0.1",
+                              "--method", "fedcp-qq", "--reps", "2", "--out", str(tmp_path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
 
     def test_coverage_near_table_value(self, tmp_path, capsys):
         code, out, _ = _run(capsys, "simulate", "--m", "50", "--n", "20",

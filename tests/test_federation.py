@@ -29,7 +29,6 @@ from fedcal import (
     heterogeneity_tv_penalty,
     quantile_of_quantiles,
     rank_correction,
-    run_one_shot,
     select_ranks,
     split_rank,
     substream,
@@ -38,6 +37,7 @@ from fedcal import (
 from fedcal import coverage_table, federation, privacy
 from fedcal.conformal import _one_shot_round
 from fedcal.federation import (
+    METHODS,
     _Preseeded,
     _replication_streams,
     _stream_states,
@@ -148,35 +148,28 @@ class TestRunOneShot:
 
     def test_qq_payloads_are_local_order_statistics(self):
         agents = self._agents()
-        spec = FederationSpec(m=6, n=15, alpha=0.1, seed=0)
-        result, transcript = run_one_shot(spec, agents, "fedcp_qq")
+        transcript = fedcp_qq_calibrate(agents, 0.1).transcript
         rank = transcript.downlink["local_rank"]
         for agent_id, payload in transcript.uplinks:
             assert payload == np.sort(agents[agent_id])[rank - 1]
-        direct = fedcp_qq_calibrate(agents, 0.1)
-        assert result == direct
 
     def test_avg_aggregate_is_mean_of_payloads(self):
         agents = self._agents()
-        spec = FederationSpec(m=6, n=15, alpha=0.2, seed=0)
-        result, transcript = run_one_shot(spec, agents, "fedcp_avg")
+        result = fedcp_avg_calibrate(agents, 0.2)
+        transcript = result.transcript
         rank = transcript.downlink["local_rank"]
         for agent_id, payload in transcript.uplinks:
             assert payload == np.sort(agents[agent_id])[rank - 1]
         assert result.q_hat == pytest.approx(float(np.mean(transcript.payloads)), rel=1e-15)
-        assert result == fedcp_avg_calibrate(agents, 0.2)
 
     def test_private_payloads_are_grid_edges_and_match_direct_call(self):
         agents = (1.0 - np.random.default_rng(4).uniform(size=(5, 60))).tolist()
-        spec = FederationSpec(m=5, n=60, alpha=0.1, seed=9)
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 20))
-        result, transcript = run_one_shot(
-            spec, agents, "fedcp2-qq", dp_config=cfg, rng=np.random.default_rng(9)
-        )
-        for _, payload in transcript.uplinks:
+        result = fedcp2_qq_calibrate(agents, 0.1, cfg, np.random.default_rng(9))
+        for _, payload in result.transcript.uplinks:
             assert payload in cfg.grid.edges[1:]
-        direct = fedcp2_qq_calibrate(agents, 0.1, cfg, np.random.default_rng(9))
-        assert result == direct
+        bound = METHODS["fedcp2-qq"].bind(0.1, table=None, dp_config=cfg)
+        assert bound(agents, np.random.default_rng(9).spawn) == result
 
     def test_every_method_sends_exactly_one_message_per_agent(self):
         rng = np.random.default_rng(0)
@@ -184,30 +177,16 @@ class TestRunOneShot:
             m = int(rng.integers(2, 9))
             n = int(rng.integers(12, 60))
             agents = (1.0 - rng.uniform(size=(m, n))).tolist()
-            spec = FederationSpec(m=m, n=n, alpha=0.1, seed=1)
-            for method in ("fedcp_qq", "fedcp_avg"):
-                _, transcript = run_one_shot(spec, agents, method)
+            for calibrate in (fedcp_qq_calibrate, fedcp_avg_calibrate):
+                transcript = calibrate(agents, 0.1).transcript
                 assert len(transcript.uplinks) == m
                 assert sorted(a for a, _ in transcript.uplinks) == list(range(m))
         cfg = DpConfig(epsilon=5.0, grid=BinGrid.uniform(1.0, 20))
         for (m, n) in [(5, 50), (10, 50), (5, 100)]:
             agents = (1.0 - rng.uniform(size=(m, n))).tolist()
-            spec = FederationSpec(m=m, n=n, alpha=0.1, seed=1)
-            _, transcript = run_one_shot(spec, agents, "fedcp2_qq", dp_config=cfg)
+            transcript = fedcp2_qq_calibrate(agents, 0.1, cfg, np.random.default_rng(1)).transcript
             assert len(transcript.uplinks) == m
             assert sorted(a for a, _ in transcript.uplinks) == list(range(m))
-
-    @pytest.mark.parametrize("m, n", [(4, 5), (3, 40)])
-    def test_scores_must_have_the_spec_shape(self, m, n):
-        spec = FederationSpec(m=3, n=5, alpha=0.2, seed=0)
-        expected = f"expected 3 agents of 5 scores each, got {m} of {n}"
-        with pytest.raises(InvalidArgumentError, match=expected):
-            run_one_shot(spec, self._agents(m, n), "fedcp-qq")
-
-    def test_centralized_violates_the_protocol(self):
-        spec = FederationSpec(m=2, n=5, alpha=0.1, seed=0)
-        with pytest.raises(ProtocolViolationError):
-            run_one_shot(spec, self._agents(2, 5), "centralized")
 
     @pytest.mark.parametrize(
         "local",
@@ -227,6 +206,13 @@ class TestRunOneShot:
 class TestRoundProperties:
     # large epsilon and few bins keep the rank correction at 1 or 2
     _CONFIG = DpConfig(epsilon=50.0, grid=BinGrid.uniform(1.0, 10))
+    _CALIBRATORS = {
+        "fedcp-qq": lambda agents, config: fedcp_qq_calibrate(agents, 0.2),
+        "fedcp-avg": lambda agents, config: fedcp_avg_calibrate(agents, 0.2),
+        "fedcp2-qq": lambda agents, config: fedcp2_qq_calibrate(
+            agents, 0.2, config, np.random.default_rng(7)
+        ),
+    }
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(data=st.data(), method=st.sampled_from(["fedcp-qq", "fedcp-avg", "fedcp2-qq"]),
@@ -240,12 +226,10 @@ class TestRoundProperties:
         j = data.draw(st.integers(0, m - 1))
         redrawn = np.reshape(data.draw(scores), (m, n))
         redrawn[j] = block[j]
-        spec = FederationSpec(m=m, n=n, alpha=0.2, seed=0)
         transcripts = []
         for agents in (block, redrawn):
             try:
-                _, transcript = run_one_shot(spec, agents, method, dp_config=self._CONFIG,
-                                             rng=np.random.default_rng(7))
+                transcript = self._CALIBRATORS[method](agents, self._CONFIG).transcript
             except InfeasibleError:  # n too small for the private rank correction
                 assume(False)
             assert [agent for agent, _ in transcript.uplinks] == list(range(m))
@@ -296,8 +280,8 @@ class TestCoverageExperiment:
         assert float(rows[1]["coverage"]) == summary.rows[1]["coverage"]
 
     def test_only_the_method_lookup_refuses(self):
-        # the one-message gate belongs to run_one_shot, so centralized runs
-        # (see test_rows_equal_the_per_replication_loop); these two stay
+        # centralized runs too (see test_rows_equal_the_per_replication_loop):
+        # only an unknown name or a missing DpConfig is refused
         spec = FederationSpec(m=3, n=10, alpha=0.2, seed=4)
         with pytest.raises(InvalidArgumentError, match="unknown method 'pooled'"):
             coverage_experiment(spec, 2, "pooled", UniformScores(), 20)

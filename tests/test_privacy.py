@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +370,22 @@ class TestPrivateCalibrate:
         scores = [[0.42] * 60] * 5  # everything in bin (0.4, 0.5]
         result = fedcp2_qq_calibrate(scores, 0.1, cfg, np.random.default_rng(3))
         assert result.q_hat == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("epsilon", [1e307, 1e308, 1.7e308])
+    def test_epsilon_near_the_float_limit_releases_like_a_large_one(self, epsilon):
+        # every weight but the best edge's overflows to -inf, silently; were
+        # the best's to overflow too, every agent would release the lowest edge
+        scores = np.random.default_rng(0).uniform(0.05, 0.95, size=(8, 60))
+        expected = fedcp2_qq_calibrate(
+            scores, 0.1, self._config(100, 1e300), np.random.default_rng(1)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = fedcp2_qq_calibrate(
+                scores, 0.1, self._config(100, epsilon), np.random.default_rng(1)
+            )
+        assert result.transcript.uplinks == expected.transcript.uplinks
+        assert result.q_hat == expected.q_hat > 0.5
 
     def test_close_to_nonprivate_corrected_aggregate_at_large_epsilon(self):
         # q * n equals the corrected rank exactly, so the mechanism's weights
